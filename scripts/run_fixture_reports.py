@@ -39,7 +39,7 @@ def main(argv=None) -> int:
         print()
         print(result.report.to_text())
         print()
-        any_failed = any_failed or not result.passed
+        any_failed = any_failed or bool(result.mismatches)
     return 1 if any_failed else 0
 
 

@@ -23,7 +23,6 @@ from .chartab import (
     character_table,
     eigenvalue_one_counts,
     frobenius_schur,
-    inner_product,
     natural_character,
 )
 from .errors import GroupFileError, GroupTooLargeError, TorusQuotError

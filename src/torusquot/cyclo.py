@@ -148,34 +148,45 @@ def _fixed_by_subfield(n: int, coeffs: list[Fraction], d: int) -> bool:
     return True
 
 
-def _solve_fraction_system(cols: list[list[Fraction]], target: list[Fraction]) -> list[Fraction]:
-    # solve sum_j x_j * cols[j] = target; system is consistent by construction
-    rows = len(target)
-    ncols = len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
+def rref(a) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """Reduced row echelon form and pivot column indices, exactly.
+
+    Entries are all Fractions or all Cyclotomic values.  An augmented
+    system [A | t] is inconsistent exactly when a pivot lands in the last
+    column.
+    """
+    rows = [list(r) for r in a]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, rows) if aug[i][c]), None)
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p = rows[r][c]
+        inv = p.inverse() if isinstance(p, Cyclotomic) else 1 / p
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == nrows:
             break
-    sol = [_F0] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][ncols]
-    for i in range(r, rows):
-        if aug[i][ncols]:
-            raise ArithmeticError("inconsistent subfield rewrite")
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def _solve_columns(cols: list[list[Fraction]], target: list[Fraction]) -> list[Fraction]:
+    # solve sum_j x_j * cols[j] = target; the system is consistent by construction
+    red, pivots = rref([[col[i] for col in cols] + [t] for i, t in enumerate(target)])
+    if pivots and pivots[-1] == len(cols):
+        raise ArithmeticError("inconsistent rational system")
+    sol = [_F0] * len(cols)
+    for row, c in zip(red, pivots):
+        sol[c] = row[-1]
     return sol
 
 
@@ -188,7 +199,7 @@ def _rewrite_in_subfield(n: int, coeffs: list[Fraction], d: int) -> list[Fractio
         raw[j * step] = _F1
         _reduce(raw, n)
         cols.append(raw[:t_n])
-    sol = _solve_fraction_system(cols, coeffs[:t_n])
+    sol = _solve_columns(cols, coeffs[:t_n])
     out = [_F0] * d
     out[:t_d] = sol
     return out
@@ -425,7 +436,7 @@ class Cyclotomic:
                     nxt[(i + 1) % n] += c
             cur = _reduce(nxt, n)
         e0 = [_F1] + [_F0] * (t - 1)
-        sol = _solve_fraction_system(cols, e0)
+        sol = _solve_columns(cols, e0)
         return _make(sol, n)
 
     def __truediv__(self, other):

@@ -197,10 +197,6 @@ class FixtureResult:
     checks: list  # (name, expected, actual) with actual == expected iff passing
 
     @property
-    def passed(self) -> bool:
-        return all(exp == act for _, exp, act in self.checks)
-
-    @property
     def mismatches(self):
         return [(n, e, a) for n, e, a in self.checks if e != a]
 

@@ -383,25 +383,14 @@ def parse_group(path) -> GroupFile:
 # -- serialization
 
 
-def _row_style_of(element):
-    """Invert the constructor: per-row (1-based source column, scalar)."""
-    n = element.degree
-    maps = [0] * n
-    scalars = [one()] * n
-    for col, (row, s) in enumerate(zip(element.perm, element.scalars)):
-        maps[row] = col + 1
-        scalars[row] = s
-    return maps, scalars
-
-
 def serialize_group(gf: GroupFile) -> str:
     out = [f"conductor {gf.conductor}", f"degree {gf.degree}"]
     fmt = lambda x: format_entry(x, gf.conductor)
     for spec in gf.generators:
         out.append(f"generator {spec.kind}")
         if spec.kind in ("monomial", "perm"):
-            maps, scalars = _row_style_of(spec.element)
-            out.append("map " + " ".join(str(t) for t in maps))
+            cols, scalars = spec.element.row_entries()
+            out.append("map " + " ".join(str(c + 1) for c in cols))
             if spec.kind == "monomial":
                 out.append("scalars " + "; ".join(fmt(s) for s in scalars))
         else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from . import linalg
-from .cyclo import Cyclotomic, one, prime_factors, zero
+from .cyclo import Cyclotomic, one, zero
 from .errors import GroupTooLargeError, InvalidInputError
 
 DEFAULT_CLOSURE_LIMIT = 20000
@@ -58,26 +58,25 @@ class Monomial:
             return self.to_dense() * other
         return NotImplemented
 
-    def inverse(self) -> "Monomial":
+    def row_entries(self) -> tuple[list[int], list[Cyclotomic]]:
+        """Per-row view (cols, scalars): row i holds scalars[i] at column cols[i]."""
         d = self.degree
-        q = [0] * d
-        t = [None] * d
+        cols = [0] * d
+        scalars = [None] * d
         for j, (pj, sj) in enumerate(zip(self.perm, self.scalars)):
-            q[pj] = j
-            t[pj] = sj.inverse()
-        return Monomial(q, t)
+            cols[pj] = j
+            scalars[pj] = sj
+        return cols, scalars
+
+    def inverse(self) -> "Monomial":
+        cols, scalars = self.row_entries()
+        return Monomial(cols, [s.inverse() for s in scalars])
 
     def conjugate(self) -> "Monomial":
         return Monomial(self.perm, tuple(s.conjugate() for s in self.scalars))
 
     def transpose(self) -> "Monomial":
-        d = self.degree
-        q = [0] * d
-        t = [None] * d
-        for j, (pj, sj) in enumerate(zip(self.perm, self.scalars)):
-            q[pj] = j
-            t[pj] = sj
-        return Monomial(q, t)
+        return Monomial(*self.row_entries())
 
     def trace(self) -> Cyclotomic:
         return sum((self.scalars[j] for j in range(self.degree) if self.perm[j] == j), zero())
@@ -182,11 +181,6 @@ class Dense:
             # right-multiplying by a monomial scales and permutes columns
             q, t = other.perm, other.scalars
             return Dense(tuple(tuple(row[q[j]] * t[j] for j in range(len(q))) for row in self.rows))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, Monomial):
-            return other.to_dense() * self
         return NotImplemented
 
     def inverse(self) -> "Dense":
@@ -320,12 +314,6 @@ class FiniteGroup:
 
     def element(self, i: int):
         return self.elements[i]
-
-    def index_of(self, element) -> int | None:
-        return self._index.get(element)
-
-    def generators(self):
-        return tuple(self.elements[i] for i in self.generator_indices)
 
     def word(self, i: int) -> tuple[int, ...]:
         """Generator word that reaches element i from the identity (BFS order,

@@ -6,7 +6,7 @@ Everything here is exact; nothing falls back to floats.
 
 from __future__ import annotations
 
-from .cyclo import Cyclotomic, one, zero
+from .cyclo import Cyclotomic, one, rref, zero
 from .errors import InvalidInputError
 
 Matrix = tuple  # tuple[tuple[Cyclotomic, ...], ...]
@@ -18,11 +18,6 @@ def as_matrix(rows) -> Matrix:
 
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(one() if i == j else zero() for j in range(n)) for i in range(n))
-
-
-def zero_matrix(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return tuple((zero(),) * m for _ in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -82,31 +77,6 @@ def bareiss_det(a: Matrix) -> Cyclotomic:
         prev = pkk
     d = m[n - 1][n - 1]
     return -d if sign < 0 else d
-
-
-def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices."""
-    rows = [list(r) for r in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
 def mat_rank(a: Matrix) -> int:

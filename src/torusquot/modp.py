@@ -33,7 +33,6 @@ def element_of_order(e: int, p: int) -> int:
 
 
 def mat_mul_mod(a, b, p):
-    n, m, k = len(a), len(b[0]), len(b)
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
 

@@ -29,7 +29,7 @@ from .chartab import (
     inner_product,
     trivial_character,
 )
-from .cyclo import Cyclotomic, format_entry, one, prime_factors, zero
+from .cyclo import Cyclotomic, divisors, format_entry, one, prime_factors, rref, zero
 from .errors import (
     InconsistentCharacterError,
     InvalidInputError,
@@ -85,9 +85,6 @@ class AnalyticRep:
         d = Cyclotomic.from_value(self.degree)
         return all(v == d for v in self.character.values)
 
-    def is_irreducible(self) -> bool:
-        return inner_product(self.character, self.character) == 1
-
     def __repr__(self):
         return f"AnalyticRep(order={self.group.order}, degree={self.degree})"
 
@@ -132,11 +129,6 @@ def assemble(group: FiniteGroup, images) -> AnalyticRep:
 def natural_rep(group: FiniteGroup) -> AnalyticRep:
     """The group acting by its own matrices."""
     return AnalyticRep(group, group.elements)
-
-
-def conjugate_rep(rep: AnalyticRep) -> AnalyticRep:
-    return AnalyticRep(rep.group, tuple(m.conjugate() for m in rep.matrices),
-                       pair_block=rep.pair_block)
 
 
 def conjugate_pair_rep(rep: AnalyticRep) -> AnalyticRep:
@@ -246,37 +238,13 @@ class LatticeSpec:
         one_vec = one().lift_coeffs(self.order)
         omega_vec = self.omega.lift_coeffs(self.order)
         # solve a*1 + b*omega = x over Q, then require integer a, b
-        rows = [(one_vec[k], omega_vec[k], target[k]) for k in range(len(target))]
-        sol = _solve_two_unknowns(rows)
-        if sol is None:
-            return False
-        a, b = sol
-        return a.denominator == 1 and b.denominator == 1
+        red, pivots = rref([[one_vec[k], omega_vec[k], target[k]] for k in range(len(target))])
+        if pivots[-1] == 2:
+            return False  # inconsistent: x is not in Q + Q*omega
+        return all(row[2].denominator == 1 for row in red[:len(pivots)])
 
     def __repr__(self):
         return f"LatticeSpec(omega={self.omega})"
-
-
-def _solve_two_unknowns(rows):
-    """Solve an overdetermined rational system a*c1 + b*c2 = t given as
-    (c1, c2, t) rows; None when inconsistent."""
-    p1 = next((r for r in rows if r[0]), None)
-    reduced = []
-    for r in rows:
-        if r is p1:
-            continue
-        if p1 is None:
-            reduced.append(r)
-        else:
-            f = r[0] / p1[0]
-            reduced.append((Fraction(0), r[1] - f * p1[1], r[2] - f * p1[2]))
-    p2 = next((r for r in reduced if r[1]), None)
-    b = p2[2] / p2[1] if p2 is not None else Fraction(0)
-    a = (p1[2] - p1[1] * b) / p1[0] if p1 is not None else Fraction(0)
-    for c1, c2, t in rows:
-        if a * c1 + b * c2 != t:
-            return None
-    return a, b
 
 
 # -- reflexive form dimensions
@@ -367,18 +335,6 @@ def homogeneous_decomplexification(rep: AnalyticRep, table: CharacterTable) -> b
 # -- invariant forms and their preservation
 
 
-def _monomial_support(m: Monomial):
-    """(row-of-column, scalar-by-row) view: entry s at (p[j], j) becomes
-    row i holding scalars_by_row[i] at column cols_by_row[i]."""
-    n = m.degree
-    col = [0] * n
-    s = [None] * n
-    for j, pj in enumerate(m.perm):
-        col[pj] = j
-        s[pj] = m.scalars[j]
-    return col, s
-
-
 def invariant_form(rep: AnalyticRep) -> SymplecticForm | None:
     """Group-average antisymmetric coordinate seeds; first nonzero average,
     rescaled so its first nonzero entry is 1.  None when every seed dies,
@@ -386,7 +342,7 @@ def invariant_form(rep: AnalyticRep) -> SymplecticForm | None:
     n = rep.degree
     mono = all(isinstance(m, Monomial) for m in rep.matrices)
     if mono:
-        support = [_monomial_support(m) for m in rep.matrices]
+        support = [m.row_entries() for m in rep.matrices]
     for a in range(n):
         for b in range(a + 1, n):
             acc = [[zero()] * n for _ in range(n)]
@@ -477,27 +433,26 @@ def is_primitive(group: FiniteGroup) -> bool:
 
 class Verdict(Enum):
     TORUS_ONLY = "TORUS_ONLY"
-    SMOOTH_IMPLIES_2TORUS = "SMOOTH_IMPLIES_2TORUS"
     TWO_TORUS = "TWO_TORUS"
     NO_OBSTRUCTION_RECORDED = "NO_OBSTRUCTION_RECORDED"
 
     @property
     def singular_unless_torus(self) -> bool:
-        return self in (Verdict.TORUS_ONLY, Verdict.SMOOTH_IMPLIES_2TORUS)
+        return self is Verdict.TORUS_ONLY
 
 
 def smoothness_verdict(symplectic_class: SymplecticClass, homogeneous: bool,
                        degree: int, trivial: bool) -> Verdict:
-    """Obstruction summary.  Never claims a smooth quotient exists."""
+    """Obstruction summary.  Never claims a smooth quotient exists.
+
+    A uni-symplectic class is always homogeneous, and it is trivial only as
+    the degree-2 trivial pair, so above degree 2 it always gets TORUS_ONLY.
+    """
     if symplectic_class == SymplecticClass(SymplecticKind.CONJUGATE_PAIR, "trivial") \
             and degree == 2:
         return Verdict.TWO_TORUS
     if homogeneous and not trivial:
         return Verdict.TORUS_ONLY
-    if symplectic_class.kind is not SymplecticKind.NOT_UNI_SYMPLECTIC and degree > 2:
-        # subsumed by the homogeneous branch for every reachable input;
-        # kept so the verdict set matches its statement
-        return Verdict.SMOOTH_IMPLIES_2TORUS
     return Verdict.NO_OBSTRUCTION_RECORDED
 
 
@@ -587,22 +542,14 @@ def _rational_roots(poly) -> list[Fraction]:
     lcm = math.lcm(*(c.denominator for c in rat))
     ints = [int(c * lcm) for c in rat]
     lead, const = abs(ints[-1]), abs(ints[0])
-    for q in sorted(_divisors_of(lead)):
-        for p in sorted(_divisors_of(const)):
+    for q in divisors(lead):
+        for p in divisors(const):
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if cand in roots:
                     continue
                 if sum(c * cand ** k for k, c in enumerate(ints)) == 0:
                     roots.append(cand)
     return sorted(roots)
-
-
-def _divisors_of(n: int):
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.extend((d, n // d))
-    return sorted(set(out))
 
 
 def _commutant_split(rep: AnalyticRep, half: int):
@@ -623,9 +570,8 @@ def _commutant_split(rep: AnalyticRep, half: int):
                 m = rep.matrices[gi]
                 minv = rep.matrices[inv_of[gi]]
                 if mono:
-                    # M E_ab M^-1 has single entry s_a/s'^-1-ish at (p[a], q)
-                    i = m.perm[a]
-                    j = next(col for col, pj in enumerate(minv.perm) if pj == b)
+                    # M·E_ab·M⁻¹ = (s_a/s_b)·E_{p(a),p(b)}; minv holds 1/s_b at column p(b)
+                    i, j = m.perm[a], m.perm[b]
                     acc[i][j] = acc[i][j] + m.scalars[a] * minv.scalars[j]
                 else:
                     cola = [m.rows[r][a] for r in range(n)]

@@ -245,6 +245,14 @@ def test_lattice_membership_eisenstein():
     assert not lat.contains(w * Cyclotomic.from_value(Fraction(1, 3)))
 
 
+def test_lattice_membership_cyclotomic8():
+    z8 = Cyclotomic.zeta(8, 1)
+    lat = LatticeSpec(z8)
+    assert not lat.contains(I4)  # not even in Q + Q*z8: the system is inconsistent
+    assert lat.contains(2 - 3 * z8)
+    assert not lat.contains(z8 * Cyclotomic.from_value(Fraction(1, 2)))
+
+
 def test_lattice_rejects_bad_generators():
     with pytest.raises(InvalidInputError):
         LatticeSpec(Cyclotomic.from_value(-1))
@@ -350,6 +358,25 @@ def test_real_pair_fibration_survives_scrambling(s4_natural, s4_table):
                 assert moved.evaluate(u, v).is_zero()
 
 
+def test_real_pair_fibration_by_monomial_commutant_split(s4_natural, s4_table):
+    # the same pair without its block hint: the halves must come from the
+    # monomial branch of the commutant split
+    pair = conjugate_pair_rep(s4_natural)
+    rep = AnalyticRep(pair.group, pair.matrices)
+    assert rep.pair_block is None
+    assert all(isinstance(m, Monomial) for m in rep.matrices)
+    assert str(classify_symplectic(rep, s4_table)) == "ConjugatePair(real)"
+    form = SymplecticForm.wedge_pairs(6, [(0, 3), (1, 4), (2, 5)])
+    fib = lagrangian_fibration_data(rep, form, s4_table)
+    assert fib is not None
+    v1, v2 = fib
+    assert len(v1) == len(v2) == 3
+    for basis in (v1, v2):
+        for u in basis:
+            for v in basis:
+                assert form.evaluate(u, v).is_zero()
+
+
 def test_quaternionic_natural_rep_has_no_fibration(q8_group, q8_table):
     rep = natural_rep(q8_group)
     form = invariant_form(rep)
@@ -361,13 +388,19 @@ def test_quaternionic_natural_rep_has_no_fibration(q8_group, q8_table):
 
 
 def test_corpus_verdict_soundness(corpus):
+    uni_symplectic_above_2 = 0
     for name, rep, table in corpus:
         homogeneous = homogeneous_decomplexification(rep, table)
-        if not homogeneous or rep.is_trivial():
-            continue
         cls = classify_symplectic(rep, table)
         verdict = smoothness_verdict(cls, homogeneous, rep.degree, rep.is_trivial())
-        assert verdict.singular_unless_torus, name
+        if homogeneous and not rep.is_trivial():
+            assert verdict.singular_unless_torus, name
+        # a uni-symplectic action of degree above 2 is flagged: neither the
+        # torus nor the base can be smooth unless the torus is 2-dimensional
+        if cls.kind is not SymplecticKind.NOT_UNI_SYMPLECTIC and rep.degree > 2:
+            assert verdict is Verdict.TORUS_ONLY, name
+            uni_symplectic_above_2 += 1
+    assert uni_symplectic_above_2 > 0
 
 
 def test_trivial_degree2_reports_two_torus():
