@@ -1,14 +1,38 @@
-"""Finite matrix groups: element types, BFS closure, conjugacy structure.
+"""Finite matrix groups: element types, closure on a point set, conjugacy structure.
 
 Two element kinds are supported.  Monomial elements are scaled permutation
 matrices stored as (permutation, scalar vector) pairs so that products,
 inverses, and traces cost O(degree); dense elements hold full cyclotomic
 matrices.  A mixed generating set is promoted to dense.
 
-After closure the group works with integer element indices.  Products of
-indices are folded through the generator word of the right factor and the
-right-multiplication table built during the BFS, so bulk index arithmetic
-never touches matrix entries again.
+A finite matrix group acts faithfully on the union of the orbits of the
+basis vectors e_1..e_n, because those points span the space: the "action on
+an orbit of vectors" of Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory* (2005).  :func:`close` finds that point set by BFS under the
+generators.  A point is a pair (coordinate, scalar) for a monomial generating
+set and a vector for a dense one; building the point set is the only exact
+arithmetic in closure.  Each generator then becomes a permutation of the
+points, a tuple of point indices.
+
+A linear map is fixed by the images of a basis, so element x is stored by
+its base images: the indices of the points x⁻¹(e_1)..x⁻¹(e_n), n ints per
+element whatever the size of the point set.  They are those of the inverse
+because closure multiplies on the right, and (x·g)⁻¹(e_j) = g⁻¹(x⁻¹(e_j)) is
+the permutation of g⁻¹ applied to the stored tuple.  The points x(e_j) are
+read off x's generator word through the generator permutations; they are
+the base images of x⁻¹, so a dict lookup gives the inverse.  Closure and
+inverses are therefore integer tuple work.  Products of indices are folded
+through the generator word of the right factor and the right-multiplication
+table built during the BFS; element orders and powers walk each cyclic
+subgroup through that table once.
+
+Matrices are built only on demand, without arithmetic: e_1..e_n are the
+first n points, and column j of x's matrix is the point x(e_j).
+
+The closure limit bounds the number of elements and, through them, the point
+set: an orbit is never larger than |G|, so more than ``limit * degree``
+points proves |G| > limit.  Memory is thus O(limit * degree) ints for the
+elements plus the point set itself.
 """
 
 from __future__ import annotations
@@ -57,6 +81,26 @@ class Monomial:
         if isinstance(other, Dense):
             return self.to_dense() * other
         return NotImplemented
+
+    @staticmethod
+    def basis_points(degree: int) -> list:
+        """e_1..e_n as points of :meth:`act`: pairs (coordinate, scalar)."""
+        return [(j, one()) for j in range(degree)]
+
+    def act(self, point):
+        """Image of the point c·e_i, which is c·s_i·e_perm[i]."""
+        i, c = point
+        return self.perm[i], c * self.scalars[i]
+
+    @classmethod
+    def _from_columns(cls, columns) -> "Monomial":
+        """The element whose column j is the point columns[j], unchecked:
+        the caller vouches for a bijection and nonzero canonical scalars."""
+        m = object.__new__(cls)
+        m.perm = tuple(i for i, _ in columns)
+        m.scalars = tuple(c for _, c in columns)
+        m._hash = None
+        return m
 
     def row_entries(self) -> tuple[list[int], list[Cyclotomic]]:
         """Per-row view (cols, scalars): row i holds scalars[i] at column cols[i]."""
@@ -154,6 +198,13 @@ def _perm_parity(perm) -> int:
     return parity
 
 
+def _inverse_perm(perm) -> tuple[int, ...]:
+    inverse = [0] * len(perm)
+    for p, q in enumerate(perm):
+        inverse[q] = p
+    return tuple(inverse)
+
+
 class Dense:
     """Dense square matrix over cyclotomic entries."""
 
@@ -182,6 +233,23 @@ class Dense:
             q, t = other.perm, other.scalars
             return Dense(tuple(tuple(row[q[j]] * t[j] for j in range(len(q))) for row in self.rows))
         return NotImplemented
+
+    @staticmethod
+    def basis_points(degree: int) -> list:
+        """e_1..e_n as points of :meth:`act`: column vectors."""
+        return list(linalg.identity_matrix(degree))
+
+    def act(self, v):
+        """The matrix-vector product M·v."""
+        return linalg.mat_vec(self.rows, v)
+
+    @classmethod
+    def _from_columns(cls, columns) -> "Dense":
+        """The matrix with column j the vector columns[j], unchecked."""
+        m = object.__new__(cls)
+        m.rows = tuple(zip(*columns))
+        m._hash = None
+        return m
 
     def inverse(self) -> "Dense":
         return Dense(linalg.mat_inverse(self.rows))
@@ -238,12 +306,39 @@ def _validate_generator(g):
     raise InvalidInputError(f"unsupported generator type {type(g).__name__}")
 
 
-def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
-    """Enumerate the group generated by the given matrices by BFS.
+def _orbit(start, step, arity: int, cap: int, limit: int):
+    """BFS closure of the items ``start`` under the maps ``step(x, a)`` for
+    a < arity: the items in discovery order, their index, and the table
+    whose column a lists the index of step(items[i], a) at each i.  Raises
+    GroupTooLargeError(limit) when more than ``cap`` items appear."""
+    items = list(start)
+    index = {x: i for i, x in enumerate(items)}
+    table = [[] for _ in range(arity)]
+    for x in items:  # the loop reaches the items appended while it runs
+        for a, column in enumerate(table):
+            y = step(x, a)
+            j = index.get(y)
+            if j is None:
+                if len(items) >= cap:
+                    raise GroupTooLargeError(limit)
+                j = len(items)
+                items.append(y)
+                index[y] = j
+            column.append(j)
+    return items, index, table
 
-    Elements are discovered in deterministic BFS order with the identity at
-    index 0.  Raises GroupTooLargeError when the closure would exceed
-    ``limit`` elements.
+
+def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
+    """Enumerate the group generated by the given matrices.
+
+    The generators first become permutations of the point set, the union of
+    the orbits of the basis vectors (see the module docstring).  Closure is
+    then a BFS over the products x·g, each element keyed by its base images
+    x⁻¹(e_1)..x⁻¹(e_n).  The action is faithful, so two elements are equal
+    exactly when their matrices are.  Elements are found in deterministic BFS
+    order with the identity at index 0.  Raises GroupTooLargeError when the
+    closure would exceed ``limit`` elements, or the point set
+    ``limit * degree`` points, which proves the same.
     """
     gens = list(generators)
     if not gens:
@@ -254,49 +349,53 @@ def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
     for g in gens:
         _validate_generator(g)
     if any(isinstance(g, Dense) for g in gens):
+        kind = Dense
         gens = [g.to_dense() for g in gens]
-        identity = Dense.identity(degree)
     else:
-        identity = Monomial.identity(degree)
+        kind = Monomial
     if limit < 1:
         raise InvalidInputError("closure limit must be positive")
 
-    elements = [identity]
-    index = {identity: 0}
-    words: list[tuple[int, ...]] = [()]
-    right_table: list[list[int]] = []
-    pos = 0
-    while pos < len(elements):
-        x = elements[pos]
-        row = []
-        for a, g in enumerate(gens):
-            y = x * g
-            j = index.get(y)
-            if j is None:
-                if len(elements) >= limit:
-                    raise GroupTooLargeError(limit)
-                j = len(elements)
-                elements.append(y)
-                index[y] = j
-                words.append(words[pos] + (a,))
-            row.append(j)
-        right_table.append(row)
-        pos += 1
-
-    gen_indices = tuple(index[g] for g in gens)
-    return FiniteGroup(tuple(elements), index, gen_indices, right_table, tuple(words))
+    points, _, gen_perms = _orbit(kind.basis_points(degree), lambda p, a: gens[a].act(p),
+                                  len(gens), limit * degree, limit)
+    inverse_perms = [_inverse_perm(g) for g in gen_perms]
+    keys, index, right_table = _orbit(
+        [tuple(range(degree))], lambda x, a: tuple(map(inverse_perms[a].__getitem__, x)),
+        len(gens), limit, limit)
+    # an element's word is its parent's plus the generator that first reached it
+    words: list = [None] * len(keys)
+    words[0] = ()
+    for i in range(len(keys)):
+        for a, column in enumerate(right_table):
+            j = column[i]
+            if words[j] is None:
+                words[j] = words[i] + (a,)
+    gen_indices = tuple(index[g[:degree]] for g in inverse_perms)
+    return FiniteGroup(kind, degree, tuple(points), gen_perms, keys, index, gen_indices,
+                       right_table, tuple(words))
 
 
 class FiniteGroup:
-    """A finite matrix group enumerated by :func:`close`."""
+    """A finite matrix group enumerated by :func:`close`.
 
-    def __init__(self, elements, index, generator_indices, right_table, words):
-        self.elements = elements
+    Element i is stored by its base images (see the module docstring); its
+    matrix is read off those of its inverse when asked for.
+    """
+
+    def __init__(self, kind, degree, points, gen_perms, keys, index, generator_indices,
+                 right_table, words):
+        self._kind = kind
+        self._degree = degree
+        self._points = points
+        self._gen_perms = gen_perms
+        self._keys = keys
         self._index = index
         self.generator_indices = generator_indices
         self._right = right_table
         self._words = words
+        self._elements = None
         self._inv = None
+        self._powers = {}
         self._classes = None
         self._class_of = None
         self._rep_orders = None
@@ -306,14 +405,31 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._words)
 
     @property
     def degree(self) -> int:
-        return self.elements[0].degree
+        return self._degree
+
+    def _images(self, i: int) -> tuple[int, ...]:
+        """Indices of the points x(e_1)..x(e_n) for element x = i: its word's
+        generator permutations applied to the basis, the last letter first."""
+        images = range(self._degree)
+        for a in reversed(self._words[i]):
+            images = map(self._gen_perms[a].__getitem__, images)
+        return tuple(images)
 
     def element(self, i: int):
-        return self.elements[i]
+        """The matrix of element i: column j is the point that it sends e_j to,
+        which is base image j of its inverse."""
+        return self._kind._from_columns([self._points[p] for p in self._keys[self.inv(i)]])
+
+    @property
+    def elements(self) -> tuple:
+        """Every element's matrix in BFS order, built on first use."""
+        if self._elements is None:
+            self._elements = tuple(self.element(i) for i in range(self.order))
+        return self._elements
 
     def word(self, i: int) -> tuple[int, ...]:
         """Generator word that reaches element i from the identity (BFS order,
@@ -325,29 +441,34 @@ class FiniteGroup:
     def mult(self, i: int, j: int) -> int:
         x = i
         for a in self._words[j]:
-            x = self._right[x][a]
+            x = self._right[a][x]
         return x
 
     def inv(self, i: int) -> int:
+        """The base images of x⁻¹ are the points x(e_j)."""
         if self._inv is None:
-            self._inv = [self._index[self.elements[k].inverse()] for k in range(self.order)]
+            self._inv = [self._index[self._images(k)] for k in range(self.order)]
         return self._inv[i]
 
+    def _cyclic(self, i: int) -> tuple[int, ...]:
+        """Indices of i^0, i^1, ..., i^(o-1) for the order o of i, walked once
+        through the right-multiplication table and kept."""
+        powers = self._powers.get(i)
+        if powers is None:
+            powers = [0]
+            x = i
+            while x != 0:
+                powers.append(x)
+                x = self.mult(x, i)
+            powers = self._powers[i] = tuple(powers)
+        return powers
+
     def power(self, i: int, k: int) -> int:
-        o = self.element_order(i)
-        k %= o
-        x = 0
-        for _ in range(k):
-            x = self.mult(x, i)
-        return x
+        powers = self._cyclic(i)
+        return powers[k % len(powers)]
 
     def element_order(self, i: int) -> int:
-        o = 1
-        x = i
-        while x != 0:
-            x = self.mult(x, i)
-            o += 1
-        return o
+        return len(self._cyclic(i))
 
     # -- conjugacy structure
 

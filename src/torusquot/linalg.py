@@ -24,10 +24,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise InvalidInputError("matrix dimensions do not match")
     bt = list(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col) if x and y), zero()) for col in bt)
-        for row in a
-    )
+    return tuple(mat_vec(bt, row) for row in a)
+
+
+def mat_vec(a: Matrix, v) -> tuple:
+    """The product a·v of a matrix and a column vector given as a tuple."""
+    return tuple(sum((x * y for x, y in zip(row, v) if x and y), zero()) for row in a)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

@@ -94,6 +94,19 @@ def test_analyze_closure_limit_exit_3(s4_file, capsys):
     assert "limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("generator", [
+    "generator monomial\nmap 1\nscalars 2\n",
+    "generator dense\nrow 1; 1\nrow 0; 1\n",
+], ids=["scalar-2", "shear"])
+def test_analyze_infinite_group_exit_3(tmp_path, capsys, generator):
+    degree = generator.count("row") or 1
+    path = tmp_path / "infinite.group"
+    path.write_text(f"conductor 1\ndegree {degree}\n{generator}")
+    code = main(["analyze", "--group", str(path), "--limit", "500"])
+    assert code == 3
+    assert "element limit of 500" in capsys.readouterr().err
+
+
 def test_analyze_syntax_error_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.group"
     path.write_text("conductor 4\ndegree 1\ngenerator monomial\nmap 1\nscalars z^\n")

@@ -2,19 +2,25 @@
 
 The S4 reference values (class sizes, order histogram, abelianization) were
 frozen from a brute-force oracle over permutations of 4 points, independent of
-this package's element types.
+this package's element types.  ``matrix_bfs`` is the closure by products of
+Monomial or Dense matrices that preceded the point-set encoding; it is kept
+here as the oracle for random subgroups of G(m,1,n).
 """
 
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusquot.chartab import character_table
 from torusquot.cyclo import Cyclotomic, one, zero
 from torusquot.errors import GroupTooLargeError, InvalidInputError
 from torusquot.groups import Dense, Monomial, close
+from torusquot.linalg import mat_inverse, mat_mul
 
 
 def perm_monomial(images):
@@ -48,6 +54,8 @@ class TestClosure:
         g = close([Monomial.identity(2)])
         assert g.order == 1
         assert g.conjugacy_classes == ((0,),)
+        g = close([Monomial((), ()), Monomial((), ())])
+        assert g.order == 1 and g.generator_indices == (0, 0)
 
     def test_a5(self):
         g = close([perm_monomial((1, 2, 3, 4, 0)), perm_monomial((1, 2, 0, 3, 4))])
@@ -263,3 +271,167 @@ class TestMonomialAlgebra:
     def test_bad_permutation_rejected(self):
         with pytest.raises(InvalidInputError):
             Monomial((0, 0), (one(), one()))
+
+
+class TestPointSet:
+    def test_scalars_off_the_unit_circle(self):
+        g = close([Monomial((1, 0), (2, Fraction(1, 2)))])
+        assert g.order == 2
+        assert g.elements == (Monomial.identity(2), Monomial((1, 0), (2, Fraction(1, 2))))
+        assert set(g._points) == {(0, one()), (1, one()), (1, Cyclotomic.from_value(2)),
+                                 (0, Cyclotomic.from_value(Fraction(1, 2)))}
+
+    @pytest.mark.parametrize("kind, generator", [
+        (Monomial, Monomial((0,), (2,))),
+        (Dense, Dense([[1, 1], [0, 1]])),
+    ], ids=["scalar-2", "shear"])
+    def test_infinite_group_stops_at_the_point_bound(self, monkeypatch, kind, generator):
+        acted_on = set()
+        act = kind.act
+
+        def recording_act(self, point):
+            acted_on.add(point)
+            return act(self, point)
+
+        monkeypatch.setattr(kind, "act", recording_act)
+        with pytest.raises(GroupTooLargeError) as exc:
+            close([generator], limit=50)
+        assert exc.value.limit == 50
+        assert len(acted_on) <= 50 * generator.degree
+
+    def test_point_set_within_orbit_bound(self):
+        for g in (s4_group(), q8_group(), c6_group()):
+            assert g.degree <= len(g._points) <= g.order * g.degree
+
+    def test_elements_stored_by_base_images(self):
+        # G(2,1,3) conjugated so that every basis vector has a regular orbit:
+        # 3 * 48 points, while each element keeps only its 3 base images
+        gens = [Monomial((1, 2, 0), (1, 1, 1)), Monomial((1, 0, 2), (1, 1, 1)),
+                Monomial((0, 1, 2), (-1, 1, 1))]
+        mono, conj = close(gens), close(conjugated(gens))
+        assert conj.order == mono.order == 48
+        assert len(conj._points) == 3 * 48
+        assert all(len(key) == 3 for key in conj._index)
+        assert conj.elements == tuple(conjugated(mono.elements))
+
+
+def conjugated(elements):
+    """P⁻¹·x·P for P with entries (i+1)^(j+1): the columns of P have
+    coordinates of distinct sizes, so their orbits under G(m,1,n) are regular."""
+    n = elements[0].degree
+    p = Dense([[(i + 1) ** (j + 1) for j in range(n)] for i in range(n)]).rows
+    p_inv = mat_inverse(p)
+    return [Dense(mat_mul(mat_mul(p_inv, x.to_dense().rows), p)) for x in elements]
+
+
+def matrix_bfs(gens, limit):
+    """Elements, their index and BFS words by products of matrices."""
+    if any(isinstance(g, Dense) for g in gens):
+        gens = [g.to_dense() for g in gens]
+        identity = Dense.identity(gens[0].degree)
+    else:
+        identity = Monomial.identity(gens[0].degree)
+    elements, index, words = [identity], {identity: 0}, [()]
+    for x, word in zip(elements, words):  # both lists grow while the loop runs
+        for a, g in enumerate(gens):
+            y = x * g
+            if y not in index:
+                if len(elements) >= limit:
+                    raise GroupTooLargeError(limit)
+                index[y] = len(elements)
+                elements.append(y)
+                words.append(word + (a,))
+    return elements, index, words
+
+
+def oracle_classes(elements, index, gens):
+    """Orbits under conjugation by the generators, by matrix products."""
+    class_of = [-1] * len(elements)
+    classes = []
+    pairs = [(g.inverse(), g) for g in gens]
+    for start in range(len(elements)):
+        if class_of[start] >= 0:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            x = elements[frontier.pop()]
+            for ginv, g in pairs:
+                y = index[ginv * x * g]
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        for y in orbit:
+            class_of[y] = len(classes)
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes), class_of
+
+
+def oracle_powers(x):
+    """x^0, x^1, ... up to the last power before the identity recurs."""
+    powers = [Monomial.identity(x.degree)]
+    while not (powers[-1] * x).is_identity():
+        powers.append(powers[-1] * x)
+    return powers
+
+
+@st.composite
+def wreath_generator_pairs(draw):
+    """Two random elements of G(m,1,n) = mu_m wr S_n, m <= 4 and n <= 4."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def element():
+        perm = draw(st.permutations(range(n)))
+        ks = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        return Monomial(perm, [Cyclotomic.zeta(m, k) for k in ks])
+
+    return [element(), element()]
+
+
+def check_against_oracle(gens, rewrite, limit):
+    """Close ``gens`` and ``rewrite(gens)`` and compare both with the oracle:
+    the order, generator indices, ``elements`` in BFS order (those of the
+    second closure are ``rewrite`` of the oracle's), the words, ``inv``,
+    the classes, ``class_orders``, ``power_classes(k)`` up to the exponent,
+    and the character tables.  Past ``limit`` all three must raise."""
+    writings = (gens, rewrite(gens))
+    try:
+        elements, index, words = matrix_bfs(gens, limit)
+    except GroupTooLargeError:
+        for kind_gens in writings:
+            with pytest.raises(GroupTooLargeError):
+                close(kind_gens, limit=limit)
+        return
+    classes, class_of = oracle_classes(elements, index, gens)
+    powers = [oracle_powers(elements[c[0]]) for c in classes]
+    exponent = math.lcm(*map(len, powers))
+    mono, other = (close(w, limit=limit) for w in writings)
+    assert mono.elements == tuple(elements)
+    assert other.elements == tuple(rewrite(elements))
+    for g in (mono, other):
+        assert g.order == len(elements)
+        assert g.generator_indices == tuple(index[x] for x in gens)
+        assert [g.word(i) for i in range(g.order)] == words
+        assert [g.inv(i) for i in range(g.order)] == [index[x.inverse()] for x in elements]
+        assert g.conjugacy_classes == classes
+        assert g.class_orders == tuple(map(len, powers))
+        for k in range(exponent + 1):
+            assert g.power_classes(k) == tuple(class_of[index[p[k % len(p)]]] for p in powers)
+    mono_table, other_table = character_table(mono), character_table(other)
+    assert other_table.degrees == mono_table.degrees
+    assert [chi.values for chi in other_table] == [chi.values for chi in mono_table]
+
+
+class TestAgainstMatrixClosure:
+    # the oracle's closure, classes and power maps cost |G| matrix products
+    # and more, and the two tables grow with the class count
+    @settings(max_examples=40, deadline=None)
+    @given(wreath_generator_pairs())
+    def test_monomial_and_dense_match_matrix_bfs(self, gens):
+        check_against_oracle(gens, lambda xs: [x.to_dense() for x in xs], limit=400)
+
+    # the conjugated points are generic vectors, each one exact products
+    # away, and their orbits reach n·|G| points: a lower limit keeps it quick
+    @settings(max_examples=20, deadline=None)
+    @given(wreath_generator_pairs())
+    def test_conjugated_dense_matches_matrix_bfs(self, gens):
+        check_against_oracle(gens, conjugated, limit=96)
