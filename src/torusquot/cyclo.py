@@ -1,18 +1,35 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-A value is a rational coefficient vector over the power basis
-1, z, ..., z^(n-1) of z = zeta_n = exp(2*pi*i/n), kept in canonical form:
-reduced modulo the n-th cyclotomic polynomial and then descended to the
-smallest conductor whose field contains the value.  Canonical form makes
-equality (and hashing) a structural comparison, so values can key
-dictionaries across mixed conductors.
+A value is held as integer numerators num[0..n-1] over one positive
+common denominator den, x = sum(num[i] * z^i) / den with z = zeta_n =
+exp(2*pi*i/n) and gcd(num..., den) = 1, in canonical form:
 
-Values are immutable and every operation is pure.
+- the numerators are reduced modulo the n-th cyclotomic polynomial, so
+  num[i] = 0 from i = phi(n) on;
+- n is the minimal conductor, the smallest n with x in Q(zeta_n).
+
+Canonical form makes equality (and hashing) a structural comparison, so
+values can key dictionaries across mixed conductors.  `coeffs` gives the
+rational coefficients num[i] / den.
+
+Descent to the minimal conductor takes one prime p of n at a time:
+
+- p^2 divides n: Phi_n(x) = Phi_{n/p}(x^p), so Q(zeta_{n/p}) is exactly
+  the span of the basis powers z^(p*j).  Membership is a support check and
+  the rewrite a re-index.
+- p exactly divides n: x lies in Q(zeta_{n/p}) iff a generator of the
+  cyclic group Gal(Q(zeta_n)/Q(zeta_{n/p})) fixes it, and an integer
+  matrix over one denominator, built once per (n, n/p), rewrites it.
+  Z[zeta_n] meets Q(zeta_{n/p}) in Z[zeta_{n/p}], so the rewritten
+  numerators are integers over the same denominator.
+
+Rational factors and summands, and Galois automorphisms, keep the
+conductor and need no descent.  Values are immutable and every operation
+is pure.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -116,37 +133,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# canonicalization
-
-def _reduce(coeffs: list[Fraction], n: int) -> list[Fraction]:
-    """Reduce a length-n coefficient vector modulo Phi_n, in place."""
-    phi = cyclotomic_polynomial(n)
-    t = len(phi) - 1
-    for i in range(n - 1, t - 1, -1):
-        c = coeffs[i]
-        if c:
-            off = i - t
-            for j, pj in enumerate(phi):
-                if pj:
-                    coeffs[off + j] -= c * pj
-    return coeffs
-
-
-def _galois_raw(n: int, coeffs: list[Fraction], k: int) -> list[Fraction]:
-    out = [_F0] * n
-    for i, c in enumerate(coeffs):
-        if c:
-            out[(i * k) % n] += c
-    return _reduce(out, n)
-
-
-def _fixed_by_subfield(n: int, coeffs: list[Fraction], d: int) -> bool:
-    # fixed by every automorphism k = 1 (mod d) <=> value lies in Q(zeta_d)
-    for k in range(d + 1, n, d):
-        if math.gcd(k, n) == 1 and _galois_raw(n, coeffs, k) != coeffs:
-            return False
-    return True
-
+# exact row reduction
 
 def rref(a) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices, exactly.
@@ -179,80 +166,133 @@ def rref(a) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
-def _solve_columns(cols: list[list[Fraction]], target: list[Fraction]) -> list[Fraction]:
-    # solve sum_j x_j * cols[j] = target; the system is consistent by construction
-    red, pivots = rref([[col[i] for col in cols] + [t] for i, t in enumerate(target)])
-    if pivots and pivots[-1] == len(cols):
-        raise ArithmeticError("inconsistent rational system")
-    sol = [_F0] * len(cols)
-    for row, c in zip(red, pivots):
-        sol[c] = row[-1]
-    return sol
+# ---------------------------------------------------------------------------
+# canonicalization, on integer numerators
+
+@lru_cache(maxsize=None)
+def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Degree of Phi_n and its nonzero terms (j, coefficient) below the leading one."""
+    phi = cyclotomic_polynomial(n)
+    t = len(phi) - 1
+    return t, tuple((j, c) for j, c in enumerate(phi[:t]) if c)
 
 
-def _rewrite_in_subfield(n: int, coeffs: list[Fraction], d: int) -> list[Fraction]:
-    t_n, t_d = totient(n), totient(d)
-    step = n // d
+def _reduce(num: list[int], n: int) -> list[int]:
+    """Reduce a length-n integer vector modulo Phi_n, in place."""
+    t, terms = _phi_terms(n)
+    for i in range(n - 1, t - 1, -1):
+        c = num[i]
+        if c:
+            num[i] = 0
+            off = i - t
+            for j, pj in terms:
+                num[off + j] -= c * pj
+    return num
+
+
+def _galois_num(num, n: int, k: int) -> list[int]:
+    """Numerators of zeta_n -> zeta_n^k applied to reduced numerators."""
+    out = [0] * n
+    for i, c in enumerate(num):
+        if c:
+            out[i * k % n] = c
+    return _reduce(out, n)
+
+
+@lru_cache(maxsize=None)
+def _subfield_generator(n: int, p: int) -> int | None:
+    """A generator k of Gal(Q(zeta_n)/Q(zeta_{n/p})) for p exactly dividing n.
+
+    The group is cyclic of order p - 1: k = 1 mod n/p and k is a primitive
+    root mod p.  None when the group is trivial (p = 2).
+    """
+    d = n // p
+    for k in range(d + 1, n, d):
+        if k % p and all(pow(k, (p - 1) // q, p) != 1 for q in prime_factors(p - 1)):
+            return k
+    return None
+
+
+@lru_cache(maxsize=None)
+def _subfield_solver(n: int, d: int):
+    """Rewrite Q(zeta_d) inside Q(zeta_n) back to conductor d.
+
+    Column j of M is zeta_d^j = z^(j*n/d) reduced mod Phi_n.  Returns rows
+    r of M whose square submatrix S is invertible, and S^-1 as an integer
+    matrix A over one denominator D: numerators b at conductor d solve
+    M b = v, so b = A v[r] / D, and the division is exact for integer v.
+    """
+    t_n, t_d, step = totient(n), totient(d), n // d
     cols = []
     for j in range(t_d):
-        raw = [_F0] * n
-        raw[j * step] = _F1
-        _reduce(raw, n)
-        cols.append(raw[:t_n])
-    sol = _solve_columns(cols, coeffs[:t_n])
-    out = [_F0] * d
-    out[:t_d] = sol
-    return out
+        raw = [0] * n
+        raw[j * step] = 1
+        cols.append(_reduce(raw, n)[:t_n])
+    _, rows = rref([[Fraction(c) for c in col] for col in cols])
+    aug = [[Fraction(cols[j][r]) for j in range(t_d)]
+           + [_F1 if i == k else _F0 for k in range(t_d)] for i, r in enumerate(rows)]
+    inv = [row[t_d:] for row in rref(aug)[0]]
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    return rows, tuple(tuple(int(x * den) for x in row) for row in inv), den
 
 
-def _descend(n: int, coeffs: list[Fraction]) -> tuple[int, list[Fraction]]:
-    """Descend a canonical vector to the smallest conductor containing it."""
-    while True:
-        if n == 1:
-            return 1, coeffs[:1]
-        support = [i for i in range(totient(n)) if coeffs[i]]
+def _canonical(num: list[int], den: int, n: int) -> "Cyclotomic":
+    """The canonical value num/den, num a length-n list reduced mod Phi_n."""
+    while n > 1:
+        support = [i for i in range(totient(n)) if num[i]]
         if not support:
-            return 1, [_F0]
+            return _ZERO
         if support == [0]:
-            return 1, [coeffs[0]]
-        if len(support) == 1:
-            j = support[0]
-            c = coeffs[j]
-            g = math.gcd(j, n)
-            if g > 1:
-                n, j = n // g, j // g
-                coeffs = [_F0] * n
-                coeffs[j] = c
-                _reduce(coeffs, n)
-                continue
-            if n % 4 == 2:
-                # zeta_{2m} = -zeta_m^((m+1)/2) for odd m, so fold into conductor m
-                m = n // 2
-                jj = (j * ((m + 1) // 2)) % m
-                coeffs = [_F0] * m
-                coeffs[jj] = -c
-                _reduce(coeffs, m)
-                n = m
-                continue
-            return n, coeffs
-        moved = False
+            n, num = 1, num[:1]
+            break
+        if len(support) == 1 and math.gcd(support[0], n) == 1 and n % 4 != 2:
+            break  # a multiple of a primitive n-th root of unity
         for p in prime_factors(n):
             d = n // p
-            if _fixed_by_subfield(n, coeffs, d):
-                coeffs = _rewrite_in_subfield(n, coeffs, d)
-                n = d
-                moved = True
-                break
-        if not moved:
-            return n, coeffs
+            if d % p == 0:
+                # Phi_n(x) = Phi_d(x^p): Q(zeta_d) is the span of the powers z^(p*j)
+                if all(i % p == 0 for i in support):
+                    num = num[::p]
+                    break
+            elif d > 1:
+                k = _subfield_generator(n, p)
+                if k is None or _galois_num(num, n, k) == num:
+                    rows, inv, scale = _subfield_solver(n, d)
+                    v = [num[r] for r in rows]
+                    num = [sum(a * x for a, x in zip(row, v)) // scale for row in inv]
+                    num += [0] * (d - len(num))
+                    break
+        else:
+            break
+        n = d
+    return _lowest_terms(n, num, den)
 
 
-def _make(coeffs: list[Fraction], n: int) -> "Cyclotomic":
-    if len(coeffs) < n:
-        coeffs = coeffs + [_F0] * (n - len(coeffs))
-    _reduce(coeffs, n)
-    n, coeffs = _descend(n, coeffs)
-    return Cyclotomic(n, tuple(coeffs))
+def _lowest_terms(n: int, num, den: int) -> "Cyclotomic":
+    """The value num/den at conductor n, with the common factor cancelled."""
+    g = math.gcd(den, *num)
+    if g > 1:
+        return Cyclotomic(n, tuple(c // g for c in num), den // g)
+    return Cyclotomic(n, tuple(num), den)
+
+
+def _from_rationals(coeffs: list[Fraction], n: int) -> "Cyclotomic":
+    den = math.lcm(*(c.denominator for c in coeffs))
+    num = [c.numerator * (den // c.denominator) for c in coeffs]
+    return _canonical(_reduce(num, n), den, n)
+
+
+def _reciprocal(p: int, q: int) -> "Cyclotomic":
+    """The value q/p for coprime p != 0 and q > 0."""
+    return Cyclotomic(1, (q,), p) if p > 0 else Cyclotomic(1, (-q,), -p)
+
+
+def _coerce(v) -> "Cyclotomic | None":
+    if isinstance(v, Cyclotomic):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return Cyclotomic(1, (v.numerator,), v.denominator)
+    return None
 
 
 def normalize(coeffs, conductor: int) -> "Cyclotomic":
@@ -268,7 +308,7 @@ def normalize(coeffs, conductor: int) -> "Cyclotomic":
     if len(coeffs) != conductor:
         raise InvalidInputError(
             f"coefficient sequence has length {len(coeffs)}, conductor is {conductor}")
-    return _make([Fraction(c) for c in coeffs], conductor)
+    return _from_rationals([Fraction(c) for c in coeffs], conductor)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +316,18 @@ def normalize(coeffs, conductor: int) -> "Cyclotomic":
 class Cyclotomic:
     """An exact element of some Q(zeta_n), always held in canonical form.
 
-    Do not call the constructor directly; use :func:`normalize`,
-    :meth:`Cyclotomic.zeta`, or :meth:`Cyclotomic.from_value`.
+    The value is sum(num[i] * zeta_n^i) / den.  Do not call the constructor
+    directly; use :func:`normalize`, :meth:`Cyclotomic.zeta`, or
+    :meth:`Cyclotomic.from_value`.
     """
 
-    __slots__ = ("n", "coeffs", "_hash")
+    __slots__ = ("n", "num", "den", "_coeffs", "_hash")
 
-    def __init__(self, n: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, n: int, num: tuple[int, ...], den: int):
         self.n = n
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+        self._coeffs = None
         self._hash = None
 
     # -- constructors
@@ -294,23 +337,30 @@ class Cyclotomic:
         """The root of unity zeta_n^k."""
         if not isinstance(n, int) or n < 1:
             raise InvalidInputError(f"zeta needs a positive conductor, got {n!r}")
-        raw = [_F0] * n
-        raw[k % n] = _F1
-        return _make(raw, n)
+        raw = [0] * n
+        raw[k % n] = 1
+        return _canonical(_reduce(raw, n), 1, n)
 
     @staticmethod
     def from_value(v) -> "Cyclotomic":
-        if isinstance(v, Cyclotomic):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return Cyclotomic(1, (Fraction(v),))
-        raise InvalidInputError(f"cannot coerce {type(v).__name__} to Cyclotomic")
+        x = _coerce(v)
+        if x is None:
+            raise InvalidInputError(f"cannot coerce {type(v).__name__} to Cyclotomic")
+        return x
 
     # -- structure
 
     @property
     def conductor(self) -> int:
         return self.n
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients num[i] / den, one per power of zeta_n."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(c, den) if c else _F0 for c in self.num)
+        return self._coeffs
 
     def lift_coeffs(self, m: int) -> list[Fraction]:
         """Coefficient vector of this value at conductor m (n must divide m)."""
@@ -324,32 +374,20 @@ class Cyclotomic:
         return out
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.n == 1 and not self.num[0]
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction when it is rational, else None."""
         if self.n == 1:
-            return self.coeffs[0]
+            return Fraction(self.num[0], self.den)
         return None
-
-    def is_integral(self, m: int) -> bool:
-        """True iff the value lies in the ring Z[zeta_m]."""
-        if m % self.n:
-            return False
-        raw = self.lift_coeffs(m)
-        _reduce(raw, m)
-        return all(c.denominator == 1 for c in raw)
 
     def root_of_unity_order(self) -> int | None:
         """Multiplicative order if the value is a root of unity, else None."""
         if self.is_zero():
             return None
         if self.n == 1:
-            if self.coeffs[0] == 1:
-                return 1
-            if self.coeffs[0] == -1:
-                return 2
-            return None
+            return {1: 1, -1: 2}.get(self.num[0]) if self.den == 1 else None
         m = self.n if self.n % 2 == 0 else 2 * self.n
         if self ** m != _ONE:
             return None
@@ -363,90 +401,101 @@ class Cyclotomic:
 
     # -- field operations
 
-    def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic(1, (Fraction(other),))
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        m = math.lcm(self.n, o.n)
-        raw = self.lift_coeffs(m)
-        for i, c in enumerate(o.lift_coeffs(m)):
-            if c:
-                raw[i] += c
-        return _make(raw, m)
+        a, b = (self, o) if self.n >= o.n else (o, self)
+        if b.n == 1:
+            p, q = b.num[0], b.den
+            if not p:
+                return a
+            # adding a rational keeps the conductor
+            num = [c * q for c in a.num]
+            num[0] += p * a.den
+            return _lowest_terms(a.n, num, a.den * q)
+        if a.n == b.n:
+            if a.den == b.den:
+                raw = [x + y for x, y in zip(a.num, b.num)]
+                den = a.den
+            else:
+                raw = [x * b.den + y * a.den for x, y in zip(a.num, b.num)]
+                den = a.den * b.den
+            return _canonical(raw, den, a.n)
+        m = math.lcm(a.n, b.n)
+        raw = [0] * m
+        for x, fx, fy in ((a, m // a.n, b.den), (b, m // b.n, a.den)):
+            for i, c in enumerate(x.num):
+                if c:
+                    raw[i * fx] += c * fy
+        return _canonical(_reduce(raw, m), a.den * b.den, m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.n, tuple(-c for c in self.coeffs))
+        return Cyclotomic(self.n, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        m = math.lcm(self.n, o.n)
-        sa = self.n
-        sb = o.n
-        fa = m // sa
-        fb = m // sb
-        raw = [_F0] * m
-        for i, ci in enumerate(self.coeffs):
+        a, b = (self, o) if self.n >= o.n else (o, self)
+        if b.n == 1:
+            p, q = b.num[0], b.den
+            if not p:
+                return _ZERO
+            # a nonzero rational factor keeps the conductor
+            return _lowest_terms(a.n, [c * p for c in a.num], a.den * q)
+        m = math.lcm(a.n, b.n)
+        fa, fb = m // a.n, m // b.n
+        bterms = [(j * fb, c) for j, c in enumerate(b.num) if c]
+        raw = [0] * m
+        for i, ci in enumerate(a.num):
             if ci:
                 ia = i * fa
-                for j, cj in enumerate(o.coeffs):
-                    if cj:
-                        raw[(ia + j * fb) % m] += ci * cj
-        return _make(raw, m)
+                for jb, cj in bterms:
+                    k = ia + jb
+                    if k >= m:
+                        k -= m
+                    raw[k] += ci * cj
+        return _canonical(_reduce(raw, m), a.den * b.den, m)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse, by an exact linear solve in the power basis."""
+        """Multiplicative inverse: the other Galois conjugates over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
-        if self.n == 1:
-            return Cyclotomic(1, (1 / self.coeffs[0],))
         n = self.n
-        t = totient(n)
-        cur = list(self.coeffs)
-        cols = []
-        for _ in range(t):
-            cols.append(cur[:t])
-            nxt = [_F0] * n
-            for i, c in enumerate(cur):
-                if c:
-                    nxt[(i + 1) % n] += c
-            cur = _reduce(nxt, n)
-        e0 = [_F1] + [_F0] * (t - 1)
-        sol = _solve_columns(cols, e0)
-        return _make(sol, n)
+        if n == 1:
+            return _reciprocal(self.num[0], self.den)
+        rest = _ONE
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                rest = rest * self.galois(k)
+        norm = self * rest
+        return rest * _reciprocal(norm.num[0], norm.den)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -468,18 +517,18 @@ class Cyclotomic:
     # -- galois action
 
     def galois(self, k: int) -> "Cyclotomic":
-        """Apply the automorphism zeta_n -> zeta_n^k (k coprime to n)."""
+        """Apply the automorphism zeta_n -> zeta_n^k (k coprime to n).
+
+        The minimal conductor is Galois-invariant and the power basis is a
+        Z-basis of Z[zeta_n], so the image keeps n and the denominator.
+        """
         n = self.n
         kk = k % n
         if math.gcd(kk, n) != 1:
             raise InvalidInputError(f"{k} is not coprime to the conductor {n}")
         if n <= 2 or kk == 1:
             return self
-        raw = [_F0] * n
-        for i, c in enumerate(self.coeffs):
-            if c:
-                raw[(i * kk) % n] += c
-        return _make(raw, n)
+        return Cyclotomic(n, tuple(_galois_num(self.num, n, kk)), self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation (the automorphism k = -1)."""
@@ -487,23 +536,14 @@ class Cyclotomic:
             return self
         return self.galois(-1)
 
-    # -- numeric embedding
-
-    def embed_float(self) -> complex:
-        """Float embedding sending zeta_n to exp(2*pi*i/n)."""
-        total = 0j
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total += float(c) * cmath.exp(2j * cmath.pi * i / self.n)
-        return total
-
     # -- comparisons
 
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
-            return self.n == other.n and self.coeffs == other.coeffs
+            return self.n == other.n and self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            return self.n == 1 and self.coeffs[0] == other
+            return (self.n == 1 and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         return NotImplemented
 
     def __bool__(self):
@@ -513,9 +553,9 @@ class Cyclotomic:
         if self._hash is None:
             if self.n == 1:
                 # rationals must hash like their Fraction so int/Fraction keys match
-                self._hash = hash(self.coeffs[0])
+                self._hash = hash(Fraction(self.num[0], self.den))
             else:
-                self._hash = hash((self.n, self.coeffs))
+                self._hash = hash((self.n, self.num, self.den))
         return self._hash
 
     def __repr__(self):
@@ -525,9 +565,8 @@ class Cyclotomic:
         return format_entry(self)
 
 
-_ZERO = Cyclotomic(1, (_F0,))
-_ONE = Cyclotomic(1, (_F1,))
-_MINUS_ONE = Cyclotomic(1, (Fraction(-1),))
+_ZERO = Cyclotomic(1, (0,), 1)
+_ONE = Cyclotomic(1, (1,), 1)
 
 
 def zero() -> Cyclotomic:
@@ -615,7 +654,7 @@ def parse_entry(text: str, conductor: int) -> Cyclotomic:
             raise EntryParseError(f"unexpected character {text[pos]!r}", pos + 1)
     if not saw_term:
         raise EntryParseError("empty entry", 1)
-    return _make(raw, n)
+    return _from_rationals(raw, n)
 
 
 def format_entry(x: Cyclotomic, conductor: int | None = None) -> str:

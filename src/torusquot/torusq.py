@@ -169,7 +169,7 @@ class SymplecticForm:
             for j in range(i, n):
                 if self.matrix[i][j] != -self.matrix[j][i]:
                     raise InvalidInputError("form matrix must be antisymmetric")
-        self._det = None
+        self._nondegenerate = None
 
     @staticmethod
     def wedge_pairs(degree: int, pairs) -> "SymplecticForm":
@@ -190,9 +190,10 @@ class SymplecticForm:
         return all(x.is_zero() for row in self.matrix for x in row)
 
     def is_nondegenerate(self) -> bool:
-        if self._det is None:
-            self._det = linalg.bareiss_det(self.matrix)
-        return not self._det.is_zero()
+        """Full rank, decided by the one exact row reduction."""
+        if self._nondegenerate is None:
+            self._nondegenerate = len(rref(self.matrix)[1]) == self.degree
+        return self._nondegenerate
 
     def evaluate(self, u, v) -> Cyclotomic:
         return sum(

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclo_oracle import embed_float
+
 from torusquot.chartab import (
     Character,
     CharacterTable,
@@ -191,7 +193,7 @@ class TestEigenvalueOneCounts:
             nat = natural_character(g)
             counts = eigenvalue_one_counts(nat)
             for k, rep in enumerate(g.class_representatives):
-                m = np.array([[x.embed_float() for x in row]
+                m = np.array([[embed_float(x) for x in row]
                               for row in g.element(rep).to_dense().rows])
                 eigs = np.linalg.eigvals(m)
                 assert counts[k] == int(np.sum(np.abs(eigs - 1.0) < 1e-8))

@@ -1,0 +1,99 @@
+"""Golden outputs: the CLI prints the same bytes and exit codes as recorded.
+
+Each case runs one command in-process and compares its exit code, stdout
+and stderr with `tests/golden/<case>.out`.  The built-in examples are
+written to a temporary directory first; the dense-generator inputs live
+next to the golden files.  Arithmetic or encoding refactors must leave
+every file unchanged.
+
+To record the files again after a deliberate change of output:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from torusquot.cli import main
+from torusquot.fixtures import FIXTURES
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_EXAMPLE_CASES = {}
+for _name in ("s4", "g216", "g1280"):
+    _EXAMPLE_CASES.update({
+        f"check-example-{_name}": ["check-example", _name],
+        f"{_name}-analyze-json": ["analyze", "--group", f"{{{_name}}}", "--report", "json"],
+        f"{_name}-chartable-json": ["chartable", "--group", f"{{{_name}}}", "--format", "json"],
+    })
+
+_G1280_PAIR_FORM = "wedge " + " ".join(f"{i}:{i + 20}" for i in range(1, 21))
+
+CASES = {
+    **_EXAMPLE_CASES,
+    "s4-analyze-pair-json": ["analyze", "--group", "{s4}", "--pair", "--report", "json"],
+    "g216-analyze-pair-json": ["analyze", "--group", "{g216}", "--pair", "--report", "json"],
+    "g1280-analyze-pair-json": ["analyze", "--group", "{g1280}", "--pair",
+                                "--form", _G1280_PAIR_FORM, "--report", "json"],
+    # the file's degree-20 form does not fit the doubled representation: exit 2
+    "g1280-analyze-pair-file-form": ["analyze", "--group", "{g1280}", "--pair"],
+    "s4-analyze-pair-form-text": ["analyze", "--group", "{s4}", "--pair",
+                                  "--form", "wedge 1:4 2:5 3:6"],
+    "g216-chartable-text": ["chartable", "--group", "{g216}"],
+    "s4-dense-analyze-json": ["analyze", "--group", "{s4_dense}", "--report", "json"],
+    "s4-dense-analyze-pair-json": ["analyze", "--group", "{s4_dense}", "--pair",
+                                   "--report", "json"],
+    "s4-dense-chartable-json": ["chartable", "--group", "{s4_dense}", "--format", "json"],
+    "s3-dense-analyze-json": ["analyze", "--group", "{s3_dense}", "--report", "json"],
+    "s3-dense-analyze-pair-json": ["analyze", "--group", "{s3_dense}", "--pair",
+                                   "--report", "json"],
+    "s3-dense-chartable-json": ["chartable", "--group", "{s3_dense}", "--format", "json"],
+    # a valid real-type pair that the fibration cannot yet split: exit 2
+    "pair-dense-analyze-json": ["analyze", "--group", "{pair_dense}", "--report", "json"],
+}
+
+
+def _group_paths(directory: Path) -> dict:
+    paths = {path.stem: str(path) for path in GOLDEN.glob("*.group")}
+    for name, fixture in FIXTURES.items():
+        path = directory / f"{name}.group"
+        path.write_text(fixture.file_text)
+        paths[name] = str(path)
+    return paths
+
+
+def _run(case: str, paths: dict) -> str:
+    argv = [arg.format(**paths) for arg in CASES[case]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+@pytest.fixture(scope="module")
+def group_paths(tmp_path_factory):
+    return _group_paths(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case, group_paths):
+    expected = (GOLDEN / f"{case}.out").read_text()
+    assert _run(case, group_paths) == expected
+
+
+def _record() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _group_paths(Path(tmp))
+        for case in sorted(CASES):
+            (GOLDEN / f"{case}.out").write_text(_run(case, paths))
+            print(f"wrote {case}.out")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_record())

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclo_oracle import embed_float
+
+from torusquot import linalg
 from torusquot.chartab import character_table, natural_character, inner_product
 from torusquot.cyclo import Cyclotomic, one, zero
 from torusquot.errors import InvalidInputError, NotAHomomorphismError
@@ -41,7 +44,7 @@ I4 = Cyclotomic.zeta(4, 1)
 
 
 def _to_complex(x: Cyclotomic) -> complex:
-    return x.embed_float()
+    return embed_float(x)
 
 
 def _matrix_complex(m):
@@ -226,6 +229,26 @@ def test_zero_form_is_preserved_but_degenerate(s4_natural):
     z = SymplecticForm([[zero()] * 6 for _ in range(6)])
     assert preserves_form(pair, z)
     assert z.is_zero() and not z.is_nondegenerate()
+
+
+@st.composite
+def alternating_forms(draw):
+    n = draw(st.integers(1, 6))
+    entries = [zero(), zero(), zero(), one(), -one(), I4, one() + I4, Cyclotomic.zeta(3),
+               Cyclotomic.from_value(Fraction(1, 2))]
+    rows = [[zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.sampled_from(entries))
+            rows[j][i] = -rows[i][j]
+    return rows
+
+
+@given(alternating_forms())
+@settings(max_examples=80, deadline=None)
+def test_nondegenerate_by_rank_agrees_with_determinant(rows):
+    form = SymplecticForm(rows)
+    assert form.is_nondegenerate() == (not linalg.bareiss_det(form.matrix).is_zero())
 
 
 def test_lattice_membership_gaussian():
