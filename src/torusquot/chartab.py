@@ -8,8 +8,12 @@ is lifted exactly to a sum of roots of unity by finite-field Fourier
 inversion of the eigenvalue multiplicities.  The lift is exact because every
 multiplicity is at most the degree, which is below p.
 
-Everything downstream (inner products, indicators, square decompositions)
-works in exact cyclotomic arithmetic.
+Character values are exact `Cyclotomic` values.  The sums over classes
+(inner products, indicators, eigenvalue-1 counts and the table check) do
+not chain field operations: each class function is lifted once to integer
+numerators over one common denominator in Z[z]/(z^m - 1), z = zeta_m with
+m = lcm(exponent, value conductors), the sum is accumulated there in
+integers, and the total is reduced mod Phi_m and canonicalised once.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modp
-from .cyclo import Cyclotomic, format_entry, is_prime, one, zero
+from .cyclo import Cyclotomic, _canonical, _reduce, format_entry, is_prime, one, zero
 from .errors import InconsistentCharacterError, TableComputationError
 from .groups import FiniteGroup
 
@@ -84,6 +88,69 @@ def regular_character(group: FiniteGroup) -> Character:
     return Character(group, tuple(vals))
 
 
+def _conductor(group: FiniteGroup, functions) -> int:
+    """m for the lift: the exponent, unless a value's conductor does not divide it."""
+    m = group.exponent()
+    for chi in functions:
+        for v in chi.values:
+            if m % v.n:
+                m = math.lcm(m, v.n)
+    return m
+
+
+def _lift(chi: Character, m: int) -> tuple[int, list]:
+    """A common denominator D and, per class, the nonzero numerators (i, c)
+    with chi(k) = sum(c * z^i) / D in Z[z]/(z^m - 1), z = zeta_m."""
+    den = 1
+    for v in chi.values:
+        if den % v.den:
+            den = math.lcm(den, v.den)
+    rows = []
+    for v in chi.values:
+        num, f = v.num, den // v.den
+        if v.n == 1:
+            rows.append([(0, num[0] * f)] if num[0] else [])
+        else:
+            step = m // v.n
+            rows.append([(i * step, c * f) for i, c in enumerate(num) if c])
+    return den, rows
+
+
+def _class_pairs(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
+    """(|C_k|, index of the class of k^-1) for each class k."""
+    return tuple(zip(group.class_sizes, group.inverse_class))
+
+
+def _pairing(group: FiniteGroup, m: int, classes, a, b) -> Cyclotomic:
+    """(1/|G|) sum_k |C_k| a(k) b(k^-1) of two lifted class functions,
+    accumulated in Z[z]/(z^m - 1) and reduced once."""
+    (da, ra), (db, rb) = a, b
+    acc = [0] * m
+    for (h, kinv), xs in zip(classes, ra):
+        ys = rb[kinv]
+        if not ys:
+            continue
+        for i, c in xs:
+            hc = h * c
+            for j, d in ys:
+                t = i + j
+                if t >= m:
+                    t -= m
+                acc[t] += hc * d
+    return _canonical(_reduce(acc, m), group.order * da * db, m)
+
+
+def _average(m: int, lifted, terms, size: int) -> Fraction | None:
+    """(1/size) sum of w * chi(k) over (w, k) in terms, for a lifted chi,
+    when that is rational."""
+    den, rows = lifted
+    acc = [0] * m
+    for w, k in terms:
+        for i, c in rows[k]:
+            acc[i] += w * c
+    return _canonical(_reduce(acc, m), size * den, m).as_rational()
+
+
 def inner_product(a: Character, b: Character) -> Cyclotomic:
     """(a|b) = (1/|G|) sum over classes of size * a(g) * b(g^-1).
 
@@ -94,23 +161,15 @@ def inner_product(a: Character, b: Character) -> Cyclotomic:
     g = a.group
     if g is not b.group:
         raise InconsistentCharacterError("characters belong to different groups")
-    inv = g.inverse_class
-    total = sum(
-        (Cyclotomic.from_value(h) * x * b.values[inv[k]]
-         for k, (h, x) in enumerate(zip(g.class_sizes, a.values))),
-        zero())
-    return total * Cyclotomic.from_value(Fraction(1, g.order))
+    m = _conductor(g, (a, b))
+    return _pairing(g, m, _class_pairs(g), _lift(a, m), _lift(b, m))
 
 
 def frobenius_schur(chi: Character) -> int:
     """(1/|G|) sum of chi(g^2): 1 real type, 0 complex, -1 quaternionic."""
     g = chi.group
-    sq = g.power_classes(2)
-    total = sum(
-        (Cyclotomic.from_value(h) * chi.values[sq[k]]
-         for k, h in enumerate(g.class_sizes)),
-        zero())
-    val = (total * Cyclotomic.from_value(Fraction(1, g.order))).as_rational()
+    m = _conductor(g, (chi,))
+    val = _average(m, _lift(chi, m), zip(g.class_sizes, g.power_classes(2)), g.order)
     if val is None or val.denominator != 1:
         raise InconsistentCharacterError("indicator is not an integer")
     return int(val)
@@ -141,11 +200,12 @@ def eigenvalue_one_counts(chi: Character) -> tuple[int, ...]:
     group generated by g.
     """
     g = chi.group
+    m = _conductor(g, (chi,))
+    lifted = _lift(chi, m)
+    powers = [g.power_classes(t) for t in range(max(g.class_orders))]
     counts = []
-    for k in range(g.num_classes):
-        o = g.class_orders[k]
-        total = sum((chi.values[g.power_classes(t)[k]] for t in range(o)), zero())
-        val = (total * Cyclotomic.from_value(Fraction(1, o))).as_rational()
+    for k, o in enumerate(g.class_orders):
+        val = _average(m, lifted, ((1, powers[t][k]) for t in range(o)), o)
         if val is None or val.denominator != 1 or val < 0:
             raise InconsistentCharacterError(
                 "eigenvalue-1 multiplicity is not a non-negative integer")
@@ -155,17 +215,22 @@ def eigenvalue_one_counts(chi: Character) -> tuple[int, ...]:
 
 def decompose(chi: Character, table: "CharacterTable") -> tuple[int, ...]:
     """Multiplicities of chi in the irreducibles; verified by reconstruction."""
+    g = chi.group
+    if any(irr.group is not g for irr in table.irreducibles):
+        raise InconsistentCharacterError("characters belong to different groups")
+    m = _conductor(g, (chi, *table.irreducibles))
+    a = _lift(chi, m)
+    classes = _class_pairs(g)
     mult = []
     for irr in table.irreducibles:
-        m = inner_product(chi, irr).as_rational()
-        if m is None or m.denominator != 1 or m < 0:
+        v = _pairing(g, m, classes, a, _lift(irr, m)).as_rational()
+        if v is None or v.denominator != 1 or v < 0:
             raise InconsistentCharacterError(
                 "inner product with an irreducible is not a non-negative integer")
-        mult.append(int(m))
-    rebuilt = [zero()] * chi.group.num_classes
-    for m, irr in zip(mult, table.irreducibles):
-        if m:
-            c = Cyclotomic.from_value(m)
+        mult.append(int(v))
+    rebuilt = [zero()] * g.num_classes
+    for c, irr in zip(mult, table.irreducibles):
+        if c:
             rebuilt = [acc + c * v for acc, v in zip(rebuilt, irr.values)]
     if tuple(rebuilt) != chi.values:
         raise InconsistentCharacterError("multiplicities do not reconstruct the character")
@@ -307,26 +372,24 @@ def _split_eigenspaces(group: FiniteGroup, p: int):
 
 
 def _lift_character(group: FiniteGroup, xk: list[int], d: int, p: int, omega: int):
-    """Exact values from mod-p values: Fourier-invert eigenvalue multiplicities."""
+    """Exact values from mod-p values: Fourier-invert eigenvalue multiplicities.
+
+    At a class of order o the value is sum(mults[j] * zeta_o^j), built by
+    one reduction of the multiplicity vector.
+    """
     e = group.exponent()
     values = []
-    for k in range(group.num_classes):
-        o = group.class_orders[k]
-        w = pow(omega, e // o, p)
-        winv = modp.inv_mod(w, p)
+    for k, o in enumerate(group.class_orders):
+        winv = modp.inv_mod(pow(omega, e // o, p), p)
         oinv = modp.inv_mod(o, p)
-        mults = []
-        for j in range(o):
-            acc = 0
-            for t in range(o):
-                acc += xk[group.power_classes(t)[k]] * pow(winv, j * t, p)
-            mults.append(acc * oinv % p)
+        xs = [xk[group.power_classes(t)[k]] for t in range(o)]
+        wpow = [pow(winv, t, p) for t in range(o)]
+        mults = [sum(x * wpow[j * t % o] for t, x in enumerate(xs)) * oinv % p
+                 for j in range(o)]
         if sum(mults) != d or any(m > d for m in mults):
             raise TableComputationError(
                 "eigenvalue multiplicities do not sum to the degree")
-        zeta = Cyclotomic.zeta(o)
-        values.append(sum((Cyclotomic.from_value(m) * zeta ** j
-                           for j, m in enumerate(mults) if m), zero()))
+        values.append(_canonical(_reduce(mults, o), 1, o))
     return tuple(values)
 
 
@@ -355,12 +418,16 @@ def _table_mod_p(group: FiniteGroup, p: int) -> list[Character]:
 
 
 def _verify_table(group: FiniteGroup, chars: list[Character]):
+    """Exact check of the lifted table: the degrees' squares sum to |G|, and
+    every one of the r^2 orthonormality relations holds."""
     if sum(c.degree ** 2 for c in chars) != group.order:
         raise TableComputationError("degrees do not satisfy the sum-of-squares identity")
-    for i, a in enumerate(chars):
-        for j, b in enumerate(chars):
-            expect = 1 if i == j else 0
-            if inner_product(a, b) != expect:
+    m = _conductor(group, chars)
+    lifted = [_lift(c, m) for c in chars]
+    classes = _class_pairs(group)
+    for i, a in enumerate(lifted):
+        for j, b in enumerate(lifted):
+            if _pairing(group, m, classes, a, b) != (1 if i == j else 0):
                 raise TableComputationError("lifted characters are not orthonormal")
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cyclo_oracle import embed_float
 
+from torusquot import chartab
 from torusquot.chartab import (
     Character,
     CharacterTable,
@@ -24,7 +25,7 @@ from torusquot.chartab import (
     trivial_character,
 )
 from torusquot.cyclo import Cyclotomic, one, zero
-from torusquot.errors import InconsistentCharacterError
+from torusquot.errors import InconsistentCharacterError, TableComputationError
 from torusquot.groups import Dense, Monomial, close
 
 
@@ -232,3 +233,75 @@ class TestRendering:
         assert len(d["irreducibles"]) == 5
         assert d["irreducibles"][0]["degree"] == 1
         json.dumps(d)  # must be JSON-serializable
+
+
+def _moved_eigenvalue(group, chars):
+    """The last character's value at the first class of order divisible by
+    3 shifted by zeta_3 - 1, as if one eigenvalue 1 had moved to zeta_3."""
+    k = next(k for k, o in enumerate(group.class_orders) if o % 3 == 0)
+    chi = chars[-1]
+    values = list(chi.values)
+    values[k] = values[k] - 1 + Cyclotomic.zeta(3)
+    return chars[:-1] + [Character(group, tuple(values))]
+
+
+def _swapped_values(group, chars):
+    """Two characters' values exchanged at the first class where they differ."""
+    i, j, k = next((i, j, k) for i in range(len(chars)) for j in range(i + 1, len(chars))
+                   for k in range(1, group.num_classes)
+                   if chars[i].values[k] != chars[j].values[k])
+    a, b = list(chars[i].values), list(chars[j].values)
+    a[k], b[k] = b[k], a[k]
+    out = list(chars)
+    out[i], out[j] = Character(group, tuple(a)), Character(group, tuple(b))
+    return out
+
+
+def _missing_degree(group, chars):
+    """One irreducible left out: still orthonormal, but the degrees' squares
+    fall short of |G|."""
+    return chars[:-1]
+
+
+class TestTableCheck:
+    """The exact check after the lift rejects tables that are not the table:
+    the sum of squared degrees and every orthonormality relation."""
+
+    @pytest.mark.parametrize("name", ["s4", "g216"])
+    def test_accepts_the_table(self, name, request):
+        table = S4_TABLE if name == "s4" else request.getfixturevalue("g216_table")
+        chartab._verify_table(table.group, list(table))
+
+    @pytest.mark.parametrize("perturb", [_moved_eigenvalue, _swapped_values, _missing_degree],
+                             ids=["moved-eigenvalue", "swapped-values", "missing-degree"])
+    @pytest.mark.parametrize("name", ["s4", "g216"])
+    def test_rejects_a_perturbed_table(self, name, perturb, request):
+        table = S4_TABLE if name == "s4" else request.getfixturevalue("g216_table")
+        chars = perturb(table.group, list(table))
+        with pytest.raises(TableComputationError):
+            chartab._verify_table(table.group, chars)
+
+
+# the fixtures and the groups the representation corpus is built on
+_TABLED_GROUPS = ["s4", "q8", "c6", "g216", "g1280"]
+
+
+class TestSecondDerivations:
+    """Invariants of the table checked against a derivation that does not
+    read it, or reads it at another prime."""
+
+    @pytest.mark.parametrize("name", _TABLED_GROUPS)
+    def test_linear_characters_count_the_abelianization(self, name, request):
+        group = request.getfixturevalue(f"{name}_group")
+        table = request.getfixturevalue(f"{name}_table")
+        assert sum(1 for d in table.degrees if d == 1) == group.abelianization_order()
+
+    @pytest.mark.parametrize("name", ["s4", "q8", "c6", "g216"])
+    def test_next_admissible_prime_gives_the_same_table(self, name, request):
+        group = request.getfixturevalue(f"{name}_group")
+        table = request.getfixturevalue(f"{name}_table")
+        primes = chartab._admissible_primes(group.exponent(), group.order)
+        next(primes)
+        chars = chartab._table_mod_p(group, next(primes))
+        chars.sort(key=lambda c: (c.degree, tuple(v.sort_key() for v in c.values)))
+        assert [c.values for c in chars] == [c.values for c in table]

@@ -1,9 +1,9 @@
 """Golden outputs: the CLI prints the same bytes and exit codes as recorded.
 
 Each case runs one command in-process and compares its exit code, stdout
-and stderr with `tests/golden/<case>.out`.  The built-in examples are
-written to a temporary directory first; the dense-generator inputs live
-next to the golden files.  Arithmetic or encoding refactors must leave
+and stderr with `tests/golden/<case>.out`.  The built-in examples and the
+`search` case's catalog are written to a temporary directory first; the
+dense-generator inputs live next to the golden files.  Arithmetic or encoding refactors must leave
 every file unchanged.
 
 To record the files again after a deliberate change of output:
@@ -55,6 +55,37 @@ CASES = {
     "s3-dense-chartable-json": ["chartable", "--group", "{s3_dense}", "--format", "json"],
     # a valid real-type pair that the fibration cannot yet split: exit 2
     "pair-dense-analyze-json": ["analyze", "--group", "{pair_dense}", "--report", "json"],
+    "search-catalog": ["search", "--catalog", "{catalog}", "--max-order", "200"],
+}
+
+# the catalog of the search case: four primitive groups with tables (one
+# written with dense generators), one group the primitivity criterion
+# rejects and one group beyond the order bound
+CATALOG = {
+    # cube rotations, S4
+    "a_s4.group": "conductor 1\ndegree 3\n"
+                  "generator monomial\nmap 2 1 3\nscalars -1; 1; 1\n"
+                  "generator perm\nmap 3 1 2\n",
+    # G(4,1,2), order 32
+    "b_g412.group": "conductor 4\ndegree 2\n"
+                    "generator monomial\nmap 1 2\nscalars z; 1\n"
+                    "generator perm\nmap 2 1\n",
+    # the Heisenberg group of order 27
+    "c_heis27.group": "conductor 3\ndegree 3\n"
+                      "generator perm\nmap 2 3 1\n"
+                      "generator monomial\nmap 1 2 3\nscalars 1; z; z^2\n",
+    # Q8, dense
+    "d_q8_dense.group": "conductor 4\ndegree 2\n"
+                        "generator dense\nrow z; 0\nrow 0; -z\n"
+                        "generator dense\nrow 0; -1\nrow 1; 0\n",
+    # A4: cyclic Sylow 3-subgroup and abelianization C3, rejected
+    "e_a4.group": "conductor 1\ndegree 3\n"
+                  "generator perm\nmap 3 1 2\n"
+                  "generator monomial\nmap 1 2 3\nscalars -1; -1; 1\n",
+    # G(2,1,4), order 384, beyond --max-order 200
+    "f_g214.group": "conductor 1\ndegree 4\n"
+                    "generator monomial\nmap 2 3 4 1\nscalars -1; 1; 1; 1\n"
+                    "generator perm\nmap 2 1 3 4\n",
 }
 
 
@@ -64,6 +95,11 @@ def _group_paths(directory: Path) -> dict:
         path = directory / f"{name}.group"
         path.write_text(fixture.file_text)
         paths[name] = str(path)
+    catalog = directory / "catalog"
+    catalog.mkdir()
+    for name, text in CATALOG.items():
+        (catalog / name).write_text(text)
+    paths["catalog"] = str(catalog)
     return paths
 
 
