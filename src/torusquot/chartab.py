@@ -82,12 +82,6 @@ def natural_character(group: FiniteGroup) -> Character:
     return Character(group, tuple(group.element(r).trace() for r in group.class_representatives))
 
 
-def regular_character(group: FiniteGroup) -> Character:
-    vals = [zero()] * group.num_classes
-    vals[group.class_of(0)] = Cyclotomic.from_value(group.order)
-    return Character(group, tuple(vals))
-
-
 def _conductor(group: FiniteGroup, functions) -> int:
     """m for the lift: the exponent, unless a value's conductor does not divide it."""
     m = group.exponent()
@@ -419,14 +413,18 @@ def _table_mod_p(group: FiniteGroup, p: int) -> list[Character]:
 
 def _verify_table(group: FiniteGroup, chars: list[Character]):
     """Exact check of the lifted table: the degrees' squares sum to |G|, and
-    every one of the r^2 orthonormality relations holds."""
+    every one of the r^2 orthonormality relations holds.
+
+    Only the pairs j >= i are summed: the pairing sum_k |C_k| a(k) b(k^-1)
+    is symmetric in a and b, since k -> k^-1 maps classes to classes of the
+    same size, so (b|a) repeats (a|b) exactly."""
     if sum(c.degree ** 2 for c in chars) != group.order:
         raise TableComputationError("degrees do not satisfy the sum-of-squares identity")
     m = _conductor(group, chars)
     lifted = [_lift(c, m) for c in chars]
     classes = _class_pairs(group)
     for i, a in enumerate(lifted):
-        for j, b in enumerate(lifted):
+        for j, b in enumerate(lifted[i:], i):
             if _pairing(group, m, classes, a, b) != (1 if i == j else 0):
                 raise TableComputationError("lifted characters are not orthonormal")
 

@@ -15,6 +15,7 @@ exceeded the element limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -188,7 +189,9 @@ def _search_report(name: str, group) -> None:
               f"candidate: {_show(eig_ok and faithful)}{note}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: `main` may run many times in one."""
     parser = argparse.ArgumentParser(
         prog="torusquot",
         description="Invariants of complex torus quotients by finite linear groups.")
@@ -228,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

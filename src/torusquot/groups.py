@@ -543,13 +543,6 @@ class FiniteGroup:
 
     # -- numeric invariants
 
-    def order_histogram(self) -> dict[int, int]:
-        """Element order -> count, aggregated over conjugacy classes."""
-        hist: dict[int, int] = {}
-        for o, size in zip(self.class_orders, self.class_sizes):
-            hist[o] = hist.get(o, 0) + size
-        return hist
-
     def exponent(self) -> int:
         return math.lcm(*self.class_orders)
 

@@ -32,17 +32,8 @@ def mat_vec(a: Matrix, v) -> tuple:
     return tuple(sum((x * y for x, y in zip(row, v) if x and y), zero()) for row in a)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    c = Cyclotomic.from_value(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -79,10 +70,6 @@ def bareiss_det(a: Matrix) -> Cyclotomic:
         prev = pkk
     d = m[n - 1][n - 1]
     return -d if sign < 0 else d
-
-
-def mat_rank(a: Matrix) -> int:
-    return len(rref(a)[1])
 
 
 def mat_inverse(a: Matrix) -> Matrix:

@@ -15,7 +15,6 @@ conjugacy class and the cyclic-Sylow primitivity criterion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,7 +28,7 @@ from .chartab import (
     inner_product,
     trivial_character,
 )
-from .cyclo import Cyclotomic, divisors, format_entry, one, prime_factors, rref, zero
+from .cyclo import Cyclotomic, format_entry, one, prime_factors, rref, zero
 from .errors import (
     InconsistentCharacterError,
     InvalidInputError,
@@ -40,17 +39,11 @@ from .groups import Dense, FiniteGroup, Monomial
 
 
 class AnalyticRep:
-    """A matrix representation of a closed group, one matrix per element.
+    """A matrix representation of a closed group, one matrix per element."""
 
-    pair_block records the block split when the rep was built as a sum
-    rho + conj(rho); the Lagrangian extraction uses it for real-type pairs,
-    where character theory alone cannot separate the two halves.
-    """
-
-    def __init__(self, group: FiniteGroup, matrices, pair_block: int | None = None):
+    def __init__(self, group: FiniteGroup, matrices):
         self.group = group
         self.matrices = tuple(matrices)
-        self.pair_block = pair_block
         if len(self.matrices) != group.order:
             raise InvalidInputError("need one matrix per group element")
         self._character = None
@@ -135,26 +128,7 @@ def conjugate_pair_rep(rep: AnalyticRep) -> AnalyticRep:
     """Block sum of a representation with its entrywise conjugate."""
     return AnalyticRep(
         rep.group,
-        tuple(m.block_sum(m.conjugate()) for m in rep.matrices),
-        pair_block=rep.degree)
-
-
-def one_dim_rep(group: FiniteGroup, chi: Character) -> AnalyticRep:
-    if chi.group is not group:
-        raise InvalidInputError("character belongs to a different group")
-    if chi.degree != 1:
-        raise InvalidInputError("need a degree-1 character")
-    return AnalyticRep(
-        group,
-        tuple(Monomial((0,), (chi.value_at_element(i),)) for i in range(group.order)))
-
-
-def regular_rep(group: FiniteGroup) -> AnalyticRep:
-    ones = (one(),) * group.order
-    return AnalyticRep(
-        group,
-        tuple(Monomial(tuple(group.mult(g, j) for j in range(group.order)), ones)
-              for g in range(group.order)))
+        tuple(m.block_sum(m.conjugate()) for m in rep.matrices))
 
 
 class SymplecticForm:
@@ -497,114 +471,72 @@ def _basis_is_lagrangian(basis, form: SymplecticForm) -> bool:
     return all(form.evaluate(u, v).is_zero() for u in basis for v in basis)
 
 
-def _coordinate_block_basis(n: int, start: int, size: int):
-    return tuple(
-        tuple(one() if j == start + i else zero() for j in range(n))
-        for i in range(size))
+def _spin(gens, v, half: int):
+    """(pivots, RREF basis) of the span of v under gens; None once that span
+    passes half.  Each new image is reduced against the pivots found so far."""
+    echelon = []  # (pivot, row with 1 there and 0 at every earlier pivot)
+    todo = [v]
+    while todo:
+        w = todo.pop()
+        for p, row in echelon:
+            if w[p]:
+                c = w[p]
+                w = tuple(a - c * b if b else a for a, b in zip(w, row))
+        p = next((i for i, a in enumerate(w) if a), None)
+        if p is None:
+            continue
+        if len(echelon) == half:
+            return None
+        inv = w[p].inverse()
+        w = tuple(inv * a for a in w)
+        echelon.append((p, w))
+        todo.extend(linalg.mat_vec(g, w) for g in gens)
+    red, pivots = rref([row for _, row in echelon])
+    return pivots, red
 
 
-def _min_poly(t, cap: int = 8):
-    """Monic minimal polynomial of a square cyclotomic matrix, as a
-    coefficient tuple (index = degree); None if the degree exceeds cap."""
-    n = len(t)
-    powers = [linalg.identity_matrix(n)]
-    for _ in range(cap):
-        powers.append(linalg.mat_mul(powers[-1], t))
-        cols = [[p[i][j] for p in powers] for i in range(n) for j in range(n)]
-        dep = linalg.kernel_basis(linalg.as_matrix(cols))
-        if dep:
-            coeffs = dep[0]
-            lead = coeffs[-1]
-            if lead.is_zero():  # kernel vector from a free middle column
-                continue
-            inv = lead.inverse()
-            return tuple(inv * c for c in coeffs)
-    return None
+def _spin_halves(rep: AnalyticRep):
+    """The two invariant Lagrangian halves of a real or trivial pair V + V,
+    spun from joint eigenvectors (the spinning step of the MeatAxe).
 
-
-def _rational_roots(poly) -> list[Fraction]:
-    """Rational roots of a polynomial with rational cyclotomic coefficients;
-    empty when any coefficient is irrational."""
-    rat = []
-    for c in poly:
-        r = c.as_rational()
-        if r is None:
-            return []
-        rat.append(r)
-    while rat and rat[-1] == 0:
-        rat.pop()
-    if len(rat) <= 1:
-        return []
-    roots = []
-    if rat[0] == 0:
-        roots.append(Fraction(0))
-        while rat and rat[0] == 0:
-            rat.pop(0)
-    lcm = math.lcm(*(c.denominator for c in rat))
-    ints = [int(c * lcm) for c in rat]
-    lead, const = abs(ints[-1]), abs(ints[0])
-    for q in divisors(lead):
-        for p in divisors(const):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                if sum(c * cand ** k for k, c in enumerate(ints)) == 0:
-                    roots.append(cand)
-    return sorted(roots)
-
-
-def _commutant_split(rep: AnalyticRep, half: int):
-    """Split C^n into two half-dimensional invariant subspaces by averaging
-    coordinate seeds into the commutant and taking rational eigenspaces.
-
-    Only rational eigenvalues are searched: when every splitting element of
-    the commutant has irrational spectrum (a quadratic extension would be
-    needed), this reports failure instead of guessing.
+    Every rho(x) is A_x (x) I on V (x) C^2, so each intersection K of C^n
+    with eigenspaces of group elements has the form U (x) C^2.  Elements are
+    walked in BFS order, each cutting K by its first eigenvalue that splits
+    it, rational ones first, until dim K = 2.  Then U is a line, so each
+    vector of K lies in one copy of V and spins to that copy: invariant,
+    half-dimensional, and Lagrangian, because a real-type V carries no
+    invariant alternating form.  Two distinct copies meet only in 0.  On a
+    block sum every kernel vector stays inside one block, so the halves are
+    the coordinate blocks.
     """
     group, n = rep.group, rep.degree
-    inv_of = [group.inv(i) for i in range(group.order)]
-    mono = all(isinstance(m, Monomial) for m in rep.matrices)
-    for a in range(n):
-        for b in range(n):
-            acc = [[zero()] * n for _ in range(n)]
-            for gi in range(group.order):
-                m = rep.matrices[gi]
-                minv = rep.matrices[inv_of[gi]]
-                if mono:
-                    # M·E_ab·M⁻¹ = (s_a/s_b)·E_{p(a),p(b)}; minv holds 1/s_b at column p(b)
-                    i, j = m.perm[a], m.perm[b]
-                    acc[i][j] = acc[i][j] + m.scalars[a] * minv.scalars[j]
-                else:
-                    cola = [m.rows[r][a] for r in range(n)]
-                    rowb = minv.rows[b]
-                    for r in range(n):
-                        if cola[r]:
-                            for s in range(n):
-                                if rowb[s]:
-                                    acc[r][s] = acc[r][s] + cola[r] * rowb[s]
-            t = linalg.as_matrix(acc)
-            poly = _min_poly(t)
-            if poly is None or len(poly) <= 2:
-                continue  # scalar or out of reach
-            roots = _rational_roots(poly)
-            for ri in range(len(roots)):
-                for rj in range(ri + 1, len(roots)):
-                    v1 = _eigenspace(t, roots[ri])
-                    v2 = _eigenspace(t, roots[rj])
-                    if len(v1) == half and len(v2) == half:
-                        return v1, v2
-    raise TorusQuotError(
-        "could not split the conjugate pair over the rationals; the invariant "
-        "halves need an eigenvalue in a quadratic extension")
-
-
-def _eigenspace(t, lam: Fraction):
-    n = len(t)
-    c = Cyclotomic.from_value(lam)
-    shifted = tuple(
-        tuple(t[i][j] - c if i == j else t[i][j] for j in range(n))
-        for i in range(n))
-    return tuple(tuple(v) for v in linalg.kernel_basis(shifted))
+    basis = linalg.identity_matrix(n)  # of K, as rows
+    for x in range(1, group.order):
+        if len(basis) <= 2:
+            break
+        rows = rep.matrices[x].to_dense().rows
+        images = [linalg.mat_vec(rows, v) for v in basis]
+        o = group.element_order(x)
+        for lam in sorted((Cyclotomic.zeta(o, j) for j in range(o)), key=lambda z: z.conductor):
+            shifted = linalg.transpose(
+                [tuple(y - lam * c for y, c in zip(img, v)) for img, v in zip(images, basis)])
+            kernel = linalg.kernel_basis(shifted)
+            if 0 < len(kernel) < len(basis):
+                columns = linalg.transpose(basis)
+                basis = [linalg.mat_vec(columns, k) for k in kernel]
+                break
+    gens = [m.to_dense().rows for m in rep.generator_images()]
+    halves = []
+    for v in basis:
+        span = _spin(gens, v, n // 2)
+        if span is not None and span not in halves:
+            halves.append(span)
+    if len(halves) < 2:
+        raise TorusQuotError(
+            "could not split the pair: no joint eigenvector spins to two "
+            "invariant halves")
+    halves.sort(key=lambda h: (h[0], tuple(x.sort_key() for row in h[1] for x in row)))
+    return halves[0][1], halves[1][1]
 
 
 def lagrangian_fibration_data(rep: AnalyticRep, form: SymplecticForm,
@@ -628,15 +560,8 @@ def lagrangian_fibration_data(rep: AnalyticRep, form: SymplecticForm,
         if len(bases) != 2 or any(len(b) != half for b in bases):
             raise TorusQuotError("isotypic images do not split into halves")
         v1, v2 = tuple(map(tuple, bases[0])), tuple(map(tuple, bases[1]))
-    elif cls.pair_type == "trivial":
-        v1 = _coordinate_block_basis(n, 0, 1)
-        v2 = _coordinate_block_basis(n, 1, 1)
-    else:  # real: character theory sees a single constituent twice
-        if rep.pair_block is not None and rep.pair_block * 2 == n:
-            v1 = _coordinate_block_basis(n, 0, half)
-            v2 = _coordinate_block_basis(n, half, half)
-        else:
-            v1, v2 = _commutant_split(rep, half)
+    else:  # real or trivial: character theory sees one constituent twice
+        v1, v2 = _spin_halves(rep)
     for v in (v1, v2):
         if not _basis_is_lagrangian(v, form):
             raise TorusQuotError("extracted invariant subspace is not Lagrangian")

