@@ -81,12 +81,6 @@ def mat_inverse(a: Matrix) -> Matrix:
     return tuple(row[n:] for row in red[:n])
 
 
-def column_space_basis(a: Matrix) -> tuple[tuple[Cyclotomic, ...], ...]:
-    """A deterministic echelonized basis of the column space (vectors as rows)."""
-    red, pivots = rref(transpose(a))
-    return tuple(red[i] for i in range(len(pivots)))
-
-
 def kernel_basis(a: Matrix) -> tuple[tuple[Cyclotomic, ...], ...]:
     """Basis of the right kernel, one vector per free column."""
     red, pivots = rref(a)

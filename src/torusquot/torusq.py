@@ -39,40 +39,59 @@ from .groups import Dense, FiniteGroup, Monomial
 
 
 class AnalyticRep:
-    """A matrix representation of a closed group, one matrix per element."""
+    """A matrix representation of a closed group, one matrix per element.
+
+    The matrices may be given, or built one at a time on first use and kept
+    (:func:`natural_rep`, :func:`conjugate_pair_rep`), so a stage that reads
+    only the generators and the class representatives builds only those.
+    """
 
     def __init__(self, group: FiniteGroup, matrices):
         self.group = group
-        self.matrices = tuple(matrices)
-        if len(self.matrices) != group.order:
+        self._cache = list(matrices)
+        if len(self._cache) != group.order:
             raise InvalidInputError("need one matrix per group element")
+        self._build = None
         self._character = None
-        self._faithful = None
+
+    @classmethod
+    def _built_by(cls, group: FiniteGroup, build) -> "AnalyticRep":
+        """The representation whose element i has the matrix build(i)."""
+        rep = cls(group, [None] * group.order)
+        rep._build = build
+        return rep
 
     @property
     def degree(self) -> int:
-        return self.matrices[0].degree
+        return self.matrix(0).degree
 
     def matrix(self, i: int):
-        return self.matrices[i]
+        m = self._cache[i]
+        if m is None:
+            m = self._cache[i] = self._build(i)
+        return m
+
+    @property
+    def matrices(self) -> tuple:
+        return tuple(self.matrix(i) for i in range(self.group.order))
 
     def generator_images(self):
-        return tuple(self.matrices[i] for i in self.group.generator_indices)
+        return tuple(self.matrix(i) for i in self.group.generator_indices)
 
     @property
     def character(self) -> Character:
         if self._character is None:
             self._character = Character(
                 self.group,
-                tuple(self.matrices[r].trace() for r in self.group.class_representatives))
+                tuple(self.matrix(r).trace() for r in self.group.class_representatives))
         return self._character
 
     @property
     def faithful(self) -> bool:
-        if self._faithful is None:
-            self._faithful = all(
-                not self.matrices[i].is_identity() for i in range(1, self.group.order))
-        return self._faithful
+        """ρ(g) = I exactly when χ(g) = χ(1), so the kernel is read off the
+        character: faithful when only the identity class reaches χ(1)."""
+        d = self.character.values[0]
+        return all(v != d for v in self.character.values[1:])
 
     def is_trivial(self) -> bool:
         d = Cyclotomic.from_value(self.degree)
@@ -121,14 +140,15 @@ def assemble(group: FiniteGroup, images) -> AnalyticRep:
 
 def natural_rep(group: FiniteGroup) -> AnalyticRep:
     """The group acting by its own matrices."""
-    return AnalyticRep(group, group.elements)
+    return AnalyticRep._built_by(group, group.element)
 
 
 def conjugate_pair_rep(rep: AnalyticRep) -> AnalyticRep:
     """Block sum of a representation with its entrywise conjugate."""
-    return AnalyticRep(
-        rep.group,
-        tuple(m.block_sum(m.conjugate()) for m in rep.matrices))
+    def build(i):
+        m = rep.matrix(i)
+        return m.block_sum(m.conjugate())
+    return AnalyticRep._built_by(rep.group, build)
 
 
 class SymplecticForm:
@@ -310,23 +330,61 @@ def homogeneous_decomplexification(rep: AnalyticRep, table: CharacterTable) -> b
 # -- invariant forms and their preservation
 
 
+def _line_orbit(gens, a: int, b: int):
+    """Walk the orbit of the signed line E_ab − E_ba under monomial
+    generators, given by their row views (col, s).
+
+    A generator maps c·(E_ij − E_ji) to c·s_i·s_j·(E_col[i],col[j] −
+    E_col[j],col[i]).  Returns ({(i, j): c} with i < j, True) for the whole
+    orbit: the group average of the seed is a positive multiple of its sum.
+    Returns (the lines reached so far, False) as soon as a line is reached
+    with two scalars: its stabiliser then scales it by a root of unity
+    other than 1, and the average is 0."""
+    orbit = {(a, b): one()}
+    todo = [(a, b)]
+    while todo:
+        i, j = todo.pop()
+        c = orbit[i, j]
+        for col, s in gens:
+            ii, jj, cc = col[i], col[j], c * s[i] * s[j]
+            if ii > jj:
+                ii, jj, cc = jj, ii, -cc
+            seen = orbit.get((ii, jj))
+            if seen is None:
+                orbit[ii, jj] = cc
+                todo.append((ii, jj))
+            elif seen != cc:
+                return orbit, False
+    return orbit, True
+
+
 def invariant_form(rep: AnalyticRep) -> SymplecticForm | None:
     """Group-average antisymmetric coordinate seeds; first nonzero average,
     rescaled so its first nonzero entry is 1.  None when every seed dies,
-    which happens exactly when there is no invariant 2-form."""
+    which happens exactly when there is no invariant 2-form.
+
+    On monomial generators the average of a seed is read off its line orbit
+    (:func:`_line_orbit`).  A line reached from a dead seed lies in its
+    orbit, so its own average is 0 too, and it is skipped."""
     n = rep.degree
-    mono = all(isinstance(m, Monomial) for m in rep.matrices)
+    gens = rep.generator_images()
+    mono = all(isinstance(m, Monomial) for m in gens)
     if mono:
-        support = [m.row_entries() for m in rep.matrices]
+        gens = [m.row_entries() for m in gens]
+        dead = set()
     for a in range(n):
         for b in range(a + 1, n):
+            if mono and (a, b) in dead:
+                continue
             acc = [[zero()] * n for _ in range(n)]
             if mono:
-                for col, s in support:
-                    i, j = col[a], col[b]
-                    v = s[a] * s[b]
-                    acc[i][j] = acc[i][j] + v
-                    acc[j][i] = acc[j][i] - v
+                orbit, alive = _line_orbit(gens, a, b)
+                if not alive:
+                    dead.update(orbit)
+                    continue
+                for (i, j), c in orbit.items():
+                    acc[i][j] = c
+                    acc[j][i] = -c
             else:
                 for m in rep.matrices:
                     ra, rb = m.rows[a], m.rows[b]
@@ -353,12 +411,14 @@ def preserves_form(rep: AnalyticRep, form: SymplecticForm) -> bool:
     if form.degree != rep.degree:
         raise InvalidInputError("form degree does not match the representation")
     omega = form.matrix
-    n = rep.degree
     for m in rep.generator_images():
         if isinstance(m, Monomial):
-            for j in range(n):
-                for k in range(n):
-                    lhs = m.scalars[j] * m.scalars[k] * omega[m.perm[j]][m.perm[k]]
+            columns = tuple(zip(m.perm, m.scalars))
+            for j, (pj, sj) in enumerate(columns):
+                for k, (pk, sk) in enumerate(columns):
+                    lhs = omega[pj][pk]
+                    if lhs:
+                        lhs = sj * sk * lhs
                     if lhs != omega[j][k]:
                         return False
         else:
@@ -370,13 +430,13 @@ def preserves_form(rep: AnalyticRep, form: SymplecticForm) -> bool:
 
 
 def preserves_lattice(rep: AnalyticRep, lattice: LatticeSpec) -> bool:
-    """True iff every generator entry lies in Z + wZ."""
+    """True iff every generator entry lies in Z + wZ, each distinct entry
+    tested once."""
+    entries = set()
     for m in rep.generator_images():
-        entries = m.scalars if isinstance(m, Monomial) else \
-            tuple(x for row in m.rows for x in row if x)
-        if not all(lattice.contains(x) for x in entries):
-            return False
-    return True
+        entries.update(m.scalars if isinstance(m, Monomial) else
+                       (x for row in m.rows for x in row if x))
+    return all(lattice.contains(x) for x in entries)
 
 
 # -- smoothness obstructions
@@ -387,7 +447,7 @@ def eigenvalue_one_all(rep: AnalyticRep) -> tuple[bool, tuple[int, ...]]:
     overall answer and the failing class indices."""
     failing = tuple(
         k for k, r in enumerate(rep.group.class_representatives)
-        if not rep.matrices[r].has_eigenvalue_one())
+        if not rep.matrix(r).has_eigenvalue_one())
     return (not failing, failing)
 
 
@@ -431,40 +491,40 @@ def smoothness_verdict(symplectic_class: SymplecticClass, homogeneous: bool,
     return Verdict.NO_OBSTRUCTION_RECORDED
 
 
-# -- isotypic structure and Lagrangian fibrations
+# -- Lagrangian fibrations
 
 
-def isotypic_projections(rep: AnalyticRep, table: CharacterTable):
-    """(character, projection) for each constituent: the image of the
-    averaged conjugate-character sum."""
-    group = rep.group
-    n = rep.degree
-    mult = decompose(rep.character, table)
-    out = []
-    for i, m in enumerate(mult):
-        if not m:
-            continue
-        irr = table[i]
-        scale = Cyclotomic.from_value(Fraction(irr.degree, group.order))
-        coeff = [scale * irr.values[k].conjugate() for k in range(group.num_classes)]
-        acc = [[zero()] * n for _ in range(n)]
-        for gi in range(group.order):
-            c = coeff[group.class_of(gi)]
-            if c.is_zero():
-                continue
-            mat = rep.matrices[gi]
-            if isinstance(mat, Monomial):
-                for j, pj in enumerate(mat.perm):
-                    acc[pj][j] = acc[pj][j] + c * mat.scalars[j]
-            else:
-                for r in range(n):
-                    row = mat.rows[r]
-                    arow = acc[r]
-                    for s in range(n):
-                        if row[s]:
-                            arow[s] = arow[s] + c * row[s]
-        out.append((irr, linalg.as_matrix(acc)))
-    return out
+def _complex_halves(rep: AnalyticRep, table: CharacterTable):
+    """The constituents of a complex pair χ + χ̄, as RREF bases, χ first.
+
+    The class sum S_k = Σ_{g ∈ C_k} ρ(g) is central, so it acts on the copy
+    of χ as ω = |C_k|·χ(g_k)/χ(1) and on the copy of χ̄ as ω̄.  At the first
+    class k where χ is not real the two differ, and the halves are
+    ker(S_k − ω) and ker(S_k − ω̄).  Only the members of C_k are read."""
+    group, n = rep.group, rep.degree
+    chi = table[decompose(rep.character, table).index(1)]
+    k = next(k for k, v in enumerate(chi.values) if v != v.conjugate())
+    acc = [[zero()] * n for _ in range(n)]
+    for g in group.conjugacy_classes[k]:
+        m = rep.matrix(g)
+        if isinstance(m, Monomial):
+            for j, (pj, sj) in enumerate(zip(m.perm, m.scalars)):
+                acc[pj][j] = acc[pj][j] + sj
+        else:
+            for row, arow in zip(m.rows, acc):
+                for j, x in enumerate(row):
+                    if x:
+                        arow[j] = arow[j] + x
+    omega = Cyclotomic.from_value(Fraction(group.class_sizes[k], chi.degree)) * chi.values[k]
+    halves = []
+    for w in (omega, omega.conjugate()):
+        shifted = [[x - w if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(acc)]
+        kernel = linalg.kernel_basis(shifted)
+        if len(kernel) != n // 2:
+            raise TorusQuotError("class sum eigenspaces do not split into halves")
+        halves.append(rref(kernel)[0])
+    return tuple(halves)
 
 
 def _basis_is_lagrangian(basis, form: SymplecticForm) -> bool:
@@ -514,7 +574,7 @@ def _spin_halves(rep: AnalyticRep):
     for x in range(1, group.order):
         if len(basis) <= 2:
             break
-        rows = rep.matrices[x].to_dense().rows
+        rows = rep.matrix(x).to_dense().rows
         images = [linalg.mat_vec(rows, v) for v in basis]
         o = group.element_order(x)
         for lam in sorted((Cyclotomic.zeta(o, j) for j in range(o)), key=lambda z: z.conductor):
@@ -552,14 +612,8 @@ def lagrangian_fibration_data(rep: AnalyticRep, form: SymplecticForm,
     if cls.kind is not SymplecticKind.CONJUGATE_PAIR:
         raise InvalidInputError(
             "Lagrangian extraction needs a conjugate-pair representation")
-    n = rep.degree
-    half = n // 2
     if cls.pair_type == "complex":
-        projections = isotypic_projections(rep, table)
-        bases = [linalg.column_space_basis(proj) for _, proj in projections]
-        if len(bases) != 2 or any(len(b) != half for b in bases):
-            raise TorusQuotError("isotypic images do not split into halves")
-        v1, v2 = tuple(map(tuple, bases[0])), tuple(map(tuple, bases[1]))
+        v1, v2 = _complex_halves(rep, table)
     else:  # real or trivial: character theory sees one constituent twice
         v1, v2 = _spin_halves(rep)
     for v in (v1, v2):

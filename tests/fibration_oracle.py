@@ -1,12 +1,16 @@
-"""Test-only fibration splitter: the earlier commutant split of real pairs.
+"""Test-only fibration splitters, the earlier bodies of
+:func:`torusquot.torusq.lagrangian_fibration_data`.
 
-This is the body that :func:`torusquot.torusq.lagrangian_fibration_data`
-used for real-type pairs before the halves were spun from a joint
-eigenvector.  It averages every coordinate seed E_ab over the group into
-the commutant and looks for two rational eigenspaces of half dimension,
-so it fails on pairs whose splitting commutant elements all have
-irrational spectrum.  The differential tests require the spin to split
-wherever this does.
+Real pairs: the commutant split, used before the halves were spun from a
+joint eigenvector.  It averages every coordinate seed E_ab over the group
+into the commutant and looks for two rational eigenspaces of half
+dimension, so it fails on pairs whose splitting commutant elements all
+have irrational spectrum.  The differential tests require the spin to
+split wherever this does.
+
+Complex pairs: the isotypic projections, summed over every group element,
+used before the halves were read off one class sum.  Their images must
+equal the class-sum halves.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 from fractions import Fraction
 
 from torusquot import linalg
+from torusquot.chartab import CharacterTable, decompose
 from torusquot.cyclo import Cyclotomic, divisors, zero
 from torusquot.errors import TorusQuotError
 from torusquot.groups import Monomial
@@ -123,3 +128,36 @@ def eigenspace(t, lam: Fraction):
         tuple(t[i][j] - c if i == j else t[i][j] for j in range(n))
         for i in range(n))
     return tuple(tuple(v) for v in linalg.kernel_basis(shifted))
+
+
+def isotypic_projections(rep: AnalyticRep, table: CharacterTable):
+    """(character, projection) for each constituent: the image of the
+    averaged conjugate-character sum."""
+    group = rep.group
+    n = rep.degree
+    mult = decompose(rep.character, table)
+    out = []
+    for i, m in enumerate(mult):
+        if not m:
+            continue
+        irr = table[i]
+        scale = Cyclotomic.from_value(Fraction(irr.degree, group.order))
+        coeff = [scale * irr.values[k].conjugate() for k in range(group.num_classes)]
+        acc = [[zero()] * n for _ in range(n)]
+        for gi in range(group.order):
+            c = coeff[group.class_of(gi)]
+            if c.is_zero():
+                continue
+            mat = rep.matrix(gi)
+            if isinstance(mat, Monomial):
+                for j, pj in enumerate(mat.perm):
+                    acc[pj][j] = acc[pj][j] + c * mat.scalars[j]
+            else:
+                for r in range(n):
+                    row = mat.rows[r]
+                    arow = acc[r]
+                    for s in range(n):
+                        if row[s]:
+                            arow[s] = arow[s] + c * row[s]
+        out.append((irr, linalg.as_matrix(acc)))
+    return out

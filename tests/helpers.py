@@ -3,7 +3,7 @@
 from torusquot.chartab import Character
 from torusquot.cyclo import Cyclotomic, one, rref, zero
 from torusquot.errors import InvalidInputError
-from torusquot.groups import FiniteGroup, Monomial
+from torusquot.groups import Dense, FiniteGroup, Monomial
 from torusquot.torusq import AnalyticRep
 
 
@@ -50,3 +50,25 @@ def mat_scale(a, c):
 
 def mat_rank(a) -> int:
     return len(rref(a)[1])
+
+
+def column_space_basis(a):
+    """The RREF basis of the column space, vectors as rows."""
+    red, pivots = rref(tuple(zip(*a)))
+    return red[:len(pivots)]
+
+
+def unimodular(n, ops):
+    """Product of elementary row operations row_i += c * row_j: determinant 1."""
+    m = [[one() if i == j else zero() for j in range(n)] for i in range(n)]
+    for i, j, c in ops:
+        if i % n != j % n:
+            i, j = i % n, j % n
+            m[i] = [m[i][k] + c * m[j][k] for k in range(n)]
+    return Dense(m)
+
+
+def conjugated(rep, p):
+    """The representation P^-1 rho P, with nothing left of its block shape."""
+    pinv = p.inverse()
+    return AnalyticRep(rep.group, tuple(pinv * (m.to_dense() * p) for m in rep.matrices))

@@ -11,6 +11,8 @@ the docstring of `torusquot.fixtures`.
 import time
 from fractions import Fraction
 
+from fibration_oracle import isotypic_projections
+
 from torusquot.chartab import (
     character_table,
     exterior_square,
@@ -34,7 +36,6 @@ from torusquot.torusq import (
     h0_reflexive_2forms,
     homogeneous_decomplexification,
     invariant_form,
-    isotypic_projections,
     natural_rep,
     smoothness_verdict,
 )

@@ -1,0 +1,252 @@
+"""`analyze` read from the generators against the earlier group-wide sums.
+
+The invariant form is walked as line orbits under the generator images,
+the halves of a complex pair are read off one class sum, faithfulness off
+the character, and element matrices are built only when a stage reads
+them.  Each answer is checked against the body that summed over every
+element (`torusq_oracle`, `fibration_oracle`), on random monomial
+subgroups of G(m,1,n) = mu_m wr S_n, the corpus, the paper examples and
+integer conjugates of them.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fibration_oracle import isotypic_projections
+from helpers import column_space_basis, conjugated, one_dim_rep, unimodular
+from torusq_oracle import faithful_by_matrices, group_average_form
+
+from torusquot.chartab import character_table, trivial_character
+from torusquot.cyclo import Cyclotomic
+from torusquot.fixtures import FIXTURES
+from torusquot.groups import FiniteGroup, Monomial, close
+from torusquot.torusq import (
+    AnalyticRep,
+    SymplecticForm,
+    _complex_halves,
+    analyze,
+    classify_symplectic,
+    conjugate_pair_rep,
+    h0_reflexive_2forms,
+    invariant_form,
+    natural_rep,
+)
+
+
+@st.composite
+def monomial_groups(draw):
+    """A subgroup of G(m,1,n) generated by one to three random elements."""
+    m = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    n = draw(st.integers(min_value=1, max_value=4 if m <= 2 else 3))
+    gens = [Monomial(tuple(draw(st.permutations(range(n)))),
+                     tuple(Cyclotomic.zeta(m, e) for e in
+                           draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))))
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    return close(gens)
+
+
+def _natural_and_pair(group):
+    nat = natural_rep(group)
+    return nat, conjugate_pair_rep(nat)
+
+
+def _oracle_halves(rep, table):
+    return tuple(column_space_basis(proj) for _, proj in isotypic_projections(rep, table))
+
+
+# -- the invariant form
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_groups())
+def test_orbit_form_matches_group_average(group):
+    for rep in _natural_and_pair(group):
+        assert invariant_form(rep) == group_average_form(rep)
+
+
+def test_orbit_form_off_the_unit_circle():
+    # scalars 2 and 1/2: the swap sends E_01 - E_10 to its negative, so the
+    # average is 0 and there is no invariant form
+    group = close([Monomial((1, 0), (2, Fraction(1, 2)))])
+    for rep in _natural_and_pair(group):
+        assert invariant_form(rep) == group_average_form(rep)
+    assert invariant_form(natural_rep(group)) is None
+
+
+@pytest.mark.parametrize("name", ["s4", "g216", "g1280"])
+def test_orbit_form_on_the_paper_examples(name, request):
+    group = request.getfixturevalue(f"{name}_group")
+    for rep in _natural_and_pair(group):
+        assert invariant_form(rep) == group_average_form(rep)
+
+
+# -- the halves of a complex pair
+
+
+def _check_complex(rep, table):
+    assert str(classify_symplectic(rep, table)) == "ConjugatePair(complex)"
+    assert _complex_halves(rep, table) == _oracle_halves(rep, table)
+
+
+@settings(max_examples=25, deadline=None)
+@given(monomial_groups(), st.randoms(use_true_random=False))
+def test_class_sum_halves_match_isotypic_images(group, rng):
+    table = character_table(group)
+    pair = conjugate_pair_rep(natural_rep(group))
+    if str(classify_symplectic(pair, table)) != "ConjugatePair(complex)":
+        return
+    _check_complex(pair, table)
+    n = pair.degree
+    p = unimodular(n, [(rng.randrange(n), rng.randrange(n), rng.choice((-2, -1, 1, 2)))
+                       for _ in range(2 * n)])
+    _check_complex(conjugated(pair, p), table)
+
+
+def test_class_sum_halves_on_the_corpus(corpus):
+    checked = 0
+    for name, rep, table in corpus:
+        if str(classify_symplectic(rep, table)) == "ConjugatePair(complex)":
+            _check_complex(rep, table)
+            checked += 1
+    assert checked >= 4
+
+
+def test_class_sum_halves_on_g216(g216_group, g216_table):
+    _check_complex(conjugate_pair_rep(natural_rep(g216_group)), g216_table)
+
+
+def test_class_sum_halves_on_dense_conjugates(c6_table, corpus):
+    rng = random.Random(3)
+    pairs = [rep for name, rep, table in corpus
+             if name.startswith("c6-pair")
+             and str(classify_symplectic(rep, table)) == "ConjugatePair(complex)"]
+    for rep in pairs:
+        n = rep.degree
+        p = unimodular(n, [(rng.randrange(n), rng.randrange(n), rng.choice((-1, 1, 2)))
+                           for _ in range(3 * n)])
+        _check_complex(conjugated(rep, p), c6_table)
+
+
+# -- faithfulness from the character
+
+
+@settings(max_examples=30, deadline=None)
+@given(monomial_groups())
+def test_faithful_from_the_character(group):
+    linear = [one_dim_rep(group, chi) for chi in character_table(group) if chi.degree == 1]
+    for rep in _natural_and_pair(group) + tuple(linear):
+        assert rep.faithful == faithful_by_matrices(rep)
+
+
+def test_faithful_on_the_corpus(corpus):
+    verdicts = set()
+    for name, rep, table in corpus:
+        assert rep.faithful == faithful_by_matrices(rep), name
+        verdicts.add(rep.faithful)
+    assert verdicts == {True, False}
+
+
+def test_trivial_plus_sign_is_not_faithful(s4_group, s4_table):
+    triv = one_dim_rep(s4_group, trivial_character(s4_group))
+    sign = one_dim_rep(s4_group, next(c for c in s4_table
+                                      if c.degree == 1 and c != trivial_character(s4_group)))
+    rep = AnalyticRep(s4_group, [a.block_sum(b) for a, b in zip(triv.matrices, sign.matrices)])
+    assert rep.faithful is faithful_by_matrices(rep) is False
+
+
+# -- element matrices built on demand
+
+
+def _counting_builds(monkeypatch):
+    built = []
+    element = FiniteGroup.element
+
+    def counting(self, i):
+        built.append(i)
+        return element(self, i)
+
+    monkeypatch.setattr(FiniteGroup, "element", counting)
+    return built
+
+
+def _analyze_fixture(name, group, table):
+    """`analyze` as the fixture runs it, with its wedge form if it has one."""
+    fixture = FIXTURES[name]
+    rep = natural_rep(group)
+    if fixture.pair_analysis:
+        rep = conjugate_pair_rep(rep)
+    form = None
+    if fixture.form_pairs is not None:
+        form = SymplecticForm.wedge_pairs(rep.degree, fixture.form_pairs)
+    return analyze(rep, table, form=form)
+
+
+def test_g1280_natural_builds_generators_and_representatives(monkeypatch, g1280_group,
+                                                             g1280_table):
+    built = _counting_builds(monkeypatch)
+    report = _analyze_fixture("g1280", g1280_group, g1280_table)
+    assert report.invariant_form is not None and report.faithful
+    bound = len(g1280_group.generator_indices) + g1280_group.num_classes
+    assert len(built) == len(set(built)) <= bound
+
+
+def test_g216_pair_builds_one_class_more(monkeypatch, g216_group, g216_table):
+    chi = natural_rep(g216_group).character
+    k = next(k for k, v in enumerate(chi.values) if v != v.conjugate())
+    built = _counting_builds(monkeypatch)
+    report = _analyze_fixture("g216", g216_group, g216_table)
+    assert report.fibration is not None
+    bound = (len(g216_group.generator_indices) + g216_group.num_classes
+             + g216_group.class_sizes[k])
+    assert len(built) == len(set(built)) <= bound < g216_group.order
+
+
+# -- h2,0 a second way: orbits of signed coordinate lines
+
+
+def _line_orbit_count(rep):
+    """Invariant 2-vectors of a monomial representation, counted on the basis
+    e_i ^ e_j: g sends it to s_i s_j e_p(i) ^ e_p(j).  An orbit of lines
+    carries an invariant exactly when no line is reached with two scalars."""
+    gens = rep.generator_images()
+    n = rep.degree
+    unseen = {(i, j) for i in range(n) for j in range(i + 1, n)}
+    count = 0
+    while unseen:
+        start = min(unseen)
+        scalar = {start: Cyclotomic.from_value(1)}
+        frontier = [start]
+        clean = True
+        while frontier:
+            line = frontier.pop()
+            for g in gens:
+                i, j = line
+                c = scalar[line] * g.scalars[i] * g.scalars[j]
+                p, q = g.perm[i], g.perm[j]
+                if p > q:
+                    p, q, c = q, p, -c
+                if (p, q) not in scalar:
+                    scalar[p, q] = c
+                    frontier.append((p, q))
+                elif scalar[p, q] != c:
+                    clean = False
+        unseen -= set(scalar)
+        count += clean
+    return count
+
+
+def test_h20_counts_clean_line_orbits_on_the_corpus(corpus):
+    for name, rep, table in corpus:
+        assert all(isinstance(g, Monomial) for g in rep.generator_images()), name
+        assert h0_reflexive_2forms(rep) == _line_orbit_count(rep), name
+
+
+@pytest.mark.parametrize("name", ["s4", "g216", "g1280"])
+def test_h20_counts_clean_line_orbits_on_the_paper_examples(name, request):
+    group = request.getfixturevalue(f"{name}_group")
+    for rep in _natural_and_pair(group):
+        assert h0_reflexive_2forms(rep) == _line_orbit_count(rep)

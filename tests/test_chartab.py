@@ -281,6 +281,22 @@ class TestTableCheck:
         with pytest.raises(TableComputationError):
             chartab._verify_table(table.group, chars)
 
+    def test_rejects_broken_norms(self):
+        # 4·triv, 2·sign, chi_2 and two zero functions: the degrees' squares
+        # still sum to 24 and distinct functions stay orthogonal, so only the
+        # norm relations (a|a) = 1 can reject it
+        group = S4_TABLE.group
+        sign, triv, chi2 = S4_TABLE[0], S4_TABLE[1], S4_TABLE[2]
+        assert (sign.degree, triv.degree, chi2.degree) == (1, 1, 2)
+        assert triv.values == trivial_character(group).values
+        zero_fn = Character(group, (zero(),) * group.num_classes)
+        chars = [triv.scale(4), sign.scale(2), chi2, zero_fn, zero_fn]
+        assert sum(c.degree ** 2 for c in chars) == group.order
+        assert all(inner_product(a, b) == 0
+                   for i, a in enumerate(chars) for b in chars[i + 1:])
+        with pytest.raises(TableComputationError):
+            chartab._verify_table(group, chars)
+
 
 # the fixtures and the groups the representation corpus is built on
 _TABLED_GROUPS = ["s4", "q8", "c6", "g216", "g1280"]

@@ -14,16 +14,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibration_oracle import commutant_split
-from helpers import mat_rank
+from helpers import conjugated, mat_rank, unimodular
 
 from torusquot import linalg
 from torusquot.chartab import character_table, frobenius_schur, inner_product
-from torusquot.cyclo import Cyclotomic, one, zero
+from torusquot.cyclo import Cyclotomic
 from torusquot.errors import TorusQuotError
 from torusquot.groupfile import parse_group
-from torusquot.groups import Dense, Monomial, close
+from torusquot.groups import Monomial, close
 from torusquot.torusq import (
-    AnalyticRep,
     _spin_halves,
     classify_symplectic,
     conjugate_pair_rep,
@@ -33,22 +32,6 @@ from torusquot.torusq import (
 )
 
 PAIR_DENSE = Path(__file__).parent / "golden" / "pair_dense.group"
-
-
-def unimodular(n, ops):
-    """Product of elementary row operations row_i += c * row_j: determinant 1."""
-    m = [[one() if i == j else zero() for j in range(n)] for i in range(n)]
-    for i, j, c in ops:
-        if i % n != j % n:
-            i, j = i % n, j % n
-            m[i] = [m[i][k] + c * m[j][k] for k in range(n)]
-    return Dense(m)
-
-
-def conjugated(rep, p):
-    """The representation P^-1 rho P, with nothing left of its block shape."""
-    pinv = p.inverse()
-    return AnalyticRep(rep.group, tuple(pinv * (m.to_dense() * p) for m in rep.matrices))
 
 
 def check_halves(rep, halves):

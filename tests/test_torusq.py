@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclo_oracle import embed_float
+from fibration_oracle import isotypic_projections
 from helpers import one_dim_rep, regular_rep
 
 from torusquot import linalg
@@ -31,7 +32,6 @@ from torusquot.torusq import (
     homogeneous_decomplexification,
     invariant_form,
     is_primitive,
-    isotypic_projections,
     lagrangian_fibration_data,
     natural_rep,
     preserves_form,
