@@ -19,6 +19,7 @@ integers, and the total is reduced mod Phi_m and canonicalised once.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -299,15 +300,32 @@ class CharacterTable:
         return "\n".join(lines)
 
 
-def _class_matrix(group: FiniteGroup, i: int):
+def _class_matrix_rows(group: FiniteGroup, i: int, rows) -> list[list[int]]:
+    """Rows j in ``rows`` of class matrix i, whose entry (j, k) is the
+    coefficient of C_k in the product of class sums C_i * C_j: the number of
+    x in C_i with x^-1 * g_k in C_j, g_k the representative of class k.
+
+    They are counted without inverses.  The pairs (x, y) in C_i x C_j with
+    x * y in C_k number |C_k| times that coefficient, and also |C_j| times
+    the number of x in C_i with x * g_j in C_k, because conjugation permutes
+    C_i and C_j."""
     r = group.num_classes
+    members = group.conjugacy_classes[i]
     reps = group.class_representatives
-    mat = [[0] * r for _ in range(r)]
-    for x in group.conjugacy_classes[i]:
-        xinv = group.inv(x)
-        for k, z in enumerate(reps):
-            mat[group.class_of(group.mult(xinv, z))][k] += 1
-    return mat
+    sizes = group.class_sizes
+    out = []
+    for j in rows:
+        counts = [0] * r
+        for x in group.right_multiply(members, reps[j]):
+            counts[group.class_of(x)] += 1
+        row = []
+        for k, c in enumerate(counts):
+            entry, rest = divmod(sizes[j] * c, sizes[k])
+            if rest:
+                raise TableComputationError("class matrix entry is not an integer")
+            row.append(entry)
+        out.append(row)
+    return out
 
 
 def _admissible_primes(exponent: int, group_order: int):
@@ -324,40 +342,51 @@ def _admissible_primes(exponent: int, group_order: int):
 
 
 def _split_eigenspaces(group: FiniteGroup, p: int):
-    """Common eigenvectors (columns, normalized at the identity class) of all
-    class matrices mod p, via deterministic iterated splitting."""
+    """Common eigenvectors (normalized at the identity class) of all class
+    matrices mod p, via deterministic iterated splitting.
+
+    A space is held as its pivot rows P and a basis that is the identity at
+    P.  The split starts from the identity, and the vector built from
+    kernel vector t is 1 at the pivot of free column t and 0 at the other
+    pivots, so this holds for every space.  The class matrices commute, so
+    each space is invariant: M * B = B * R, and at the rows P this reads
+    R = M[P, :] * B.  Only the rows of M at the pivots of the spaces that are
+    still to split are built."""
     r = group.num_classes
-    spaces = [[[1 if i == j else 0 for i in range(r)] for j in range(r)]]
+    spaces = [(list(range(r)), [[1 if i == j else 0 for i in range(r)] for j in range(r)])]
     for ci in range(1, r):
-        if all(len(b) == 1 for b in spaces):
+        if all(len(basis) == 1 for _, basis in spaces):
             break
-        mat = _class_matrix(group, ci)
+        needed = sorted(j for pivots, basis in spaces if len(basis) > 1 for j in pivots)
+        rows = dict(zip(needed, _class_matrix_rows(group, ci, needed)))
         refined = []
-        for basis in spaces:
-            if len(basis) == 1:
-                refined.append(basis)
+        for pivots, basis in spaces:
+            s = len(basis)
+            if s == 1:
+                refined.append((pivots, basis))
                 continue
-            cols = [list(col) for col in zip(*basis)]  # r x s, columns = basis
-            image = modp.mat_mul_mod(mat, cols, p)
-            restriction = modp.solve_unique_mod(cols, image, p)
+            restriction = [[sum(map(operator.mul, rows[j], v)) % p for v in basis]
+                           for j in pivots]
             for lam in modp.roots_mod(modp.charpoly_mod(restriction, p), p):
-                s = len(basis)
                 shifted = [[(restriction[a][b] - (lam if a == b else 0)) % p
                             for b in range(s)] for a in range(s)]
                 # the whole eigenspace stays one subspace; later class
                 # matrices keep refining it
+                kernel, free = modp.kernel_mod(shifted, p)
                 eigenspace = []
-                for coeffs in modp.kernel_mod(shifted, p):
-                    eigenspace.append(
-                        [sum(c * basis[m][j] for m, c in enumerate(coeffs)) % p
-                         for j in range(r)])
-                refined.append(eigenspace)
+                for coeffs in kernel:
+                    w = [0] * r
+                    for c, u in zip(coeffs, basis):
+                        if c:
+                            w = [a + c * b for a, b in zip(w, u)]
+                    eigenspace.append([a % p for a in w])
+                refined.append(([pivots[f] for f in free], eigenspace))
         spaces = refined
-    if any(len(b) != 1 for b in spaces) or len(spaces) != r:
+    if any(len(basis) != 1 for _, basis in spaces) or len(spaces) != r:
         raise TableComputationError(
             f"class matrices failed to split into {r} one-dimensional eigenspaces mod {p}")
     vectors = []
-    for (v,) in spaces:
+    for _, (v,) in spaces:
         if v[0] % p == 0:
             raise TableComputationError("eigenvector vanishes at the identity class")
         inv0 = modp.inv_mod(v[0], p)
@@ -365,21 +394,35 @@ def _split_eigenspaces(group: FiniteGroup, p: int):
     return vectors
 
 
-def _lift_character(group: FiniteGroup, xk: list[int], d: int, p: int, omega: int):
+def _lift_plan(group: FiniteGroup, p: int, omega: int):
+    """What the lift of every character reads, per class of order o: o,
+    1/o mod p, the classes of g^t for t < o, and the rows w^(-jt) for
+    j < o, with w = omega^(e/o) of order o; classes of one order share the
+    rows."""
+    e = group.exponent()
+    rows_of_order = {}
+    plan = []
+    for k, o in enumerate(group.class_orders):
+        rows = rows_of_order.get(o)
+        if rows is None:
+            winv = modp.inv_mod(pow(omega, e // o, p), p)
+            wpow = [pow(winv, t, p) for t in range(o)]
+            rows = rows_of_order[o] = [[wpow[j * t % o] for t in range(o)] for j in range(o)]
+        powers = [group.power_classes(t)[k] for t in range(o)]
+        plan.append((o, modp.inv_mod(o, p), powers, rows))
+    return plan
+
+
+def _lift_character(plan, p: int, xk: list[int], d: int):
     """Exact values from mod-p values: Fourier-invert eigenvalue multiplicities.
 
     At a class of order o the value is sum(mults[j] * zeta_o^j), built by
     one reduction of the multiplicity vector.
     """
-    e = group.exponent()
     values = []
-    for k, o in enumerate(group.class_orders):
-        winv = modp.inv_mod(pow(omega, e // o, p), p)
-        oinv = modp.inv_mod(o, p)
-        xs = [xk[group.power_classes(t)[k]] for t in range(o)]
-        wpow = [pow(winv, t, p) for t in range(o)]
-        mults = [sum(x * wpow[j * t % o] for t, x in enumerate(xs)) * oinv % p
-                 for j in range(o)]
+    for o, oinv, powers, rows in plan:
+        xs = [xk[c] for c in powers]
+        mults = [sum(map(operator.mul, row, xs)) * oinv % p for row in rows]
         if sum(mults) != d or any(m > d for m in mults):
             raise TableComputationError(
                 "eigenvalue multiplicities do not sum to the degree")
@@ -394,7 +437,7 @@ def _table_mod_p(group: FiniteGroup, p: int) -> list[Character]:
     order = group.order
     vectors = _split_eigenspaces(group, p)
     size_inv = [modp.inv_mod(h % p, p) for h in sizes]
-    omega = modp.element_of_order(group.exponent(), p)
+    plan = _lift_plan(group, p, modp.element_of_order(group.exponent(), p))
     chars = []
     max_d = math.isqrt(order)
     for v in vectors:
@@ -406,7 +449,7 @@ def _table_mod_p(group: FiniteGroup, p: int) -> list[Character]:
         if d is None:
             raise TableComputationError("no admissible degree matches the eigenvector")
         xk = [d * v[k] % p * size_inv[k] % p for k in range(r)]
-        chars.append(Character(group, _lift_character(group, xk, d, p, omega)))
+        chars.append(Character(group, _lift_character(plan, p, xk, d)))
     _verify_table(group, chars)
     return chars
 

@@ -394,7 +394,7 @@ class FiniteGroup:
         self._right = right_table
         self._words = words
         self._elements = None
-        self._inv = None
+        self._inv = {}
         self._powers = {}
         self._classes = None
         self._class_of = None
@@ -444,11 +444,24 @@ class FiniteGroup:
             x = self._right[a][x]
         return x
 
+    def right_multiply(self, xs, j: int) -> list[int]:
+        """The index of x·j for each index x in xs, folded through j's word
+        once for all of them."""
+        xs = list(xs)
+        for a in self._words[j]:
+            column = self._right[a]
+            xs = [column[x] for x in xs]
+        return xs
+
     def inv(self, i: int) -> int:
-        """The base images of x⁻¹ are the points x(e_j)."""
-        if self._inv is None:
-            self._inv = [self._index[self._images(k)] for k in range(self.order)]
-        return self._inv[i]
+        """The base images of x⁻¹ are the points x(e_j).  Each inverse is
+        computed on first request and kept, together with the inverse of the
+        inverse."""
+        j = self._inv.get(i)
+        if j is None:
+            j = self._inv[i] = self._index[self._images(i)]
+            self._inv[j] = i
+        return j
 
     def _cyclic(self, i: int) -> tuple[int, ...]:
         """Indices of i^0, i^1, ..., i^(o-1) for the order o of i, walked once
@@ -509,7 +522,8 @@ class FiniteGroup:
         return len(self.conjugacy_classes)
 
     def class_of(self, i: int) -> int:
-        self._compute_classes()
+        if self._class_of is None:
+            self._compute_classes()
         return self._class_of[i]
 
     @property

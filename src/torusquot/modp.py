@@ -32,11 +32,6 @@ def element_of_order(e: int, p: int) -> int:
 # -- matrices
 
 
-def mat_mul_mod(a, b, p):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
-
-
 def rref_mod(mat, p):
     """Row-reduce in place semantics on a copy; returns (rows, pivot columns)."""
     a = [list(row) for row in mat]
@@ -63,11 +58,13 @@ def rref_mod(mat, p):
 
 
 def kernel_mod(mat, p):
-    """Basis of the right kernel, one vector per free column."""
+    """Basis of the right kernel, one vector per free column, and the free
+    columns: vector t is 1 at free[t] and 0 at every other free column."""
     rows, pivots = rref_mod(mat, p)
     cols = len(mat[0]) if mat else 0
     pivot_set = set(pivots)
     basis = []
+    free_columns = []
     for free in range(cols):
         if free in pivot_set:
             continue
@@ -76,19 +73,8 @@ def kernel_mod(mat, p):
         for r, pc in enumerate(pivots):
             v[pc] = (-rows[r][free]) % p
         basis.append(v)
-    return basis
-
-
-def solve_unique_mod(a, b, p):
-    """Solve A X = B with A of full column rank; X returned row-major."""
-    n = len(a)
-    s = len(a[0])
-    width = len(b[0])
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    rows, pivots = rref_mod(aug, p)
-    if pivots[:s] != list(range(s)) or len(pivots) != s:
-        raise ValueError("coefficient matrix is rank deficient")
-    return [rows[r][s:s + width] for r in range(s)]
+        free_columns.append(free)
+    return basis, free_columns
 
 
 # -- characteristic polynomial

@@ -528,7 +528,21 @@ def _complex_halves(rep: AnalyticRep, table: CharacterTable):
 
 
 def _basis_is_lagrangian(basis, form: SymplecticForm) -> bool:
-    return all(form.evaluate(u, v).is_zero() for u in basis for v in basis)
+    """The form vanishes on every pair u, v of basis vectors.  Antisymmetry
+    gives w(u, u) = 0 and w(v, u) = -w(u, v), so only the pairs u before v
+    are evaluated, each as the functional u^T * Omega applied to v; the
+    nonzero entries of each form row are read once."""
+    rows = [[(j, w) for j, w in enumerate(row) if w] for row in form.matrix]
+    for a, u in enumerate(basis[:-1]):
+        functional = {}
+        for ui, row in zip(u, rows):
+            if ui:
+                for j, w in row:
+                    functional[j] = functional.get(j, zero()) + ui * w
+        for v in basis[a + 1:]:
+            if not sum((f * v[j] for j, f in functional.items() if v[j]), zero()).is_zero():
+                return False
+    return True
 
 
 def _spin(gens, v, half: int):

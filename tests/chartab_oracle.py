@@ -1,21 +1,32 @@
-"""Test-only character sums: the `Cyclotomic`-chain reference arithmetic.
+"""Test-only reference bodies for the character table and its sums.
 
-These are the earlier bodies of :func:`torusquot.chartab.inner_product`,
+The character sums are the earlier bodies of
+:func:`torusquot.chartab.inner_product`,
 :func:`~torusquot.chartab.frobenius_schur`,
 :func:`~torusquot.chartab.eigenvalue_one_counts` and
 :func:`~torusquot.chartab.decompose`: every class sum is a chain of exact
-`Cyclotomic` products and sums, canonicalised at each step.  They are slow
-and simple, and the differential tests compare the integer sums of
-`chartab` against them.
+`Cyclotomic` products and sums, canonicalised at each step.
+
+The table steps are the earlier :func:`_class_matrix`, which builds every
+row of a class matrix from the inverses of the class members,
+:func:`_split_eigenspaces`, which restricts each class matrix to a space by
+a full product and a row reduction, and :func:`_lift_character`, which sets
+up the Fourier inversion again for each character.
+
+They are slow and simple, and the differential tests compare `chartab`
+against them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from helpers import mat_mul_mod, solve_unique_mod
+
+from torusquot import modp
 from torusquot.chartab import Character
-from torusquot.cyclo import Cyclotomic, zero
-from torusquot.errors import InconsistentCharacterError
+from torusquot.cyclo import Cyclotomic, _canonical, _reduce, zero
+from torusquot.errors import InconsistentCharacterError, TableComputationError
 
 
 def inner_product(a: Character, b: Character) -> Cyclotomic:
@@ -77,3 +88,72 @@ def decompose(chi: Character, table) -> tuple[int, ...]:
     if tuple(rebuilt) != chi.values:
         raise InconsistentCharacterError("multiplicities do not reconstruct the character")
     return tuple(mult)
+
+
+def _class_matrix(group, i: int):
+    r = group.num_classes
+    reps = group.class_representatives
+    mat = [[0] * r for _ in range(r)]
+    for x in group.conjugacy_classes[i]:
+        xinv = group.inv(x)
+        for k, z in enumerate(reps):
+            mat[group.class_of(group.mult(xinv, z))][k] += 1
+    return mat
+
+
+def _split_eigenspaces(group, p: int):
+    """Common eigenvectors (columns, normalized at the identity class) of all
+    class matrices mod p, via deterministic iterated splitting."""
+    r = group.num_classes
+    spaces = [[[1 if i == j else 0 for i in range(r)] for j in range(r)]]
+    for ci in range(1, r):
+        if all(len(b) == 1 for b in spaces):
+            break
+        mat = _class_matrix(group, ci)
+        refined = []
+        for basis in spaces:
+            if len(basis) == 1:
+                refined.append(basis)
+                continue
+            cols = [list(col) for col in zip(*basis)]  # r x s, columns = basis
+            image = mat_mul_mod(mat, cols, p)
+            restriction = solve_unique_mod(cols, image, p)
+            for lam in modp.roots_mod(modp.charpoly_mod(restriction, p), p):
+                s = len(basis)
+                shifted = [[(restriction[a][b] - (lam if a == b else 0)) % p
+                            for b in range(s)] for a in range(s)]
+                eigenspace = []
+                for coeffs in modp.kernel_mod(shifted, p)[0]:
+                    eigenspace.append(
+                        [sum(c * basis[m][j] for m, c in enumerate(coeffs)) % p
+                         for j in range(r)])
+                refined.append(eigenspace)
+        spaces = refined
+    if any(len(b) != 1 for b in spaces) or len(spaces) != r:
+        raise TableComputationError(
+            f"class matrices failed to split into {r} one-dimensional eigenspaces mod {p}")
+    vectors = []
+    for (v,) in spaces:
+        if v[0] % p == 0:
+            raise TableComputationError("eigenvector vanishes at the identity class")
+        inv0 = modp.inv_mod(v[0], p)
+        vectors.append([x * inv0 % p for x in v])
+    return vectors
+
+
+def _lift_character(group, xk: list[int], d: int, p: int, omega: int):
+    """Exact values from mod-p values: Fourier-invert eigenvalue multiplicities."""
+    e = group.exponent()
+    values = []
+    for k, o in enumerate(group.class_orders):
+        winv = modp.inv_mod(pow(omega, e // o, p), p)
+        oinv = modp.inv_mod(o, p)
+        xs = [xk[group.power_classes(t)[k]] for t in range(o)]
+        wpow = [pow(winv, t, p) for t in range(o)]
+        mults = [sum(x * wpow[j * t % o] for t, x in enumerate(xs)) * oinv % p
+                 for j in range(o)]
+        if sum(mults) != d or any(m > d for m in mults):
+            raise TableComputationError(
+                "eigenvalue multiplicities do not sum to the degree")
+        values.append(_canonical(_reduce(mults, o), 1, o))
+    return tuple(values)

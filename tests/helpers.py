@@ -1,10 +1,36 @@
 """Constructions and matrix helpers that only the tests use."""
 
+from hypothesis import strategies as st
+
+from torusquot import modp
 from torusquot.chartab import Character
 from torusquot.cyclo import Cyclotomic, one, rref, zero
 from torusquot.errors import InvalidInputError
 from torusquot.groups import Dense, FiniteGroup, Monomial
+from torusquot.linalg import mat_inverse, mat_mul
 from torusquot.torusq import AnalyticRep
+
+
+@st.composite
+def wreath_generator_pairs(draw):
+    """Two random elements of G(m,1,n) = mu_m wr S_n, m <= 4 and n <= 4."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def element():
+        perm = draw(st.permutations(range(n)))
+        ks = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        return Monomial(perm, [Cyclotomic.zeta(m, k) for k in ks])
+
+    return [element(), element()]
+
+
+def conjugated_elements(elements):
+    """P⁻¹·x·P for P with entries (i+1)^(j+1): the columns of P have
+    coordinates of distinct sizes, so their orbits under G(m,1,n) are regular."""
+    n = elements[0].degree
+    p = Dense([[(i + 1) ** (j + 1) for j in range(n)] for i in range(n)]).rows
+    p_inv = mat_inverse(p)
+    return [Dense(mat_mul(mat_mul(p_inv, x.to_dense().rows), p)) for x in elements]
 
 
 def one_dim_rep(group: FiniteGroup, chi: Character) -> AnalyticRep:
@@ -72,3 +98,20 @@ def conjugated(rep, p):
     """The representation P^-1 rho P, with nothing left of its block shape."""
     pinv = p.inverse()
     return AnalyticRep(rep.group, tuple(pinv * (m.to_dense() * p) for m in rep.matrices))
+
+
+def mat_mul_mod(a, b, p):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
+
+
+def solve_unique_mod(a, b, p):
+    """Solve A X = B with A of full column rank; X returned row-major."""
+    n = len(a)
+    s = len(a[0])
+    width = len(b[0])
+    aug = [list(a[i]) + list(b[i]) for i in range(n)]
+    rows, pivots = modp.rref_mod(aug, p)
+    if pivots[:s] != list(range(s)) or len(pivots) != s:
+        raise ValueError("coefficient matrix is rank deficient")
+    return [rows[r][s:s + width] for r in range(s)]

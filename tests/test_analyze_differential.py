@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fibration_oracle import isotypic_projections
 from helpers import column_space_basis, conjugated, one_dim_rep, unimodular
-from torusq_oracle import faithful_by_matrices, group_average_form
+from torusq_oracle import basis_is_lagrangian_all_pairs, faithful_by_matrices, group_average_form
 
 from torusquot.chartab import character_table, trivial_character
 from torusquot.cyclo import Cyclotomic
@@ -27,6 +27,7 @@ from torusquot.groups import FiniteGroup, Monomial, close
 from torusquot.torusq import (
     AnalyticRep,
     SymplecticForm,
+    _basis_is_lagrangian,
     _complex_halves,
     analyze,
     classify_symplectic,
@@ -250,3 +251,37 @@ def test_h20_counts_clean_line_orbits_on_the_paper_examples(name, request):
     group = request.getfixturevalue(f"{name}_group")
     for rep in _natural_and_pair(group):
         assert h0_reflexive_2forms(rep) == _line_orbit_count(rep)
+
+
+# -- the Lagrangian check
+
+
+_ENTRIES = (0, 0, 0, 1, -1, 2, Cyclotomic.zeta(3), Cyclotomic.zeta(4, 3))
+
+
+@st.composite
+def forms_and_bases(draw):
+    """An antisymmetric form and up to four vectors in dimension 2h: either
+    anything, or vectors of the first half under a form that pairs the
+    halves, which is Lagrangian."""
+    h = draw(st.integers(1, 3))
+    n = 2 * h
+    entry = st.sampled_from(_ENTRIES)
+    k = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        form = SymplecticForm.wedge_pairs(n, [(i, i + h) for i in range(h)])
+        return form, [tuple(draw(entry) for _ in range(h)) + (0,) * h for _ in range(k)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(entry)
+            rows[j][i] = -rows[i][j]
+    return SymplecticForm(rows), [tuple(draw(entry) for _ in range(n)) for _ in range(k)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms_and_bases())
+def test_lagrangian_check_matches_all_pairs(case):
+    form, basis = case
+    basis = [tuple(Cyclotomic.from_value(x) for x in v) for v in basis]
+    assert _basis_is_lagrangian(basis, form) == basis_is_lagrangian_all_pairs(basis, form)

@@ -312,7 +312,7 @@ class TestSecondDerivations:
         table = request.getfixturevalue(f"{name}_table")
         assert sum(1 for d in table.degrees if d == 1) == group.abelianization_order()
 
-    @pytest.mark.parametrize("name", ["s4", "q8", "c6", "g216"])
+    @pytest.mark.parametrize("name", _TABLED_GROUPS)
     def test_next_admissible_prime_gives_the_same_table(self, name, request):
         group = request.getfixturevalue(f"{name}_group")
         table = request.getfixturevalue(f"{name}_table")

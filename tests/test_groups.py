@@ -17,13 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclo_oracle import embed_float
-from helpers import order_histogram
+from helpers import conjugated_elements, order_histogram, wreath_generator_pairs
 
 from torusquot.chartab import character_table
 from torusquot.cyclo import Cyclotomic, one, zero
 from torusquot.errors import GroupTooLargeError, InvalidInputError
 from torusquot.groups import Dense, Monomial, close
-from torusquot.linalg import mat_inverse, mat_mul
 
 
 def perm_monomial(images):
@@ -311,20 +310,11 @@ class TestPointSet:
         # 3 * 48 points, while each element keeps only its 3 base images
         gens = [Monomial((1, 2, 0), (1, 1, 1)), Monomial((1, 0, 2), (1, 1, 1)),
                 Monomial((0, 1, 2), (-1, 1, 1))]
-        mono, conj = close(gens), close(conjugated(gens))
+        mono, conj = close(gens), close(conjugated_elements(gens))
         assert conj.order == mono.order == 48
         assert len(conj._points) == 3 * 48
         assert all(len(key) == 3 for key in conj._index)
-        assert conj.elements == tuple(conjugated(mono.elements))
-
-
-def conjugated(elements):
-    """P⁻¹·x·P for P with entries (i+1)^(j+1): the columns of P have
-    coordinates of distinct sizes, so their orbits under G(m,1,n) are regular."""
-    n = elements[0].degree
-    p = Dense([[(i + 1) ** (j + 1) for j in range(n)] for i in range(n)]).rows
-    p_inv = mat_inverse(p)
-    return [Dense(mat_mul(mat_mul(p_inv, x.to_dense().rows), p)) for x in elements]
+        assert conj.elements == tuple(conjugated_elements(mono.elements))
 
 
 def matrix_bfs(gens, limit):
@@ -377,19 +367,6 @@ def oracle_powers(x):
     return powers
 
 
-@st.composite
-def wreath_generator_pairs(draw):
-    """Two random elements of G(m,1,n) = mu_m wr S_n, m <= 4 and n <= 4."""
-    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-
-    def element():
-        perm = draw(st.permutations(range(n)))
-        ks = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
-        return Monomial(perm, [Cyclotomic.zeta(m, k) for k in ks])
-
-    return [element(), element()]
-
-
 def check_against_oracle(gens, rewrite, limit):
     """Close ``gens`` and ``rewrite(gens)`` and compare both with the oracle:
     the order, generator indices, ``elements`` in BFS order (those of the
@@ -437,4 +414,4 @@ class TestAgainstMatrixClosure:
     @settings(max_examples=20, deadline=None)
     @given(wreath_generator_pairs())
     def test_conjugated_dense_matches_matrix_bfs(self, gens):
-        check_against_oracle(gens, conjugated, limit=96)
+        check_against_oracle(gens, conjugated_elements, limit=96)

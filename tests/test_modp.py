@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import mat_mul_mod, solve_unique_mod
 from torusquot import modp
 
 P = 101
@@ -83,17 +84,24 @@ class TestRoots:
 class TestLinear:
     def test_kernel(self):
         mat = [[1, 2, 3], [2, 4, 6]]
-        basis = modp.kernel_mod(mat, P)
+        basis, free = modp.kernel_mod(mat, P)
         assert len(basis) == 2
         for v in basis:
             assert all(sum(r * x for r, x in zip(row, v)) % P == 0 for row in mat)
+
+    def test_kernel_free_columns(self):
+        # rref [[1, 0, 2], [0, 1, 3]]: column 2 is free
+        mat = [[1, 0, 2], [2, 1, 7]]
+        basis, free = modp.kernel_mod(mat, P)
+        assert free == [2]
+        assert basis == [[(-2) % P, (-3) % P, 1]]
 
     def test_solve_unique(self):
         rng = random.Random(3)
         a = [[rng.randrange(P) for _ in range(2)] for _ in range(4)]
         x_true = [[5, 6], [7, 8]]
-        b = modp.mat_mul_mod(a, x_true, P)
-        x = modp.solve_unique_mod(a, b, P)
+        b = mat_mul_mod(a, x_true, P)
+        x = solve_unique_mod(a, b, P)
         assert x == x_true
 
     def test_rref_pivots(self):

@@ -1,0 +1,162 @@
+"""The steps of the character table against their earlier bodies.
+
+`chartab` builds class-matrix rows only at the pivot rows of the spaces
+still to split, counted without inverses, reads each restriction off
+those rows, and lifts every character through one plan.  The earlier
+steps (`chartab_oracle`) built whole class matrices from the inverses of
+the class members, restricted each space by a full product and a row
+reduction, and set the lift up again for each character.  On random
+subgroups of G(m,1,n) = mu_m wr S_n, written monomial and conjugated to
+dense, on the corpus groups and on s4, g216 and g1280, every requested row
+must equal the oracle's matrix row, the split must return the same vectors
+in the same order, and the lifted values must be equal.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chartab_oracle as oracle
+from helpers import conjugated_elements, wreath_generator_pairs
+
+from torusquot import chartab, modp
+from torusquot.errors import GroupTooLargeError, TableComputationError
+from torusquot.fixtures import FIXTURES
+from torusquot.groupfile import parse_group_text
+from torusquot.groups import FiniteGroup, close
+
+
+def _recording(mp, name):
+    """Replace chartab.<name> by a wrapper that keeps (args, result) of each call."""
+    calls = []
+    real = getattr(chartab, name)
+
+    def record(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    mp.setattr(chartab, name, record)
+    return calls
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except TableComputationError as exc:
+        return "error", str(exc)
+
+
+def check_table_steps(group):
+    """The table at the first admissible prime, each step against the oracle."""
+    r = group.num_classes
+    for i in range(r):
+        assert chartab._class_matrix_rows(group, i, range(r)) == oracle._class_matrix(group, i)
+    if r == 1:
+        return  # character_table answers without a split
+    p = next(chartab._admissible_primes(group.exponent(), group.order))
+    omega = modp.element_of_order(group.exponent(), p)
+    with pytest.MonkeyPatch.context() as mp:
+        rows = _recording(mp, "_class_matrix_rows")
+        splits = _recording(mp, "_split_eigenspaces")
+        lifts = _recording(mp, "_lift_character")
+        chars = chartab._table_mod_p(group, p)
+    assert rows and len(splits) == 1 and len(lifts) == len(chars) == r
+    for (_, i, requested), out in rows:
+        matrix = oracle._class_matrix(group, i)
+        assert out == [matrix[j] for j in requested]
+    assert splits[0][1] == oracle._split_eigenspaces(group, p)
+    for (_, _, xk, d), values in lifts:
+        assert values == oracle._lift_character(group, xk, d, p, omega)
+
+
+def _close_or_none(gens, limit):
+    try:
+        return close(gens, limit=limit)
+    except GroupTooLargeError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(wreath_generator_pairs())
+def test_random_monomial_subgroups(gens):
+    group = _close_or_none(gens, 400)
+    if group is not None:
+        check_table_steps(group)
+
+
+# conjugated points are generic vectors, each one exact products away
+@settings(max_examples=15, deadline=None)
+@given(wreath_generator_pairs())
+def test_random_subgroups_conjugated_to_dense(gens):
+    group = _close_or_none(conjugated_elements(gens), 96)
+    if group is not None:
+        check_table_steps(group)
+
+
+@pytest.mark.parametrize("name", ["s4", "q8", "c6", "g216", "g1280"])
+def test_corpus_and_paper_groups(name, request):
+    check_table_steps(request.getfixturevalue(f"{name}_group"))
+
+
+@pytest.fixture(scope="module")
+def g216_lift(g216_group):
+    """The plan and the mod-p irreducibles (values, degree) of g216's table."""
+    group = g216_group
+    p = next(chartab._admissible_primes(group.exponent(), group.order))
+    omega = modp.element_of_order(group.exponent(), p)
+    with pytest.MonkeyPatch.context() as mp:
+        lifts = _recording(mp, "_lift_character")
+        chartab._table_mod_p(group, p)
+    return group, p, omega, [(xk, d) for (_, _, xk, d), _ in lifts]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_lift_of_sums_and_noise_matches_oracle(g216_lift, data):
+    # a sum of irreducibles lifts to its values; one moved value mod p is
+    # usually no character, and both sides must then refuse alike
+    group, p, omega, irreducibles = g216_lift
+    xk, d = [0] * group.num_classes, 0
+    for values, degree in irreducibles:
+        c = data.draw(st.integers(0, 2))
+        xk = [(a + c * b) % p for a, b in zip(xk, values)]
+        d += c * degree
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, group.num_classes - 1))
+        xk[k] = (xk[k] + data.draw(st.integers(1, p - 1))) % p
+    plan = chartab._lift_plan(group, p, omega)
+    assert _outcome(chartab._lift_character, plan, p, xk, d) == \
+        _outcome(oracle._lift_character, group, xk, d, p, omega)
+
+
+def test_inexact_class_matrix_entry_raises():
+    # a stand-in in which the members 1, 2 of class 1 times the
+    # representative of class 0 give 0 and 1, so one of them seems to land
+    # in class 1 = {1, 2}: the entry |C_0| * 1 / |C_1| = 1/2 of row 0 is
+    # not an integer
+    fake = SimpleNamespace(
+        num_classes=2, conjugacy_classes=((0,), (1, 2)), class_representatives=(0, 1),
+        class_sizes=(1, 2), class_of=lambda x: 0 if x == 0 else 1,
+        right_multiply=lambda xs, j: [0, 1])
+    with pytest.raises(TableComputationError, match="not an integer"):
+        chartab._class_matrix_rows(fake, 1, [0])
+
+
+def test_g1280_table_computes_few_inverses(monkeypatch):
+    computed = []
+    images = FiniteGroup._images
+
+    def counting(self, i):
+        computed.append(i)
+        return images(self, i)
+
+    monkeypatch.setattr(FiniteGroup, "_images", counting)
+    fx = FIXTURES["g1280"]
+    group = close(parse_group_text(fx.file_text, source="g1280").elements(),
+                  limit=fx.closure_limit)
+    chartab.character_table(group)
+    assert len(computed) == len(set(computed))
+    assert len(computed) <= len(group.generator_indices) + group.num_classes

@@ -3,7 +3,8 @@
 
 The library now walks line orbits under the generators and reads the
 kernel off the character; the differential tests require the same answers
-as these group-wide sums.
+as these group-wide sums.  Also here: the earlier Lagrangian check, which
+evaluates the form on every ordered pair of basis vectors.
 """
 
 from __future__ import annotations
@@ -52,3 +53,7 @@ def group_average_form(rep: AnalyticRep) -> SymplecticForm | None:
 def faithful_by_matrices(rep: AnalyticRep) -> bool:
     """No element other than the identity has the identity matrix."""
     return all(not rep.matrix(i).is_identity() for i in range(1, rep.group.order))
+
+
+def basis_is_lagrangian_all_pairs(basis, form: SymplecticForm) -> bool:
+    return all(form.evaluate(u, v).is_zero() for u in basis for v in basis)
