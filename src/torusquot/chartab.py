@@ -6,14 +6,16 @@ p = 1 mod exponent(G) and p > 2*ceil(sqrt(|G|)), their common eigenvectors are
 (after normalization) the irreducible characters reduced mod p, and each value
 is lifted exactly to a sum of roots of unity by finite-field Fourier
 inversion of the eigenvalue multiplicities.  The lift is exact because every
-multiplicity is at most the degree, which is below p.
+multiplicity is at most the degree, which is below p.  The smallest such p
+is small, so eigenvalues are found by evaluation over F_p.
 
 Character values are exact `Cyclotomic` values.  The sums over classes
 (inner products, indicators, eigenvalue-1 counts and the table check) do
 not chain field operations: each class function is lifted once to integer
 numerators over one common denominator in Z[z]/(z^m - 1), z = zeta_m with
-m = lcm(exponent, value conductors), the sum is accumulated there in
-integers, and the total is reduced mod Phi_m and canonicalised once.
+m the lcm of the values' conductors, the sum is accumulated there in
+integers, and the total is reduced mod Phi_m once.  The checks read integers
+off the reduced numerators; only `inner_product` canonicalises.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ class Character:
 
     @property
     def degree(self) -> int:
-        d = self.values[0].as_rational()
-        if d is None or d.denominator != 1:
+        d = self.values[0]
+        if d.n != 1 or d.den != 1:
             raise InconsistentCharacterError("identity value is not an integer")
-        return int(d)
+        return d.num[0]
 
     def value_at_element(self, i: int) -> Cyclotomic:
         return self.values[self.group.class_of(i)]
@@ -83,9 +85,10 @@ def natural_character(group: FiniteGroup) -> Character:
     return Character(group, tuple(group.element(r).trace() for r in group.class_representatives))
 
 
-def _conductor(group: FiniteGroup, functions) -> int:
-    """m for the lift: the exponent, unless a value's conductor does not divide it."""
-    m = group.exponent()
+def _conductor(functions) -> int:
+    """m for the lift: the lcm of the values' conductors, the least m with
+    every value in Q(zeta_m); 1 when every value is rational."""
+    m = 1
     for chi in functions:
         for v in chi.values:
             if m % v.n:
@@ -116,9 +119,10 @@ def _class_pairs(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
     return tuple(zip(group.class_sizes, group.inverse_class))
 
 
-def _pairing(group: FiniteGroup, m: int, classes, a, b) -> Cyclotomic:
-    """(1/|G|) sum_k |C_k| a(k) b(k^-1) of two lifted class functions,
-    accumulated in Z[z]/(z^m - 1) and reduced once."""
+def _pairing(group: FiniteGroup, m: int, classes, a, b) -> tuple[list[int], int]:
+    """(1/|G|) sum_k |C_k| a(k) b(k^-1) of two lifted class functions, as
+    numerators accumulated in Z[z]/(z^m - 1) and reduced mod Phi_m once,
+    over their denominator."""
     (da, ra), (db, rb) = a, b
     acc = [0] * m
     for (h, kinv), xs in zip(classes, ra):
@@ -132,18 +136,28 @@ def _pairing(group: FiniteGroup, m: int, classes, a, b) -> Cyclotomic:
                 if t >= m:
                     t -= m
                 acc[t] += hc * d
-    return _canonical(_reduce(acc, m), group.order * da * db, m)
+    return _reduce(acc, m), group.order * da * db
 
 
-def _average(m: int, lifted, terms, size: int) -> Fraction | None:
-    """(1/size) sum of w * chi(k) over (w, k) in terms, for a lifted chi,
-    when that is rational."""
+def _integer(num: list[int], den: int) -> int | None:
+    """num / den as an int, for numerators num reduced mod Phi_m, when it is
+    one.  The powers 1, z, ..., z^(phi(m)-1) are a basis of Q(zeta_m), so
+    the value is rational exactly when num vanishes after entry 0."""
+    if any(num[1:]):
+        return None
+    q, rest = divmod(num[0], den)
+    return None if rest else q
+
+
+def _average(m: int, lifted, terms, size: int) -> int | None:
+    """(1/size) sum of w * chi(k) over (k, w) in terms, for a lifted chi,
+    when that is an integer."""
     den, rows = lifted
     acc = [0] * m
-    for w, k in terms:
+    for k, w in terms:
         for i, c in rows[k]:
             acc[i] += w * c
-    return _canonical(_reduce(acc, m), size * den, m).as_rational()
+    return _integer(_reduce(acc, m), size * den)
 
 
 def inner_product(a: Character, b: Character) -> Cyclotomic:
@@ -156,18 +170,18 @@ def inner_product(a: Character, b: Character) -> Cyclotomic:
     g = a.group
     if g is not b.group:
         raise InconsistentCharacterError("characters belong to different groups")
-    m = _conductor(g, (a, b))
-    return _pairing(g, m, _class_pairs(g), _lift(a, m), _lift(b, m))
+    m = _conductor((a, b))
+    return _canonical(*_pairing(g, m, _class_pairs(g), _lift(a, m), _lift(b, m)), m)
 
 
 def frobenius_schur(chi: Character) -> int:
     """(1/|G|) sum of chi(g^2): 1 real type, 0 complex, -1 quaternionic."""
     g = chi.group
-    m = _conductor(g, (chi,))
-    val = _average(m, _lift(chi, m), zip(g.class_sizes, g.power_classes(2)), g.order)
-    if val is None or val.denominator != 1:
+    m = _conductor((chi,))
+    val = _average(m, _lift(chi, m), zip(g.power_classes(2), g.class_sizes), g.order)
+    if val is None:
         raise InconsistentCharacterError("indicator is not an integer")
-    return int(val)
+    return val
 
 
 def exterior_square(chi: Character) -> Character:
@@ -192,19 +206,19 @@ def eigenvalue_one_counts(chi: Character) -> tuple[int, ...]:
     """Multiplicity of eigenvalue 1 per class, from character values alone.
 
     For g of order o the multiplicity is the average of chi over the cyclic
-    group generated by g.
+    group generated by g; each class among the powers of g is summed once,
+    weighted by how many powers it holds.
     """
     g = chi.group
-    m = _conductor(g, (chi,))
+    m = _conductor((chi,))
     lifted = _lift(chi, m)
-    powers = [g.power_classes(t) for t in range(max(g.class_orders))]
     counts = []
-    for k, o in enumerate(g.class_orders):
-        val = _average(m, lifted, ((1, powers[t][k]) for t in range(o)), o)
-        if val is None or val.denominator != 1 or val < 0:
+    for o, cyclic in zip(g.class_orders, g.cyclic_classes):
+        val = _average(m, lifted, cyclic, o)
+        if val is None or val < 0:
             raise InconsistentCharacterError(
                 "eigenvalue-1 multiplicity is not a non-negative integer")
-        counts.append(int(val))
+        counts.append(val)
     return tuple(counts)
 
 
@@ -213,16 +227,16 @@ def decompose(chi: Character, table: "CharacterTable") -> tuple[int, ...]:
     g = chi.group
     if any(irr.group is not g for irr in table.irreducibles):
         raise InconsistentCharacterError("characters belong to different groups")
-    m = _conductor(g, (chi, *table.irreducibles))
+    m = _conductor((chi, *table.irreducibles))
     a = _lift(chi, m)
     classes = _class_pairs(g)
     mult = []
     for irr in table.irreducibles:
-        v = _pairing(g, m, classes, a, _lift(irr, m)).as_rational()
-        if v is None or v.denominator != 1 or v < 0:
+        v = _integer(*_pairing(g, m, classes, a, _lift(irr, m)))
+        if v is None or v < 0:
             raise InconsistentCharacterError(
                 "inner product with an irreducible is not a non-negative integer")
-        mult.append(int(v))
+        mult.append(v)
     rebuilt = [zero()] * g.num_classes
     for c, irr in zip(mult, table.irreducibles):
         if c:
@@ -367,6 +381,11 @@ def _split_eigenspaces(group: FiniteGroup, p: int):
                 continue
             restriction = [[sum(map(operator.mul, rows[j], v)) % p for v in basis]
                            for j in pivots]
+            lam = restriction[0][0]
+            if all(x == (lam if a == b else 0)
+                   for a, row in enumerate(restriction) for b, x in enumerate(row)):
+                refined.append((pivots, basis))  # M acts as lam: one eigenspace
+                continue
             for lam in modp.roots_mod(modp.charpoly_mod(restriction, p), p):
                 shifted = [[(restriction[a][b] - (lam if a == b else 0)) % p
                             for b in range(s)] for a in range(s)]
@@ -396,20 +415,21 @@ def _split_eigenspaces(group: FiniteGroup, p: int):
 
 def _lift_plan(group: FiniteGroup, p: int, omega: int):
     """What the lift of every character reads, per class of order o: o,
-    1/o mod p, the classes of g^t for t < o, and the rows w^(-jt) for
-    j < o, with w = omega^(e/o) of order o; classes of one order share the
-    rows."""
+    1/o mod p, the classes of g^t for t < o, the rows w^(-jt) for j < o,
+    with w = omega^(e/o) of order o, and the lifts found so far, keyed by
+    the values at the powers; classes of one order share the rows and the
+    lifts."""
     e = group.exponent()
-    rows_of_order = {}
+    of_order = {}
     plan = []
     for k, o in enumerate(group.class_orders):
-        rows = rows_of_order.get(o)
-        if rows is None:
+        shared = of_order.get(o)
+        if shared is None:
             winv = modp.inv_mod(pow(omega, e // o, p), p)
             wpow = [pow(winv, t, p) for t in range(o)]
-            rows = rows_of_order[o] = [[wpow[j * t % o] for t in range(o)] for j in range(o)]
+            shared = of_order[o] = ([[wpow[j * t % o] for t in range(o)] for j in range(o)], {})
         powers = [group.power_classes(t)[k] for t in range(o)]
-        plan.append((o, modp.inv_mod(o, p), powers, rows))
+        plan.append((o, modp.inv_mod(o, p), powers) + shared)
     return plan
 
 
@@ -417,16 +437,21 @@ def _lift_character(plan, p: int, xk: list[int], d: int):
     """Exact values from mod-p values: Fourier-invert eigenvalue multiplicities.
 
     At a class of order o the value is sum(mults[j] * zeta_o^j), built by
-    one reduction of the multiplicity vector.
+    one reduction of the multiplicity vector, kept in the plan for the next
+    class or character with the same values at the powers.
     """
     values = []
-    for o, oinv, powers, rows in plan:
-        xs = [xk[c] for c in powers]
-        mults = [sum(map(operator.mul, row, xs)) * oinv % p for row in rows]
-        if sum(mults) != d or any(m > d for m in mults):
+    for o, oinv, powers, rows, known in plan:
+        xs = tuple(xk[c] for c in powers)
+        lift = known.get(xs)
+        if lift is None:
+            mults = [sum(map(operator.mul, row, xs)) * oinv % p for row in rows]
+            lift = known[xs] = (sum(mults), max(mults), _canonical(_reduce(mults, o), 1, o))
+        total, largest, value = lift
+        if total != d or largest > d:
             raise TableComputationError(
                 "eigenvalue multiplicities do not sum to the degree")
-        values.append(_canonical(_reduce(mults, o), 1, o))
+        values.append(value)
     return tuple(values)
 
 
@@ -463,12 +488,12 @@ def _verify_table(group: FiniteGroup, chars: list[Character]):
     same size, so (b|a) repeats (a|b) exactly."""
     if sum(c.degree ** 2 for c in chars) != group.order:
         raise TableComputationError("degrees do not satisfy the sum-of-squares identity")
-    m = _conductor(group, chars)
+    m = _conductor(chars)
     lifted = [_lift(c, m) for c in chars]
     classes = _class_pairs(group)
     for i, a in enumerate(lifted):
         for j, b in enumerate(lifted[i:], i):
-            if _pairing(group, m, classes, a, b) != (1 if i == j else 0):
+            if _integer(*_pairing(group, m, classes, a, b)) != (1 if i == j else 0):
                 raise TableComputationError("lifted characters are not orthonormal")
 
 

@@ -180,11 +180,12 @@ def _search_report(name: str, group) -> None:
     table = character_table(group)
     chi_nat = natural_character(group)
     for i, chi in enumerate(table):
+        d = chi.degree
         fs = frobenius_schur(chi)
         eig_ok = all(c > 0 for c in eigenvalue_one_counts(chi))
-        faithful = sum(1 for v in chi.values if v == chi.degree) == 1
+        faithful = sum(1 for v in chi.values if v == d) == 1
         note = " [natural]" if chi.values == chi_nat.values else ""
-        print(f"  irreducible {i}: degree {chi.degree}, type {FS_NAMES[fs]}, "
+        print(f"  irreducible {i}: degree {d}, type {FS_NAMES[fs]}, "
               f"eigenvalue-1 all classes: {_show(eig_ok)}, "
               f"candidate: {_show(eig_ok and faithful)}{note}")
 

@@ -397,7 +397,9 @@ class Cyclotomic:
         return None  # pragma: no cover
 
     def sort_key(self):
-        return (self.n, self.coeffs)
+        """(n, coefficients), the integer numerators standing for them when
+        den = 1: an int c compares as Fraction(c, 1) does."""
+        return (self.n, self.num) if self.den == 1 else (self.n, self.coeffs)
 
     # -- field operations
 

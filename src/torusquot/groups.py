@@ -38,6 +38,7 @@ elements plus the point set itself.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from . import linalg
 from .cyclo import Cyclotomic, one, zero
@@ -400,6 +401,7 @@ class FiniteGroup:
         self._class_of = None
         self._rep_orders = None
         self._power_maps = {}
+        self._cyclic_classes = None
         self._inverse_class = None
         self._abelianization = None
 
@@ -554,6 +556,17 @@ class FiniteGroup:
             self._power_maps[k] = tuple(
                 self.class_of(self.power(r, k)) for r in self.class_representatives)
         return self._power_maps[k]
+
+    @property
+    def cyclic_classes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per class, the cyclic group generated by a member g of order o
+        counted by classes: the pairs (class d, number of t < o with g^t
+        in d)."""
+        if self._cyclic_classes is None:
+            self._cyclic_classes = tuple(
+                tuple(Counter(self.power_classes(t)[k] for t in range(o)).items())
+                for k, o in enumerate(self.class_orders))
+        return self._cyclic_classes
 
     # -- numeric invariants
 

@@ -2,9 +2,9 @@
 
 Internal support for the character-table computation: matrices are lists of
 lists of ints in [0, p), polynomials are coefficient lists with index = degree
-(trimmed, so [] is the zero polynomial).  Everything here is deterministic;
-root finding uses a fixed shift sweep instead of random splitting so repeated
-runs agree.
+(trimmed, so [] is the zero polynomial).  Everything here is deterministic.
+Roots are found by evaluation: the table's prime, the smallest admissible one
+above 2*sqrt(|G|), is small, so a scan of F_p beats factoring.
 """
 
 from __future__ import annotations
@@ -34,22 +34,23 @@ def element_of_order(e: int, p: int) -> int:
 
 def rref_mod(mat, p):
     """Row-reduce in place semantics on a copy; returns (rows, pivot columns)."""
-    a = [list(row) for row in mat]
+    a = [[x % p for x in row] for row in mat]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if a[i][c] % p), None)
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
         inv = inv_mod(a[r][c], p)
-        a[r] = [x * inv % p for x in a[r]]
+        # row r is 0 left of column c, so only columns c on change
+        pivot_row = a[r][c:] = [x * inv % p for x in a[r][c:]]
         for i in range(rows):
             if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+                a[i][c:] = [(x - f * y) % p for x, y in zip(a[i][c:], pivot_row)]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -145,56 +146,6 @@ def poly_sub(f, g, p):
     return poly_trim(out)
 
 
-def poly_mul_mod(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        if x:
-            for j, y in enumerate(g):
-                out[i + j] = (out[i + j] + x * y) % p
-    return poly_trim(out)
-
-
-def poly_divmod(f, g, p):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = [x % p for x in f]
-    dg = len(g) - 1
-    lead_inv = inv_mod(g[-1], p)
-    q = [0] * max(len(f) - dg, 0)
-    r = list(f)
-    for i in range(len(r) - 1, dg - 1, -1):
-        if r[i]:
-            c = r[i] * lead_inv % p
-            q[i - dg] = c
-            for j in range(dg + 1):
-                r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
-    return poly_trim(q), poly_trim(r)
-
-
-def poly_gcd_mod(f, g, p):
-    """Monic gcd."""
-    f, g = poly_trim(list(f)), poly_trim(list(g))
-    while g:
-        f, g = g, poly_divmod(f, g, p)[1]
-    if f:
-        inv = inv_mod(f[-1], p)
-        f = [x * inv % p for x in f]
-    return f
-
-
-def poly_powmod(base, exp, modulus, p):
-    result = [1]
-    base = poly_divmod(base, modulus, p)[1]
-    while exp:
-        if exp & 1:
-            result = poly_divmod(poly_mul_mod(result, base, p), modulus, p)[1]
-        base = poly_divmod(poly_mul_mod(base, base, p), modulus, p)[1]
-        exp >>= 1
-    return result
-
-
 def poly_eval(f, x, p):
     acc = 0
     for c in reversed(f):
@@ -203,36 +154,23 @@ def poly_eval(f, x, p):
 
 
 def roots_mod(f, p):
-    """Distinct roots in F_p, ascending.  Deterministic."""
-    f = poly_trim([x % p for x in f])
+    """Distinct roots in F_p, ascending.  Each x = 0, 1, ... is tried by
+    Horner's rule and a root divided out as often as it divides, so the scan
+    stops once f is a constant."""
+    f = poly_trim([c % p for c in f])
     roots = []
-    if f and f[0] == 0:
-        roots.append(0)
-        while f and f[0] == 0:
-            f = f[1:]
-    if len(f) > 1:
-        # keep only the part splitting into distinct linear factors
-        xp = poly_powmod([0, 1], p, f, p)
-        linear = poly_gcd_mod(poly_sub(xp, [0, 1], p), f, p)
-        roots.extend(_split_linear(linear, p, 0))
-    return sorted(set(roots))
-
-
-def _split_linear(g, p, shift):
-    """Roots of a squarefree product of linear factors, by quadratic-character
-    splitting with shifts 0, 1, 2, ... (no randomness)."""
-    if len(g) <= 1:
-        return []
-    if len(g) == 2:
-        return [(-g[0] * inv_mod(g[1], p)) % p]
-    for a in range(shift, p):
-        if poly_eval(g, -a % p, p) == 0:
-            rest, _ = poly_divmod(g, [a % p, 1], p)
-            return [(-a) % p] + _split_linear(rest, p, a + 1)
-        euler = poly_powmod([a % p, 1], (p - 1) // 2, g, p)
-        h = poly_gcd_mod(poly_sub(euler, [1], p), g, p)
-        if 0 < len(h) - 1 < len(g) - 1:
-            other, rem = poly_divmod(g, h, p)
-            assert not rem
-            return _split_linear(h, p, a + 1) + _split_linear(other, p, a + 1)
-    raise ArithmeticError("shift sweep failed to split polynomial")
+    for x in range(p):
+        if len(f) < 2:
+            break
+        if poly_eval(f, x, p):
+            continue
+        roots.append(x)
+        while True:  # synthetic division by (t - x) while the remainder is 0
+            quotient, acc = [], 0
+            for c in reversed(f):
+                acc = (acc * x + c) % p
+                quotient.append(acc)
+            if quotient.pop():
+                break
+            f = quotient[::-1]
+    return roots

@@ -291,10 +291,13 @@ QUATERNIONIC = SymplecticClass(SymplecticKind.QUATERNIONIC_IRREDUCIBLE)
 NOT_UNI_SYMPLECTIC = SymplecticClass(SymplecticKind.NOT_UNI_SYMPLECTIC)
 
 
-def classify_symplectic(rep: AnalyticRep, table: CharacterTable) -> SymplecticClass:
+def classify_symplectic(rep: AnalyticRep, table: CharacterTable, *,
+                        mult: tuple[int, ...] | None = None) -> SymplecticClass:
     """Trichotomy for a unique symplectic structure: quaternionic irreducible,
-    or a sum of two conjugate irreducibles (real/complex/trivial), or neither."""
-    mult = decompose(rep.character, table)
+    or a sum of two conjugate irreducibles (real/complex/trivial), or neither.
+    ``mult`` is the decomposition of the character, if already known."""
+    if mult is None:
+        mult = decompose(rep.character, table)
     support = [i for i, m in enumerate(mult) if m]
     if len(support) == 1:
         i = support[0]
@@ -316,9 +319,12 @@ def classify_symplectic(rep: AnalyticRep, table: CharacterTable) -> SymplecticCl
     return NOT_UNI_SYMPLECTIC
 
 
-def homogeneous_decomplexification(rep: AnalyticRep, table: CharacterTable) -> bool:
-    """True when all constituents agree up to complex conjugation."""
-    mult = decompose(rep.character, table)
+def homogeneous_decomplexification(rep: AnalyticRep, table: CharacterTable, *,
+                                   mult: tuple[int, ...] | None = None) -> bool:
+    """True when all constituents agree up to complex conjugation.  ``mult``
+    is the decomposition of the character, if already known."""
+    if mult is None:
+        mult = decompose(rep.character, table)
     support = [i for i, m in enumerate(mult) if m]
     if len(support) == 1:
         return True
@@ -494,15 +500,16 @@ def smoothness_verdict(symplectic_class: SymplecticClass, homogeneous: bool,
 # -- Lagrangian fibrations
 
 
-def _complex_halves(rep: AnalyticRep, table: CharacterTable):
-    """The constituents of a complex pair χ + χ̄, as RREF bases, χ first.
+def _complex_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...]):
+    """The constituents of a complex pair χ + χ̄, as RREF bases, χ first;
+    ``mult`` is the decomposition of the pair's character.
 
     The class sum S_k = Σ_{g ∈ C_k} ρ(g) is central, so it acts on the copy
     of χ as ω = |C_k|·χ(g_k)/χ(1) and on the copy of χ̄ as ω̄.  At the first
     class k where χ is not real the two differ, and the halves are
     ker(S_k − ω) and ker(S_k − ω̄).  Only the members of C_k are read."""
     group, n = rep.group, rep.degree
-    chi = table[decompose(rep.character, table).index(1)]
+    chi = table[mult.index(1)]
     k = next(k for k, v in enumerate(chi.values) if v != v.conjugate())
     acc = [[zero()] * n for _ in range(n)]
     for g in group.conjugacy_classes[k]:
@@ -614,20 +621,25 @@ def _spin_halves(rep: AnalyticRep):
 
 
 def lagrangian_fibration_data(rep: AnalyticRep, form: SymplecticForm,
-                              table: CharacterTable):
+                              table: CharacterTable, *, mult=None, cls=None,
+                              form_preserved: bool = False):
     """Bases of the two invariant half-dimensional subspaces on which the
     form vanishes; None for the quaternionic irreducible case, which has no
-    invariant subspace at all."""
-    if not preserves_form(rep, form):
+    invariant subspace at all.  A caller that has the decomposition, the
+    class or a checked form passes ``mult``, ``cls`` or ``form_preserved``."""
+    if not form_preserved and not preserves_form(rep, form):
         raise InvalidInputError("form is not invariant under the representation")
-    cls = classify_symplectic(rep, table)
+    if mult is None:
+        mult = decompose(rep.character, table)
+    if cls is None:
+        cls = classify_symplectic(rep, table, mult=mult)
     if cls.kind is SymplecticKind.QUATERNIONIC_IRREDUCIBLE:
         return None
     if cls.kind is not SymplecticKind.CONJUGATE_PAIR:
         raise InvalidInputError(
             "Lagrangian extraction needs a conjugate-pair representation")
     if cls.pair_type == "complex":
-        v1, v2 = _complex_halves(rep, table)
+        v1, v2 = _complex_halves(rep, table, mult)
     else:  # real or trivial: character theory sees one constituent twice
         v1, v2 = _spin_halves(rep)
     for v in (v1, v2):
@@ -739,8 +751,9 @@ def analyze(rep: AnalyticRep, table: CharacterTable,
         raise InvalidInputError("character table belongs to a different group")
     h10 = h0_reflexive_1forms(rep)
     h20 = h0_reflexive_2forms(rep)
-    cls = classify_symplectic(rep, table)
-    homog = homogeneous_decomplexification(rep, table)
+    mult = decompose(rep.character, table)
+    cls = classify_symplectic(rep, table, mult=mult)
+    homog = homogeneous_decomplexification(rep, table, mult=mult)
     eig_all, eig_fail = eigenvalue_one_all(rep)
     prim = is_primitive(rep.group)
     verdict = smoothness_verdict(cls, homog, rep.degree, rep.is_trivial())
@@ -764,7 +777,8 @@ def analyze(rep: AnalyticRep, table: CharacterTable,
         elif inv_form is not None and inv_form.is_nondegenerate():
             candidate = inv_form
         if candidate is not None:
-            fibration = lagrangian_fibration_data(rep, candidate, table)
+            fibration = lagrangian_fibration_data(rep, candidate, table, mult=mult, cls=cls,
+                                                  form_preserved=candidate is form)
 
     return QuotientReport(
         group_order=rep.group.order,

@@ -10,8 +10,12 @@ The character sums are the earlier bodies of
 The table steps are the earlier :func:`_class_matrix`, which builds every
 row of a class matrix from the inverses of the class members,
 :func:`_split_eigenspaces`, which restricts each class matrix to a space by
-a full product and a row reduction, and :func:`_lift_character`, which sets
-up the Fourier inversion again for each character.
+a full product and a row reduction and finds eigenvalues by the
+Cantor-Zassenhaus root finder of `modp_oracle`, :func:`_lift_character`,
+which sets up the Fourier inversion again for each character, and
+:func:`_verify_table`, which compares canonical inner products.  The
+table's bookkeeping read degrees and sort keys through `Fraction`
+(:func:`degree`, :func:`sort_key`).
 
 They are slow and simple, and the differential tests compare `chartab`
 against them.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import modp_oracle
 from helpers import mat_mul_mod, solve_unique_mod
 
 from torusquot import modp
@@ -118,7 +123,7 @@ def _split_eigenspaces(group, p: int):
             cols = [list(col) for col in zip(*basis)]  # r x s, columns = basis
             image = mat_mul_mod(mat, cols, p)
             restriction = solve_unique_mod(cols, image, p)
-            for lam in modp.roots_mod(modp.charpoly_mod(restriction, p), p):
+            for lam in modp_oracle.roots_mod(modp.charpoly_mod(restriction, p), p):
                 s = len(basis)
                 shifted = [[(restriction[a][b] - (lam if a == b else 0)) % p
                             for b in range(s)] for a in range(s)]
@@ -157,3 +162,24 @@ def _lift_character(group, xk: list[int], d: int, p: int, omega: int):
                 "eigenvalue multiplicities do not sum to the degree")
         values.append(_canonical(_reduce(mults, o), 1, o))
     return tuple(values)
+
+
+def _verify_table(group, chars):
+    """The degrees' squares sum to |G|, and every pair is orthonormal."""
+    if sum(degree(c) ** 2 for c in chars) != group.order:
+        raise TableComputationError("degrees do not satisfy the sum-of-squares identity")
+    for i, a in enumerate(chars):
+        for j, b in enumerate(chars):
+            if inner_product(a, b) != (1 if i == j else 0):
+                raise TableComputationError("lifted characters are not orthonormal")
+
+
+def degree(chi: Character) -> int:
+    d = chi.values[0].as_rational()
+    if d is None or d.denominator != 1:
+        raise InconsistentCharacterError("identity value is not an integer")
+    return int(d)
+
+
+def sort_key(v: Cyclotomic):
+    return (v.n, v.coeffs)

@@ -20,7 +20,8 @@ from fibration_oracle import isotypic_projections
 from helpers import column_space_basis, conjugated, one_dim_rep, unimodular
 from torusq_oracle import basis_is_lagrangian_all_pairs, faithful_by_matrices, group_average_form
 
-from torusquot.chartab import character_table, trivial_character
+from torusquot import torusq
+from torusquot.chartab import character_table, decompose, trivial_character
 from torusquot.cyclo import Cyclotomic
 from torusquot.fixtures import FIXTURES
 from torusquot.groups import FiniteGroup, Monomial, close
@@ -90,7 +91,8 @@ def test_orbit_form_on_the_paper_examples(name, request):
 
 def _check_complex(rep, table):
     assert str(classify_symplectic(rep, table)) == "ConjugatePair(complex)"
-    assert _complex_halves(rep, table) == _oracle_halves(rep, table)
+    assert _complex_halves(rep, table, decompose(rep.character, table)) == \
+        _oracle_halves(rep, table)
 
 
 @settings(max_examples=25, deadline=None)
@@ -204,6 +206,37 @@ def test_g216_pair_builds_one_class_more(monkeypatch, g216_group, g216_table):
     bound = (len(g216_group.generator_indices) + g216_group.num_classes
              + g216_group.class_sizes[k])
     assert len(built) == len(set(built)) <= bound < g216_group.order
+
+
+# -- each stage of analyze runs once
+
+
+def _counting_calls(monkeypatch, name):
+    """Replace torusq.<name> by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(torusq, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(torusq, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("with_form", [True, False], ids=["wedge-form", "invariant-form"])
+def test_g216_pair_decomposes_and_checks_the_form_once(monkeypatch, g216_group, g216_table,
+                                                        with_form):
+    pair = conjugate_pair_rep(natural_rep(g216_group))
+    form = SymplecticForm.wedge_pairs(pair.degree, FIXTURES["g216"].form_pairs) \
+        if with_form else None
+    expected = analyze(pair, g216_table, form=form)
+    decompositions = _counting_calls(monkeypatch, "decompose")
+    form_checks = _counting_calls(monkeypatch, "preserves_form")
+    report = analyze(pair, g216_table, form=form)
+    assert str(report.symplectic_class) == "ConjugatePair(complex)"
+    assert report.fibration is not None and report.to_dict() == expected.to_dict()
+    assert len(decompositions) == 1 and len(form_checks) == 1
 
 
 # -- h2,0 a second way: orbits of signed coordinate lines

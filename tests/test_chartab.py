@@ -257,6 +257,17 @@ def _swapped_values(group, chars):
     return out
 
 
+def _halved_values(group, chars):
+    """A character of even degree with every value but its degree halved:
+    rational values over the denominator 2, and a norm that is not 1."""
+    i = next(i for i, c in enumerate(chars) if c.degree % 2 == 0)
+    half = Cyclotomic.from_value(Fraction(1, 2))
+    values = chars[i].values
+    out = list(chars)
+    out[i] = Character(group, (values[0],) + tuple(half * v for v in values[1:]))
+    return out
+
+
 def _missing_degree(group, chars):
     """One irreducible left out: still orthonormal, but the degrees' squares
     fall short of |G|."""
@@ -272,8 +283,10 @@ class TestTableCheck:
         table = S4_TABLE if name == "s4" else request.getfixturevalue("g216_table")
         chartab._verify_table(table.group, list(table))
 
-    @pytest.mark.parametrize("perturb", [_moved_eigenvalue, _swapped_values, _missing_degree],
-                             ids=["moved-eigenvalue", "swapped-values", "missing-degree"])
+    @pytest.mark.parametrize("perturb", [_moved_eigenvalue, _swapped_values, _missing_degree,
+                                         _halved_values],
+                             ids=["moved-eigenvalue", "swapped-values", "missing-degree",
+                                  "halved-values"])
     @pytest.mark.parametrize("name", ["s4", "g216"])
     def test_rejects_a_perturbed_table(self, name, perturb, request):
         table = S4_TABLE if name == "s4" else request.getfixturevalue("g216_table")

@@ -176,6 +176,19 @@ class TestConjugacy:
         assert g.class_orders[target] == 2
         assert g.class_sizes[target] == 3
 
+    def test_cyclic_classes_count_the_powers(self):
+        # per class, the classes of g^0, ..., g^(o-1) counted from the elements
+        g = s4_group()
+        for k, counted in enumerate(g.cyclic_classes):
+            x = g.class_representatives[k]
+            tally = {}
+            for t in range(g.class_orders[k]):
+                d = g.class_of(g.power(x, t))
+                tally[d] = tally.get(d, 0) + 1
+            assert dict(counted) == tally
+        four_cycle = next(c for c in range(g.num_classes) if g.class_orders[c] == 4)
+        assert sorted(n for _, n in g.cyclic_classes[four_cycle]) == [1, 1, 2]
+
 
 class TestInvariants:
     def test_s4_order_histogram(self):

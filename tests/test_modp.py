@@ -2,10 +2,13 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modp_oracle
 from helpers import mat_mul_mod, solve_unique_mod
+from modp_oracle import poly_divmod, poly_gcd_mod, poly_mul_mod, poly_powmod
 from torusquot import modp
 
 P = 101
@@ -57,8 +60,8 @@ class TestRoots:
         # (x-3)(x-7)^2 (x^2+1), p = 101: x^2+1 factors since -1 is a QR mod 101
         f = [1]
         for r in (3, 7, 7):
-            f = modp.poly_mul_mod(f, [(-r) % P, 1], P)
-        f = modp.poly_mul_mod(f, [1, 0, 1], P)
+            f = poly_mul_mod(f, [(-r) % P, 1], P)
+        f = poly_mul_mod(f, [1, 0, 1], P)
         roots = modp.roots_mod(f, P)
         assert 3 in roots and 7 in roots
         for r in roots:
@@ -77,8 +80,50 @@ class TestRoots:
     def test_product_of_linears(self, root_set):
         f = [1]
         for r in root_set:
-            f = modp.poly_mul_mod(f, [(-r) % P, 1], P)
+            f = poly_mul_mod(f, [(-r) % P, 1], P)
         assert modp.roots_mod(f, P) == sorted(root_set)
+
+
+# the admissible primes of the benchmark's tables, and two above them
+_ROOT_PRIMES = (3, 7, 13, 17, 37, 73, 101, 1861, 20201)
+
+
+def _nonresidue(p):
+    return next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+
+
+@st.composite
+def _split_times_quadratic(draw):
+    """(p, f): a nonzero multiple of linear factors, repeats and the root 0
+    allowed, times an irreducible x^2 - a when asked."""
+    p = draw(st.sampled_from(_ROOT_PRIMES))
+    f = [draw(st.integers(1, p - 1))]
+    for r in draw(st.lists(st.integers(0, p - 1) | st.just(0), max_size=7)):
+        f = poly_mul_mod(f, [(-r) % p, 1], p)
+    if draw(st.booleans()):
+        f = poly_mul_mod(f, [(-_nonresidue(p)) % p, 0, 1], p)
+    return p, f
+
+
+class TestRootsAgainstOracle:
+    """Roots by evaluation against the Cantor-Zassenhaus root finder."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_split_times_quadratic())
+    def test_matches_cantor_zassenhaus(self, case):
+        p, f = case
+        assert modp.roots_mod(f, p) == modp_oracle.roots_mod(f, p)
+
+    @pytest.mark.parametrize("p", _ROOT_PRIMES)
+    @pytest.mark.parametrize("f", [[], [0], [0, 0], [1], [5], [-1, 0, 0]],
+                             ids=["empty", "zero", "zeros", "one", "five", "minus-one"])
+    def test_zero_and_constant_polynomials(self, f, p):
+        assert modp.roots_mod(f, p) == modp_oracle.roots_mod(f, p) == []
+
+    def test_no_linear_factor(self):
+        # x^2 + 1 mod 3 and x^2 - a for a non-residue a mod 20201
+        assert modp.roots_mod([1, 0, 1], 3) == []
+        assert modp.roots_mod([-_nonresidue(20201), 0, 1], 20201) == []
 
 
 class TestLinear:
@@ -109,24 +154,28 @@ class TestLinear:
         assert pivots == [1]
         assert rows[0] == [0, 1]
 
+    def test_rref_reads_entries_mod_p(self):
+        # P and -P are 0 mod P: no pivot in column 0, as for [[0, 1], [0, 2]]
+        assert modp.rref_mod([[P, 1], [-P, P + 2]], P) == modp.rref_mod([[0, 1], [0, 2]], P)
+
 
 class TestPoly:
     def test_divmod(self):
-        f = modp.poly_mul_mod([1, 1], [2, 3], P)
-        q, r = modp.poly_divmod(f, [1, 1], P)
+        f = poly_mul_mod([1, 1], [2, 3], P)
+        q, r = poly_divmod(f, [1, 1], P)
         assert q == [2, 3] and r == []
 
     def test_gcd(self):
-        a = modp.poly_mul_mod([1, 1], [3, 1], P)
-        b = modp.poly_mul_mod([1, 1], [5, 1], P)
-        assert modp.poly_gcd_mod(a, b, P) == [1, 1]
+        a = poly_mul_mod([1, 1], [3, 1], P)
+        b = poly_mul_mod([1, 1], [5, 1], P)
+        assert poly_gcd_mod(a, b, P) == [1, 1]
 
     def test_powmod(self):
         base, mod = [1, 1], [2, 0, 1]
         naive = [1]
         for _ in range(9):
-            naive = modp.poly_divmod(modp.poly_mul_mod(naive, base, P), mod, P)[1]
-        assert modp.poly_powmod(base, 9, mod, P) == naive
+            naive = poly_divmod(poly_mul_mod(naive, base, P), mod, P)[1]
+        assert poly_powmod(base, 9, mod, P) == naive
 
     def test_element_of_order(self):
         w = modp.element_of_order(5, 11)
