@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -316,28 +317,23 @@ class CharacterTable:
 
 def _class_matrix_rows(group: FiniteGroup, i: int, rows) -> list[list[int]]:
     """Rows j in ``rows`` of class matrix i, whose entry (j, k) is the
-    coefficient of C_k in the product of class sums C_i * C_j: the number of
-    x in C_i with x^-1 * g_k in C_j, g_k the representative of class k.
+    coefficient of C_k in the product of class sums C_i * C_j.
 
-    They are counted without inverses.  The pairs (x, y) in C_i x C_j with
-    x * y in C_k number |C_k| times that coefficient, and also |C_j| times
-    the number of x in C_i with x * g_j in C_k, because conjugation permutes
-    C_i and C_j."""
-    r = group.num_classes
-    members = group.conjugacy_classes[i]
-    reps = group.class_representatives
+    The pairs (x, y) in C_i x C_j with x * y in C_k number |C_k| times that
+    coefficient, and also |C_i| times the number of y in C_j with g_i * y in
+    C_k, g_i the representative of class i, because conjugation permutes C_i
+    and C_j.  One left multiplication by g_i serves every row."""
+    members = group.conjugacy_classes
     sizes = group.class_sizes
+    class_of = group.class_map
+    left = group.left_multiply_all(group.class_representatives[i])
     out = []
     for j in rows:
-        counts = [0] * r
-        for x in group.right_multiply(members, reps[j]):
-            counts[group.class_of(x)] += 1
-        row = []
-        for k, c in enumerate(counts):
-            entry, rest = divmod(sizes[j] * c, sizes[k])
+        row = [0] * len(sizes)
+        for k, c in Counter(map(class_of.__getitem__, map(left.__getitem__, members[j]))).items():
+            row[k], rest = divmod(sizes[i] * c, sizes[k])
             if rest:
                 raise TableComputationError("class matrix entry is not an integer")
-            row.append(entry)
         out.append(row)
     return out
 

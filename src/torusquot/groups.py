@@ -18,20 +18,28 @@ A linear map is fixed by the images of a basis, so element x is stored by
 its base images: the indices of the points x⁻¹(e_1)..x⁻¹(e_n), n ints per
 element whatever the size of the point set.  They are those of the inverse
 because closure multiplies on the right, and (x·g)⁻¹(e_j) = g⁻¹(x⁻¹(e_j)) is
-the permutation of g⁻¹ applied to the stored tuple.  The points x(e_j) are
-read off x's generator word through the generator permutations; they are
-the base images of x⁻¹, so a dict lookup gives the inverse.  Closure and
-inverses are therefore integer tuple work.  Products of indices are folded
-through the generator word of the right factor and the right-multiplication
-table built during the BFS; element orders and powers walk each cyclic
-subgroup through that table once.
+the permutation of g⁻¹ applied to the stored tuple.  With at most 256 points
+the key is a byte string and that step is one ``bytes.translate`` through
+g⁻¹'s permutation padded to 256 bytes; a larger point set keeps tuple keys,
+since a byte holds no index past 255.  The points x(e_j) are read off x's
+generator word through the generator permutations; they are the base images
+of x⁻¹, so a dict lookup gives the inverse.
+
+The BFS also keeps its tree: each element x after the identity is
+parent(x)·g for the generator g that first reached it.  Left multiplication
+by any h then follows the tree, h·x = (h·parent(x))·g, one lookup in the
+right-multiplication table per element in BFS order; conjugation by a
+generator, conjugacy classes and class-matrix rows are built from it without
+folding words.  Products of single indices are folded through the generator
+word of the right factor; element orders and powers walk each cyclic
+subgroup through the right-multiplication table once.
 
 Matrices are built only on demand, without arithmetic: e_1..e_n are the
 first n points, and column j of x's matrix is the point x(e_j).
 
 The closure limit bounds the number of elements and, through them, the point
 set: an orbit is never larger than |G|, so more than ``limit * degree``
-points proves |G| > limit.  Memory is thus O(limit * degree) ints for the
+points proves |G| > limit.  Memory is thus O(limit * degree) for the
 elements plus the point set itself.
 """
 
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from operator import methodcaller
 
 from . import linalg
 from .cyclo import Cyclotomic, one, zero
@@ -307,26 +316,30 @@ def _validate_generator(g):
     raise InvalidInputError(f"unsupported generator type {type(g).__name__}")
 
 
-def _orbit(start, step, arity: int, cap: int, limit: int):
-    """BFS closure of the items ``start`` under the maps ``step(x, a)`` for
-    a < arity: the items in discovery order, their index, and the table
-    whose column a lists the index of step(items[i], a) at each i.  Raises
-    GroupTooLargeError(limit) when more than ``cap`` items appear."""
+def _orbit(start, steps, cap: int, limit: int):
+    """BFS closure of the items ``start`` under the maps ``steps``: the items
+    in discovery order, their index, the table whose column a lists the index
+    of steps[a](items[i]) at each i, and the BFS tree (parent, letter) with
+    items[j] = steps[letter[j]](items[parent[j]]) (a start item is its own
+    parent, with letter -1).
+    Raises GroupTooLargeError(limit) when more than ``cap`` items appear."""
     items = list(start)
     index = {x: i for i, x in enumerate(items)}
-    table = [[] for _ in range(arity)]
-    for x in items:  # the loop reaches the items appended while it runs
-        for a, column in enumerate(table):
-            y = step(x, a)
-            j = index.get(y)
-            if j is None:
-                if len(items) >= cap:
+    table = [[] for _ in steps]
+    parent, letter = list(range(len(items))), [-1] * len(items)
+    arcs = list(enumerate(zip(steps, table)))
+    for i, x in enumerate(items):  # the loop reaches the items appended while it runs
+        for a, (step, column) in arcs:
+            y = step(x)
+            j = index.setdefault(y, len(items))
+            if j == len(items):
+                if j >= cap:
                     raise GroupTooLargeError(limit)
-                j = len(items)
                 items.append(y)
-                index[y] = j
+                parent.append(i)
+                letter.append(a)
             column.append(j)
-    return items, index, table
+    return items, index, table, (parent, letter)
 
 
 def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
@@ -335,11 +348,12 @@ def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
     The generators first become permutations of the point set, the union of
     the orbits of the basis vectors (see the module docstring).  Closure is
     then a BFS over the products x·g, each element keyed by its base images
-    x⁻¹(e_1)..x⁻¹(e_n).  The action is faithful, so two elements are equal
-    exactly when their matrices are.  Elements are found in deterministic BFS
-    order with the identity at index 0.  Raises GroupTooLargeError when the
-    closure would exceed ``limit`` elements, or the point set
-    ``limit * degree`` points, which proves the same.
+    x⁻¹(e_1)..x⁻¹(e_n), as bytes when there are at most 256 points.  The
+    action is faithful, so two elements are equal exactly when their
+    matrices are.  Elements are found in deterministic BFS order with the
+    identity at index 0.  Raises GroupTooLargeError when the closure would
+    exceed ``limit`` elements, or the point set ``limit * degree`` points,
+    which proves the same.
     """
     gens = list(generators)
     if not gens:
@@ -357,42 +371,47 @@ def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
     if limit < 1:
         raise InvalidInputError("closure limit must be positive")
 
-    points, _, gen_perms = _orbit(kind.basis_points(degree), lambda p, a: gens[a].act(p),
-                                  len(gens), limit * degree, limit)
+    points, _, gen_perms, _ = _orbit(kind.basis_points(degree), [g.act for g in gens],
+                                     limit * degree, limit)
     inverse_perms = [_inverse_perm(g) for g in gen_perms]
-    keys, index, right_table = _orbit(
-        [tuple(range(degree))], lambda x, a: tuple(map(inverse_perms[a].__getitem__, x)),
-        len(gens), limit, limit)
+    if len(points) <= 256:
+        encode = bytes
+        steps = [methodcaller("translate", bytes(p) + bytes(range(len(p), 256)))
+                 for p in inverse_perms]
+    else:
+        encode = tuple
+        steps = [lambda x, p=p: tuple(map(p.__getitem__, x)) for p in inverse_perms]
+    keys, index, right_table, (parents, letters) = _orbit(
+        [encode(range(degree))], steps, limit, limit)
     # an element's word is its parent's plus the generator that first reached it
-    words: list = [None] * len(keys)
-    words[0] = ()
-    for i in range(len(keys)):
-        for a, column in enumerate(right_table):
-            j = column[i]
-            if words[j] is None:
-                words[j] = words[i] + (a,)
-    gen_indices = tuple(index[g[:degree]] for g in inverse_perms)
-    return FiniteGroup(kind, degree, tuple(points), gen_perms, keys, index, gen_indices,
-                       right_table, tuple(words))
+    words = [()]
+    for j in range(1, len(keys)):
+        words.append(words[parents[j]] + (letters[j],))
+    gen_indices = tuple(index[encode(g[:degree])] for g in inverse_perms)
+    return FiniteGroup(kind, degree, tuple(points), gen_perms, keys, index, encode, gen_indices,
+                       right_table, (tuple(parents), tuple(letters)), tuple(words))
 
 
 class FiniteGroup:
     """A finite matrix group enumerated by :func:`close`.
 
     Element i is stored by its base images (see the module docstring); its
-    matrix is read off those of its inverse when asked for.
+    matrix is read off those of its inverse when asked for.  In the BFS tree
+    element i > 0 is ``parents[i]`` times generator ``letters[i]``.
     """
 
-    def __init__(self, kind, degree, points, gen_perms, keys, index, generator_indices,
-                 right_table, words):
+    def __init__(self, kind, degree, points, gen_perms, keys, index, encode, generator_indices,
+                 right_table, tree, words):
         self._kind = kind
         self._degree = degree
         self._points = points
         self._gen_perms = gen_perms
         self._keys = keys
         self._index = index
+        self._encode = encode
         self.generator_indices = generator_indices
         self._right = right_table
+        self.parents, self.letters = tree
         self._words = words
         self._elements = None
         self._inv = {}
@@ -401,6 +420,7 @@ class FiniteGroup:
         self._class_of = None
         self._rep_orders = None
         self._power_maps = {}
+        self._conjugations = None
         self._cyclic_classes = None
         self._inverse_class = None
         self._abelianization = None
@@ -446,14 +466,14 @@ class FiniteGroup:
             x = self._right[a][x]
         return x
 
-    def right_multiply(self, xs, j: int) -> list[int]:
-        """The index of x·j for each index x in xs, folded through j's word
-        once for all of them."""
-        xs = list(xs)
-        for a in self._words[j]:
-            column = self._right[a]
-            xs = [column[x] for x in xs]
-        return xs
+    def left_multiply_all(self, h: int) -> list[int]:
+        """The index of h·x for every index x, in BFS order along the tree:
+        h·x = (h·parents[x])·g for the generator g = letters[x]."""
+        left = [h] * self.order
+        right, parents, letters = self._right, self.parents, self.letters
+        for x in range(1, self.order):
+            left[x] = right[letters[x]][left[parents[x]]]
+        return left
 
     def inv(self, i: int) -> int:
         """The base images of x⁻¹ are the points x(e_j).  Each inverse is
@@ -461,7 +481,7 @@ class FiniteGroup:
         inverse."""
         j = self._inv.get(i)
         if j is None:
-            j = self._inv[i] = self._index[self._images(i)]
+            j = self._inv[i] = self._index[self._encode(self._images(i))]
             self._inv[j] = i
         return j
 
@@ -487,28 +507,33 @@ class FiniteGroup:
 
     # -- conjugacy structure
 
+    def _conjugation_perms(self) -> list[list[int]]:
+        """Per generator g, the index of g⁻¹·x·g for every index x, kept."""
+        if self._conjugations is None:
+            self._conjugations = [
+                list(map(column.__getitem__, self.left_multiply_all(self.inv(g))))
+                for column, g in zip(self._right, self.generator_indices)]
+        return self._conjugations
+
     def _compute_classes(self):
+        """The orbits of the conjugation permutations of the generators."""
         if self._classes is not None:
             return
-        n = self.order
-        class_of = [-1] * n
+        perms = self._conjugation_perms()
+        class_of = [-1] * self.order
         classes = []
-        gen_pairs = [(self.inv(g), g) for g in self.generator_indices]
-        for start in range(n):
+        for start in range(self.order):
             if class_of[start] >= 0:
                 continue
             cid = len(classes)
-            orbit = [start]
             class_of[start] = cid
-            frontier = [start]
-            while frontier:
-                x = frontier.pop()
-                for ginv, g in gen_pairs:
-                    y = self.mult(self.mult(ginv, x), g)
+            orbit = [start]
+            for x in orbit:  # the loop reaches the members appended while it runs
+                for perm in perms:
+                    y = perm[x]
                     if class_of[y] < 0:
                         class_of[y] = cid
                         orbit.append(y)
-                        frontier.append(y)
             classes.append(tuple(sorted(orbit)))
         self._classes = tuple(classes)
         self._class_of = tuple(class_of)
@@ -523,10 +548,15 @@ class FiniteGroup:
     def num_classes(self) -> int:
         return len(self.conjugacy_classes)
 
-    def class_of(self, i: int) -> int:
+    @property
+    def class_map(self) -> tuple[int, ...]:
+        """The class index of every element, in BFS order."""
         if self._class_of is None:
             self._compute_classes()
-        return self._class_of[i]
+        return self._class_of
+
+    def class_of(self, i: int) -> int:
+        return self.class_map[i]
 
     @property
     def class_representatives(self) -> tuple[int, ...]:
@@ -618,11 +648,11 @@ class FiniteGroup:
             # close the seed set under conjugation so the subgroup comes out normal
             orbit = set(seeds)
             frontier = list(seeds)
-            gen_pairs = [(self.inv(g), g) for g in gi]
+            perms = self._conjugation_perms()
             while frontier:
                 x = frontier.pop()
-                for ginv, g in gen_pairs:
-                    y = self.mult(self.mult(ginv, x), g)
+                for perm in perms:
+                    y = perm[x]
                     if y not in orbit:
                         orbit.add(y)
                         frontier.append(y)

@@ -102,7 +102,7 @@ class AnalyticRep:
 
 
 def assemble(group: FiniteGroup, images) -> AnalyticRep:
-    """Extend generator images to the whole group along BFS words.
+    """Extend generator images to the whole group along the BFS tree.
 
     Every product relation M(x·g) = M(x)·M(g) is checked afterwards, so an
     inconsistent assignment cannot slip through on a subset of relations.
@@ -122,13 +122,9 @@ def assemble(group: FiniteGroup, images) -> AnalyticRep:
     else:
         ident = Monomial.identity(deg)
 
-    mats = [None] * group.order
-    mats[0] = ident
-    index_by_word = {group.word(i): i for i in range(group.order)}
-    for i in range(1, group.order):
-        w = group.word(i)
-        parent = index_by_word[w[:-1]]
-        mats[i] = mats[parent] * images[w[-1]]
+    mats = [ident]
+    for parent, a in zip(group.parents[1:], group.letters[1:]):
+        mats.append(mats[parent] * images[a])
 
     for i in range(group.order):
         for a, gi in enumerate(group.generator_indices):

@@ -1,0 +1,99 @@
+"""Test-only reference bodies for the conjugacy structure of `groups`.
+
+They are the earlier bodies of :meth:`FiniteGroup._compute_classes` and
+:meth:`FiniteGroup.abelianization_order`, which conjugate by each generator
+as two products of indices, each folded through a generator word, and of
+:func:`torusquot.chartab._class_matrix_rows`, which counts the class of
+x·g_j for each member x of class i, folding g_j's word once per member.
+The differential tests compare `groups` and `chartab` against them.
+"""
+
+from __future__ import annotations
+
+from torusquot.errors import InvalidInputError, TableComputationError
+
+
+def compute_classes(group):
+    """The classes as sorted index tuples, ordered by smallest member, and
+    the class index of every element."""
+    n = group.order
+    class_of = [-1] * n
+    classes = []
+    gen_pairs = [(group.inv(g), g) for g in group.generator_indices]
+    for start in range(n):
+        if class_of[start] >= 0:
+            continue
+        cid = len(classes)
+        orbit = [start]
+        class_of[start] = cid
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            for ginv, g in gen_pairs:
+                y = group.mult(group.mult(ginv, x), g)
+                if class_of[y] < 0:
+                    class_of[y] = cid
+                    orbit.append(y)
+                    frontier.append(y)
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes), tuple(class_of)
+
+
+def abelianization_order(group) -> int:
+    """|G| / |[G,G]|, with [G,G] the normal closure of generator commutators."""
+    seeds = set()
+    gi = group.generator_indices
+    for a in gi:
+        for b in gi:
+            c = group.mult(group.mult(group.mult(group.inv(a), group.inv(b)), a), b)
+            if c:
+                seeds.add(c)
+    orbit = set(seeds)
+    frontier = list(seeds)
+    gen_pairs = [(group.inv(g), g) for g in gi]
+    while frontier:
+        x = frontier.pop()
+        for ginv, g in gen_pairs:
+            y = group.mult(group.mult(ginv, x), g)
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    members = {0}
+    gens: list[int] = []
+    for t in sorted(orbit):
+        if t in members:
+            continue
+        gens.append(t)
+        frontier = list(members)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = group.mult(x, g)
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
+    if group.order % len(members):
+        raise InvalidInputError("commutator subgroup size does not divide |G|")
+    return group.order // len(members)
+
+
+def class_matrix_rows(group, i: int, rows) -> list[list[int]]:
+    """Rows j of class matrix i: the entry (j, k) is |C_j| times the number
+    of x in C_i with x·g_j in C_k, over |C_k|."""
+    r = group.num_classes
+    members = group.conjugacy_classes[i]
+    reps = group.class_representatives
+    sizes = group.class_sizes
+    out = []
+    for j in rows:
+        counts = [0] * r
+        for x in members:
+            counts[group.class_of(group.mult(x, reps[j]))] += 1
+        row = []
+        for k, c in enumerate(counts):
+            entry, rest = divmod(sizes[j] * c, sizes[k])
+            if rest:
+                raise TableComputationError("class matrix entry is not an integer")
+            row.append(entry)
+        out.append(row)
+    return out

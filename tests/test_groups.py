@@ -428,3 +428,25 @@ class TestAgainstMatrixClosure:
     @given(wreath_generator_pairs())
     def test_conjugated_dense_matches_matrix_bfs(self, gens):
         check_against_oracle(gens, conjugated_elements, limit=96)
+
+
+class TestKeyEncodings:
+    # bytes.translate indexes at most 256 points, so a larger point set
+    # keeps tuple keys: the cyclic group of zeta_n on C has n points
+    @pytest.mark.parametrize("n, key_type", [(256, bytes), (300, tuple)])
+    def test_both_key_types_match_matrix_bfs(self, n, key_type):
+        gens = [Monomial((0,), (Cyclotomic.zeta(n),))]
+        elements, index, words = matrix_bfs(gens, n)
+        group = close(gens)
+        assert len(group._points) == n
+        assert all(type(key) is key_type for key in group._index)
+        assert group.order == n
+        assert group.elements == tuple(elements)
+        assert [group.word(i) for i in range(group.order)] == words
+        assert group.generator_indices == tuple(index[x] for x in gens)
+        assert [group.inv(i) for i in range(group.order)] == [
+            index[x.inverse()] for x in elements]
+
+    def test_g1280_keys_are_bytes(self, g1280_group):
+        assert len(g1280_group._points) == 80
+        assert all(type(key) is bytes for key in g1280_group._index)

@@ -1,0 +1,55 @@
+"""Differential tests: conjugacy classes, the abelianization and the
+class-matrix rows built from left multiplication along the BFS tree,
+against the word-fold bodies kept in `groups_oracle`.
+
+The groups are random two-generator subgroups of G(m,1,n), m, n <= 4, from
+monomial generators and from their dense conjugates (a point set of n·|G|
+vectors), and the three paper fixtures.
+"""
+
+import pytest
+from hypothesis import given, settings
+
+import groups_oracle as oracle
+from helpers import conjugated_elements, wreath_generator_pairs
+
+from torusquot.chartab import _class_matrix_rows
+from torusquot.fixtures import FIXTURES
+from torusquot.groupfile import parse_group_text
+from torusquot.groups import close
+
+
+def check_against_oracle(group):
+    classes, class_of = oracle.compute_classes(group)
+    assert group.conjugacy_classes == classes
+    assert group.class_map == class_of
+    assert [group.class_of(i) for i in range(group.order)] == list(class_of)
+    assert group.abelianization_order() == oracle.abelianization_order(group)
+    rows = range(group.num_classes)
+    for i in rows:
+        assert _class_matrix_rows(group, i, rows) == oracle.class_matrix_rows(group, i, rows)
+
+
+def test_left_multiply_all_matches_mult(g216_group):
+    for h in (0, 1, 17, g216_group.order - 1):
+        assert g216_group.left_multiply_all(h) == [
+            g216_group.mult(h, x) for x in range(g216_group.order)]
+
+
+@pytest.mark.parametrize("name", ["s4", "g216", "g1280"])
+def test_fixtures_match_word_folds(name):
+    fx = FIXTURES[name]
+    gens = parse_group_text(fx.file_text, source=name).elements()
+    check_against_oracle(close(gens, limit=fx.closure_limit))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wreath_generator_pairs())
+def test_wreath_subgroups_match_word_folds(gens):
+    check_against_oracle(close(gens))
+
+
+@settings(max_examples=15, deadline=None)
+@given(wreath_generator_pairs())
+def test_dense_conjugates_match_word_folds(gens):
+    check_against_oracle(close(conjugated_elements(gens)))

@@ -133,16 +133,16 @@ def test_lift_of_sums_and_noise_matches_oracle(g216_lift, data):
 
 
 def test_inexact_class_matrix_entry_raises():
-    # a stand-in in which the members 1, 2 of class 1 times the
-    # representative of class 0 give 0 and 1, so one of them seems to land
-    # in class 1 = {1, 2}: the entry |C_0| * 1 / |C_1| = 1/2 of row 0 is
+    # a stand-in in which the representative of class 0 times the members
+    # 1, 2, 3 of class 1 gives 0, 2, 3, so two of them seem to land in
+    # class 1 = {1, 2, 3}: the entry |C_0| * 2 / |C_1| = 2/3 of row 1 is
     # not an integer
     fake = SimpleNamespace(
-        num_classes=2, conjugacy_classes=((0,), (1, 2)), class_representatives=(0, 1),
-        class_sizes=(1, 2), class_of=lambda x: 0 if x == 0 else 1,
-        right_multiply=lambda xs, j: [0, 1])
+        num_classes=2, conjugacy_classes=((0,), (1, 2, 3)), class_representatives=(0, 1),
+        class_sizes=(1, 3), class_map=(0, 1, 1, 1),
+        left_multiply_all=lambda h: [0, 0, 2, 3])
     with pytest.raises(TableComputationError, match="not an integer"):
-        chartab._class_matrix_rows(fake, 1, [0])
+        chartab._class_matrix_rows(fake, 0, [1])
 
 
 def test_g1280_table_computes_few_inverses(monkeypatch):
