@@ -59,6 +59,12 @@ class Character:
     def conjugate(self) -> "Character":
         return Character(self.group, tuple(v.conjugate() for v in self.values))
 
+    def is_faithful(self) -> bool:
+        """ρ(g) = I exactly when χ(g) = χ(1), so the kernel is read off the
+        character: faithful when only the identity class reaches χ(1)."""
+        d = self.values[0]
+        return all(v != d for v in self.values[1:])
+
     def is_real_valued(self) -> bool:
         return all(v == v.conjugate() for v in self.values)
 

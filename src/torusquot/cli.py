@@ -183,7 +183,7 @@ def _search_report(name: str, group) -> None:
         d = chi.degree
         fs = frobenius_schur(chi)
         eig_ok = all(c > 0 for c in eigenvalue_one_counts(chi))
-        faithful = sum(1 for v in chi.values if v == d) == 1
+        faithful = chi.is_faithful()
         note = " [natural]" if chi.values == chi_nat.values else ""
         print(f"  irreducible {i}: degree {d}, type {FS_NAMES[fs]}, "
               f"eigenvalue-1 all classes: {_show(eig_ok)}, "

@@ -50,7 +50,7 @@ from collections import Counter
 from operator import methodcaller
 
 from . import linalg
-from .cyclo import Cyclotomic, one, zero
+from .cyclo import Cyclotomic, one, rref, zero
 from .errors import GroupTooLargeError, InvalidInputError
 
 DEFAULT_CLOSURE_LIMIT = 20000
@@ -135,13 +135,6 @@ class Monomial:
     def trace(self) -> Cyclotomic:
         return sum((self.scalars[j] for j in range(self.degree) if self.perm[j] == j), zero())
 
-    def det(self) -> Cyclotomic:
-        par = _perm_parity(self.perm)
-        d = one()
-        for s in self.scalars:
-            d = d * s
-        return -d if par else d
-
     def to_dense(self) -> "Dense":
         d = self.degree
         rows = [[zero()] * d for _ in range(d)]
@@ -151,22 +144,6 @@ class Monomial:
 
     def is_identity(self) -> bool:
         return all(p == j for j, p in enumerate(self.perm)) and all(s == 1 for s in self.scalars)
-
-    def has_eigenvalue_one(self) -> bool:
-        """Exact: some permutation cycle whose scalar product equals 1."""
-        seen = [False] * self.degree
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            prod = one()
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                prod = prod * self.scalars[j]
-                j = self.perm[j]
-            if prod == 1:
-                return True
-        return False
 
     def block_sum(self, other: "Monomial") -> "Monomial":
         d = self.degree
@@ -189,23 +166,6 @@ class Monomial:
 
     def __repr__(self):
         return f"Monomial(perm={self.perm}, scalars=({', '.join(map(str, self.scalars))}))"
-
-
-def _perm_parity(perm) -> int:
-    """1 for odd permutations, 0 for even."""
-    seen = [False] * len(perm)
-    parity = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
 
 
 def _inverse_perm(perm) -> tuple[int, ...]:
@@ -273,19 +233,11 @@ class Dense:
     def trace(self) -> Cyclotomic:
         return sum((self.rows[i][i] for i in range(self.degree)), zero())
 
-    def det(self) -> Cyclotomic:
-        return linalg.bareiss_det(self.rows)
-
     def to_dense(self) -> "Dense":
         return self
 
     def is_identity(self) -> bool:
         return linalg.mat_eq(self.rows, linalg.identity_matrix(self.degree))
-
-    def has_eigenvalue_one(self) -> bool:
-        """Exact: det(M - I) = 0, by fraction-free elimination."""
-        return linalg.bareiss_det(
-            linalg.mat_sub(self.rows, linalg.identity_matrix(self.degree))).is_zero()
 
     def block_sum(self, other) -> "Dense":
         return Dense(linalg.block_diag(self.rows, other.to_dense().rows))
@@ -310,7 +262,7 @@ def _validate_generator(g):
     if isinstance(g, Monomial):
         return  # constructor already rejected zero scalars
     if isinstance(g, Dense):
-        if g.det().is_zero():
+        if len(rref(g.rows)[1]) < g.degree:
             raise InvalidInputError("dense generator is not invertible")
         return
     raise InvalidInputError(f"unsupported generator type {type(g).__name__}")

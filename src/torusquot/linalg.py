@@ -32,44 +32,12 @@ def mat_vec(a: Matrix, v) -> tuple:
     return tuple(sum((x * y for x, y in zip(row, v) if x and y), zero()) for row in a)
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
 def conj_matrix(a: Matrix) -> Matrix:
     return tuple(tuple(x.conjugate() for x in row) for row in a)
-
-
-def bareiss_det(a: Matrix) -> Cyclotomic:
-    """Determinant by fraction-free (Bareiss) elimination; exact."""
-    n = len(a)
-    if n == 0:
-        return one()
-    if any(len(row) != n for row in a):
-        raise InvalidInputError("determinant needs a square matrix")
-    m = [list(row) for row in a]
-    sign = 1
-    prev = one()
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if pivot is None:
-                return zero()
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pkk - mik * m[k][j]) / prev
-            m[i][k] = zero()
-        prev = pkk
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
 
 
 def mat_inverse(a: Matrix) -> Matrix:

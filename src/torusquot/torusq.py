@@ -10,7 +10,8 @@ sum of two conjugate irreducibles, and the conjugate-pair case carries a
 canonical pair of half-dimensional invariant subspaces on which the form
 vanishes (the fibers of a Lagrangian fibration).  This module computes all of
 that exactly, plus the smoothness obstructions: the eigenvalue-1 test per
-conjugacy class and the cyclic-Sylow primitivity criterion.
+conjugacy class, which averages the character over the cyclic group ⟨g⟩ of
+a representative g, and the cyclic-Sylow primitivity criterion.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .chartab import (
     Character,
     CharacterTable,
     decompose,
+    eigenvalue_one_counts,
     frobenius_schur,
     inner_product,
     trivial_character,
@@ -88,10 +90,7 @@ class AnalyticRep:
 
     @property
     def faithful(self) -> bool:
-        """ρ(g) = I exactly when χ(g) = χ(1), so the kernel is read off the
-        character: faithful when only the identity class reaches χ(1)."""
-        d = self.character.values[0]
-        return all(v != d for v in self.character.values[1:])
+        return self.character.is_faithful()
 
     def is_trivial(self) -> bool:
         d = Cyclotomic.from_value(self.degree)
@@ -445,11 +444,11 @@ def preserves_lattice(rep: AnalyticRep, lattice: LatticeSpec) -> bool:
 
 
 def eigenvalue_one_all(rep: AnalyticRep) -> tuple[bool, tuple[int, ...]]:
-    """Exact eigenvalue-1 test on one representative per class; returns the
-    overall answer and the failing class indices."""
-    failing = tuple(
-        k for k, r in enumerate(rep.group.class_representatives)
-        if not rep.matrix(r).has_eigenvalue_one())
+    """Exact eigenvalue-1 test per class, read off the character: the
+    multiplicity of eigenvalue 1 of ρ(g) is the average of χ over ⟨g⟩
+    (Serre, *Linear Representations of Finite Groups*, §2.3).  Returns the
+    overall answer and the class indices where it is 0."""
+    failing = tuple(k for k, c in enumerate(eigenvalue_one_counts(rep.character)) if c == 0)
     return (not failing, failing)
 
 

@@ -1,12 +1,13 @@
 """`analyze` read from the generators against the earlier group-wide sums.
 
 The invariant form is walked as line orbits under the generator images,
-the halves of a complex pair are read off one class sum, faithfulness off
-the character, and element matrices are built only when a stage reads
-them.  Each answer is checked against the body that summed over every
-element (`torusq_oracle`, `fibration_oracle`), on random monomial
-subgroups of G(m,1,n) = mu_m wr S_n, the corpus, the paper examples and
-integer conjugates of them.
+the halves of a complex pair are read off one class sum, faithfulness and
+the eigenvalue-1 test off the character, and element matrices are built
+only when a stage reads them.  Each answer is checked against the body that
+summed over every element or looked at every class representative's matrix
+(`torusq_oracle`, `fibration_oracle`), on random monomial subgroups of
+G(m,1,n) = mu_m wr S_n, the corpus, the paper examples and integer
+conjugates of them.
 """
 
 import random
@@ -17,8 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibration_oracle import isotypic_projections
-from helpers import column_space_basis, conjugated, one_dim_rep, unimodular
+from helpers import (
+    column_space_basis,
+    conjugated,
+    conjugated_elements,
+    one_dim_rep,
+    unimodular,
+    wreath_generator_pairs,
+)
 from torusq_oracle import basis_is_lagrangian_all_pairs, faithful_by_matrices, group_average_form
+from torusq_oracle import eigenvalue_one_all as eigenvalue_one_by_matrices
 
 from torusquot import torusq
 from torusquot.chartab import character_table, decompose, trivial_character
@@ -33,6 +42,7 @@ from torusquot.torusq import (
     analyze,
     classify_symplectic,
     conjugate_pair_rep,
+    eigenvalue_one_all,
     h0_reflexive_2forms,
     invariant_form,
     natural_rep,
@@ -159,6 +169,38 @@ def test_trivial_plus_sign_is_not_faithful(s4_group, s4_table):
                                       if c.degree == 1 and c != trivial_character(s4_group)))
     rep = AnalyticRep(s4_group, [a.block_sum(b) for a, b in zip(triv.matrices, sign.matrices)])
     assert rep.faithful is faithful_by_matrices(rep) is False
+
+
+# -- eigenvalue 1 from the character
+
+
+def _check_eigenvalue_one(group):
+    for rep in _natural_and_pair(group):
+        assert eigenvalue_one_all(rep) == eigenvalue_one_by_matrices(rep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wreath_generator_pairs())
+def test_eigenvalue_one_from_the_character(gens):
+    _check_eigenvalue_one(close(gens))
+
+
+@settings(max_examples=15, deadline=None)
+@given(wreath_generator_pairs())
+def test_eigenvalue_one_on_dense_conjugates(gens):
+    _check_eigenvalue_one(close(conjugated_elements(gens)))
+
+
+@pytest.mark.parametrize("name", ["s4", "g216", "g1280"])
+def test_eigenvalue_one_on_the_paper_examples(name, request):
+    _check_eigenvalue_one(request.getfixturevalue(f"{name}_group"))
+
+
+def test_eigenvalue_one_on_the_untwisted_s4(s4_untwisted):
+    for rep in (s4_untwisted, conjugate_pair_rep(s4_untwisted)):
+        ok, failing = eigenvalue_one_all(rep)
+        assert (ok, failing) == eigenvalue_one_by_matrices(rep)
+        assert not ok and failing
 
 
 # -- element matrices built on demand

@@ -116,6 +116,15 @@ def test_analyze_syntax_error_exit_2(tmp_path, capsys):
     assert "line 5" in err
 
 
+def test_analyze_singular_dense_generator_exit_2(tmp_path, capsys):
+    path = tmp_path / "singular.group"
+    path.write_text("conductor 1\ndegree 3\ngenerator dense\n"
+                    "row 1; 2; 3\nrow 4; 5; 6\nrow 7; 8; 9\n")
+    code = main(["analyze", "--group", str(path)])
+    assert code == 2
+    assert "dense generator is not invertible" in capsys.readouterr().err
+
+
 def test_analyze_missing_file_exit_2(tmp_path, capsys):
     code = main(["analyze", "--group", str(tmp_path / "nope.group")])
     assert code == 2

@@ -4,13 +4,18 @@
 The library now walks line orbits under the generators and reads the
 kernel off the character; the differential tests require the same answers
 as these group-wide sums.  Also here: the earlier Lagrangian check, which
-evaluates the form on every ordered pair of basis vectors.
+evaluates the form on every ordered pair of basis vectors, and the earlier
+eigenvalue-1 test, which looks at the matrix of each class representative
+(a cycle walk for a monomial matrix, a fraction-free determinant of M - I
+for a dense one), where the library averages the character over <g>.
 """
 
 from __future__ import annotations
 
-from torusquot.cyclo import zero
+from torusquot.cyclo import one, zero
+from torusquot.errors import InvalidInputError
 from torusquot.groups import Monomial
+from torusquot.linalg import identity_matrix
 from torusquot.torusq import AnalyticRep, SymplecticForm
 
 
@@ -57,3 +62,64 @@ def faithful_by_matrices(rep: AnalyticRep) -> bool:
 
 def basis_is_lagrangian_all_pairs(basis, form: SymplecticForm) -> bool:
     return all(form.evaluate(u, v).is_zero() for u in basis for v in basis)
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def bareiss_det(a):
+    """Determinant by fraction-free (Bareiss) elimination; exact."""
+    n = len(a)
+    if n == 0:
+        return one()
+    if any(len(row) != n for row in a):
+        raise InvalidInputError("determinant needs a square matrix")
+    m = [list(row) for row in a]
+    sign = 1
+    prev = one()
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if pivot is None:
+                return zero()
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pkk = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pkk - mik * m[k][j]) / prev
+            m[i][k] = zero()
+        prev = pkk
+    d = m[n - 1][n - 1]
+    return -d if sign < 0 else d
+
+
+def has_eigenvalue_one(m) -> bool:
+    """Exact: a monomial matrix has eigenvalue 1 when some permutation cycle
+    has scalar product 1; a dense one when det(M - I) = 0."""
+    if not isinstance(m, Monomial):
+        return bareiss_det(mat_sub(m.rows, identity_matrix(m.degree))).is_zero()
+    seen = [False] * m.degree
+    for start in range(m.degree):
+        if seen[start]:
+            continue
+        prod = one()
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            prod = prod * m.scalars[j]
+            j = m.perm[j]
+        if prod == 1:
+            return True
+    return False
+
+
+def eigenvalue_one_all(rep: AnalyticRep) -> tuple[bool, tuple[int, ...]]:
+    """Exact eigenvalue-1 test on the matrix of one representative per class;
+    returns the overall answer and the failing class indices."""
+    failing = tuple(
+        k for k, r in enumerate(rep.group.class_representatives)
+        if not has_eigenvalue_one(rep.matrix(r)))
+    return (not failing, failing)
