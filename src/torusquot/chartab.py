@@ -2,7 +2,8 @@
 
 The table is computed by the classical class-matrix method: class sums act on
 the r-dimensional space of class functions over a prime field F_p with
-p = 1 mod exponent(G) and p > 2*ceil(sqrt(|G|)), their common eigenvectors are
+p = 1 mod exponent(G) and p > 2*ceil(sqrt(|G|)), their common eigenvectors,
+split out one class sum at a time with one Hessenberg reduction per space, are
 (after normalization) the irreducible characters reduced mod p, and each value
 is lifted exactly to a sum of roots of unity by finite-field Fourier
 inversion of the eigenvalue multiplicities.  The lift is exact because every
@@ -362,12 +363,13 @@ def _split_eigenspaces(group: FiniteGroup, p: int):
     matrices mod p, via deterministic iterated splitting.
 
     A space is held as its pivot rows P and a basis that is the identity at
-    P.  The split starts from the identity, and the vector built from
-    kernel vector t is 1 at the pivot of free column t and 0 at the other
-    pivots, so this holds for every space.  The class matrices commute, so
-    each space is invariant: M * B = B * R, and at the rows P this reads
-    R = M[P, :] * B.  Only the rows of M at the pivots of the spaces that are
-    still to split are built."""
+    P.  The class matrices commute, so each space is invariant: M * B = B * R,
+    and at the rows P this reads R = M[P, :] * B.  Only the rows of M at the
+    pivots of the spaces that are still to split are built.  One Hessenberg
+    reduction H = S^-1 * R * S gives the characteristic polynomial and every
+    eigenspace, as S * ker(H - lam), brought to the identity at its pivots
+    by `rref_mod`.  The spaces are common eigenspaces, so they and their
+    order do not depend on the bases chosen."""
     r = group.num_classes
     spaces = [(list(range(r)), [[1 if i == j else 0 for i in range(r)] for j in range(r)])]
     for ci in range(1, r):
@@ -381,26 +383,26 @@ def _split_eigenspaces(group: FiniteGroup, p: int):
             if s == 1:
                 refined.append((pivots, basis))
                 continue
-            restriction = [[sum(map(operator.mul, rows[j], v)) % p for v in basis]
-                           for j in pivots]
+            start = s == r  # the starting space, whose basis is the identity
+            if start:
+                restriction = [[x % p for x in rows[j]] for j in pivots]
+            else:
+                restriction = [[sum(map(operator.mul, rows[j], v)) % p for v in basis]
+                               for j in pivots]
             lam = restriction[0][0]
             if all(x == (lam if a == b else 0)
                    for a, row in enumerate(restriction) for b, x in enumerate(row)):
                 refined.append((pivots, basis))  # M acts as lam: one eigenspace
                 continue
-            for lam in modp.roots_mod(modp.charpoly_mod(restriction, p), p):
-                shifted = [[(restriction[a][b] - (lam if a == b else 0)) % p
-                            for b in range(s)] for a in range(s)]
+            h, transform = modp.hessenberg_mod(restriction, p)
+            for lam in modp.roots_mod(modp.hessenberg_charpoly(h, p), p):
                 # the whole eigenspace stays one subspace; later class
                 # matrices keep refining it
-                kernel, free = modp.kernel_mod(shifted, p)
-                eigenspace = []
-                for coeffs in kernel:
-                    w = [0] * r
-                    for c, u in zip(coeffs, basis):
-                        if c:
-                            w = [a + c * b for a, b in zip(w, u)]
-                    eigenspace.append([a % p for a in w])
+                kernel = [[sum(map(operator.mul, row, y)) % p for row in transform]
+                          for y in modp.hessenberg_kernel(h, lam, p)]
+                coeffs, free = modp.rref_mod(kernel, p)
+                eigenspace = coeffs if start else [
+                    [sum(map(operator.mul, c, col)) % p for col in zip(*basis)] for c in coeffs]
                 refined.append(([pivots[f] for f in free], eigenspace))
         spaces = refined
     if any(len(basis) != 1 for _, basis in spaces) or len(spaces) != r:

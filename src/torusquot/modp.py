@@ -3,11 +3,16 @@
 Internal support for the character-table computation: matrices are lists of
 lists of ints in [0, p), polynomials are coefficient lists with index = degree
 (trimmed, so [] is the zero polynomial).  Everything here is deterministic.
-Roots are found by evaluation: the table's prime, the smallest admissible one
-above 2*sqrt(|G|), is small, so a scan of F_p beats factoring.
+One Hessenberg reduction H = S^-1 * A * S gives both the characteristic
+polynomial and, by back-substitution in H, every eigenspace (Cohen, A Course
+in Computational Algebraic Number Theory, 2.2).  Roots are found by
+evaluation: the table's prime, the smallest admissible one above
+2*sqrt(|G|), is small, so a scan of F_p beats factoring.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .cyclo import prime_factors
 
@@ -58,66 +63,99 @@ def rref_mod(mat, p):
     return a, pivots
 
 
-def kernel_mod(mat, p):
-    """Basis of the right kernel, one vector per free column, and the free
-    columns: vector t is 1 at free[t] and 0 at every other free column."""
-    rows, pivots = rref_mod(mat, p)
-    cols = len(mat[0]) if mat else 0
-    pivot_set = set(pivots)
-    basis = []
-    free_columns = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [0] * cols
-        v[free] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rows[r][free]) % p
-        basis.append(v)
-        free_columns.append(free)
-    return basis, free_columns
+# -- Hessenberg form: characteristic polynomial and eigenspaces
 
+def hessenberg_mod(mat, p):
+    """(H, S) with H = S^-1 * A * S upper Hessenberg, mod p (S as rows).
 
-# -- characteristic polynomial
-
-def charpoly_mod(mat, p):
-    """Monic characteristic polynomial of a square matrix mod p.
-
-    Reduces to upper Hessenberg form by similarity, then runs the standard
-    leading-minor recurrence.  Coefficient list has index = degree.
-    """
+    Column c is cleared below (c + 1, c) by row_i -= f_i * row_{c+1}, after a
+    swap that makes (c + 1, c) nonzero; col_{c+1} += sum_i f_i * col_i
+    completes the similarity, and S collects the swaps and column operations."""
     n = len(mat)
-    if n == 0:
-        return [1]
     h = [[x % p for x in row] for row in mat]
+    s = [[int(i == j) for j in range(n)] for i in range(n)]
     for c in range(n - 2):
         pr = next((i for i in range(c + 1, n) if h[i][c]), None)
         if pr is None:
             continue
         if pr != c + 1:
             h[c + 1], h[pr] = h[pr], h[c + 1]
-            for row in h:
+            for row in (*h, *s):
                 row[c + 1], row[pr] = row[pr], row[c + 1]
         inv = inv_mod(h[c + 1][c], p)
-        for i in range(c + 2, n):
-            if h[i][c]:
-                f = h[i][c] * inv % p
-                h[i] = [(x - f * y) % p for x, y in zip(h[i], h[c + 1])]
-                for row in h:
-                    row[c + 1] = (row[c + 1] + f * row[i]) % p
-    # charpoly of leading k x k Hessenberg block, built up by expansion
+        fs = [h[i][c] * inv % p for i in range(c + 2, n)]
+        if not any(fs):
+            continue
+        # rows c+1.. are 0 left of column c; the row operations commute with
+        # each other, so all of them go before the one column operation
+        pivot_row = h[c + 1][c:]
+        for i, f in enumerate(fs, c + 2):
+            if f:
+                h[i][c:] = [(x - f * y) % p for x, y in zip(h[i][c:], pivot_row)]
+        for row in (*h, *s):
+            row[c + 1] = (row[c + 1] + sum(map(operator.mul, fs, row[c + 2:]))) % p
+    return h, s
+
+
+def hessenberg_charpoly(h, p):
+    """Monic characteristic polynomial of an upper Hessenberg matrix mod p,
+    by the leading-minor recurrence; coefficient list has index = degree."""
     polys = [[1]]
-    for k in range(1, n + 1):
+    for k in range(1, len(h) + 1):
         # expand along the last row of the k x k block
         term = poly_sub(poly_shift(polys[k - 1]),
                         poly_scale(polys[k - 1], h[k - 1][k - 1]), p)
         run = 1
         for i in range(k - 2, -1, -1):
             run = run * h[i + 1][i] % p
+            if not run:  # a zero subdiagonal ends every later term
+                break
             coef = run * h[i][k - 1] % p
             term = poly_sub(term, poly_scale(polys[i], coef), p)
         polys.append(term)
-    return polys[n]
+    return polys[-1]
+
+
+def charpoly_mod(mat, p):
+    """Monic characteristic polynomial of a square matrix mod p, read off
+    its Hessenberg form.  Coefficient list has index = degree."""
+    return hessenberg_charpoly(hessenberg_mod(mat, p)[0], p)
+
+
+def hessenberg_kernel(h, lam, p):
+    """Basis of ker(H - lam*I) for an upper Hessenberg H mod p: vector t is
+    1 at the t-th free column and 0 at the others.  O((m + 1) * n^2) for a
+    kernel of dimension m: on the way to echelon form, column c is nonzero
+    only in the rows from the next pivot row to c + 1, and the vector of
+    free column f is 0 beyond f, so its back-substitution fixes only the
+    pivot columns left of f and reads rows up to column f."""
+    n = len(h)
+    a = [row[:i] + [(row[i] - lam) % p] + row[i + 1:] for i, row in enumerate(h)]
+    pivots, free = [], []
+    for c in range(n):
+        r = len(pivots)
+        end = min(c + 2, n)
+        pr = next((i for i in range(r, end) if a[i][c]), None)
+        if pr is None:
+            free.append(c)
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pivot_row = a[r][c + 1:]
+        inv = inv_mod(a[r][c], p)
+        for i in range(r + 1, end):
+            if a[i][c]:
+                f = a[i][c] * inv % p
+                a[i][c:] = [0] + [(x - f * y) % p for x, y in zip(a[i][c + 1:], pivot_row)]
+        pivots.append((c, inv))
+    basis = []
+    for t, f in enumerate(free):
+        v = [0] * n
+        v[f] = 1
+        for k in range(f - t - 1, -1, -1):  # the f - t pivot columns left of f
+            c, inv = pivots[k]
+            v[c] = -sum(map(operator.mul, a[k][c + 1:f + 1], v[c + 1:f + 1])) * inv % p
+        basis.append(v)
+    return basis
 
 
 # -- polynomials

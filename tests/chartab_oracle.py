@@ -10,8 +10,9 @@ The character sums are the earlier bodies of
 The table steps are the earlier :func:`_class_matrix`, which builds every
 row of a class matrix from the inverses of the class members,
 :func:`_split_eigenspaces`, which restricts each class matrix to a space by
-a full product and a row reduction and finds eigenvalues by the
-Cantor-Zassenhaus root finder of `modp_oracle`, :func:`_lift_character`,
+a full product and a row reduction, finds eigenvalues by the
+Cantor-Zassenhaus root finder of `modp_oracle` and row-reduces once per
+eigenvalue (`modp_oracle.kernel_mod`), :func:`_lift_character`,
 which sets up the Fourier inversion again for each character, and
 :func:`_verify_table`, which compares canonical inner products.  The
 table's bookkeeping read degrees and sort keys through `Fraction`
@@ -128,7 +129,7 @@ def _split_eigenspaces(group, p: int):
                 shifted = [[(restriction[a][b] - (lam if a == b else 0)) % p
                             for b in range(s)] for a in range(s)]
                 eigenspace = []
-                for coeffs in modp.kernel_mod(shifted, p)[0]:
+                for coeffs in modp_oracle.kernel_mod(shifted, p)[0]:
                     eigenspace.append(
                         [sum(c * basis[m][j] for m, c in enumerate(coeffs)) % p
                          for j in range(r)])

@@ -1,12 +1,36 @@
-"""The Cantor-Zassenhaus root finder the character table used before roots
-were found by evaluation, kept as the oracle for `modp.roots_mod`.
+"""Prime-field routines the character table used before, kept as oracles.
 
-It keeps the part of f that splits into distinct linear factors,
-gcd(x^p - x, f), and splits that by quadratic characters of the shifts
-x + a, a = 0, 1, 2, ..., so repeated runs agree.
+The Cantor-Zassenhaus root finder, the oracle for `modp.roots_mod`, keeps
+the part of f that splits into distinct linear factors, gcd(x^p - x, f),
+and splits that by quadratic characters of the shifts x + a,
+a = 0, 1, 2, ..., so repeated runs agree.
+
+`kernel_mod` reads a kernel basis off the reduced row echelon form; the
+split used it once per eigenvalue before each eigenspace came from one
+Hessenberg reduction (`modp.hessenberg_kernel`).
 """
 
-from torusquot.modp import inv_mod, poly_eval, poly_sub, poly_trim
+from torusquot.modp import inv_mod, poly_eval, poly_sub, poly_trim, rref_mod
+
+
+def kernel_mod(mat, p):
+    """Basis of the right kernel, one vector per free column, and the free
+    columns: vector t is 1 at free[t] and 0 at every other free column."""
+    rows, pivots = rref_mod(mat, p)
+    cols = len(mat[0]) if mat else 0
+    pivot_set = set(pivots)
+    basis = []
+    free_columns = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v = [0] * cols
+        v[free] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-rows[r][free]) % p
+        basis.append(v)
+        free_columns.append(free)
+    return basis, free_columns
 
 
 def poly_mul_mod(f, g, p):

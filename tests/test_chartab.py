@@ -13,7 +13,6 @@ from helpers import regular_character
 from torusquot import chartab
 from torusquot.chartab import (
     Character,
-    CharacterTable,
     character_table,
     decompose,
     eigenvalue_one_counts,

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from torusquot.cli import main
-from torusquot.fixtures import G216_FILE, S4_FILE
+from torusquot.fixtures import S4_FILE
 
 TRIVIAL2 = "conductor 1\ndegree 2\ngenerator perm\nmap 1 2\n"
 

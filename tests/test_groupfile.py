@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from torusquot.cyclo import Cyclotomic
 from torusquot.errors import GroupFileError
-from torusquot.fixtures import FIXTURES, G1280_FILE, G216_FILE, S4_FILE
+from torusquot.fixtures import G1280_FILE, G216_FILE, S4_FILE
 from torusquot.groupfile import (
     GeneratorSpec,
     GroupFile,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import modp_oracle
 from helpers import mat_mul_mod, solve_unique_mod
-from modp_oracle import poly_divmod, poly_gcd_mod, poly_mul_mod, poly_powmod
+from modp_oracle import kernel_mod, poly_divmod, poly_gcd_mod, poly_mul_mod, poly_powmod
 from torusquot import modp
 
 P = 101
@@ -34,15 +34,54 @@ def det_mod(mat, p):
     return det % p
 
 
+_HESSENBERG_PRIMES = (7, 13, 101)
+
+
+@st.composite
+def _square_matrices(draw):
+    """(p, A), n x n with n <= 12: random entries, P * D * P^-1 with
+    repeated diagonal entries (whose Hessenberg form has zero subdiagonal
+    entries), or random blocks on the diagonal."""
+    p = draw(st.sampled_from(_HESSENBERG_PRIMES))
+    n = draw(st.integers(1, 12))
+    entry = st.integers(0, p - 1)
+    kind = draw(st.sampled_from(["random", "diagonalizable", "blocks"]))
+    if kind == "random":
+        return p, draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "diagonalizable":
+        # P = lower * upper, both unit triangular, so P is invertible
+        values = draw(st.lists(entry, min_size=1, max_size=3))
+        diag = [draw(st.sampled_from(values)) for _ in range(n)]
+        lower = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)]
+                 for i in range(n)]
+        upper = [[1 if i == j else draw(entry) if j > i else 0 for j in range(n)]
+                 for i in range(n)]
+        base = mat_mul_mod(lower, upper, p)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        scaled = [[x * d % p for x, d in zip(row, diag)] for row in base]
+        return p, mat_mul_mod(scaled, solve_unique_mod(base, identity, p), p)
+    mat = [[0] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = draw(st.integers(1, n - start))
+        for i in range(start, start + size):
+            mat[i][start:start + size] = draw(
+                st.lists(entry, min_size=size, max_size=size))
+        start += size
+    return p, mat
+
+
 class TestCharpoly:
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.lists(st.integers(0, P - 1), min_size=4, max_size=4),
-                    min_size=4, max_size=4),
-           st.integers(0, P - 1))
-    def test_matches_det_oracle(self, mat, x):
-        f = modp.charpoly_mod(mat, P)
-        shifted = [[(x * (i == j) - mat[i][j]) % P for j in range(4)] for i in range(4)]
-        assert modp.poly_eval(f, x, P) == det_mod(shifted, P)
+    @settings(max_examples=120, deadline=None)
+    @given(_square_matrices(), st.integers(0, 100))
+    def test_matches_det_oracle(self, case, x):
+        p, a = case
+        n = len(a)
+        x %= p
+        shifted = [[(x * (i == j) - a[i][j]) % p for j in range(n)] for i in range(n)]
+        f = modp.charpoly_mod(a, p)
+        assert len(f) == n + 1 and f[-1] == 1
+        assert modp.poly_eval(f, x, p) == det_mod(shifted, p)
 
     def test_monic_and_degree(self):
         mat = [[1, 2], [3, 4]]
@@ -53,6 +92,39 @@ class TestCharpoly:
 
     def test_empty(self):
         assert modp.charpoly_mod([], P) == [1]
+
+
+class TestHessenberg:
+    """One reduction H = S^-1 * A * S gives every eigenspace (and, in
+    TestCharpoly, the characteristic polynomial)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_square_matrices())
+    def test_similarity(self, case):
+        p, a = case
+        n = len(a)
+        h, s = modp.hessenberg_mod(a, p)
+        assert all(h[i][j] == 0 for i in range(n) for j in range(i - 1))
+        assert len(modp.rref_mod(s, p)[1]) == n
+        assert mat_mul_mod(a, s, p) == mat_mul_mod(s, h, p)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_square_matrices())
+    def test_kernels_match_row_reduction(self, case):
+        p, a = case
+        n = len(a)
+        h, _ = modp.hessenberg_mod(a, p)
+        roots = modp.roots_mod(modp.hessenberg_charpoly(h, p), p)
+        for lam in roots:
+            shifted = [[(x - lam * (i == j)) % p for j, x in enumerate(row)]
+                       for i, row in enumerate(h)]
+            expected, _ = kernel_mod(shifted, p)
+            found = modp.hessenberg_kernel(h, lam, p)
+            assert found and modp.rref_mod(found, p) == modp.rref_mod(expected, p)
+        # at a non-root the kernel is empty
+        other = next((x for x in range(p) if x not in roots), None)
+        if other is not None:
+            assert modp.hessenberg_kernel(h, other, p) == []
 
 
 class TestRoots:
@@ -129,7 +201,7 @@ class TestRootsAgainstOracle:
 class TestLinear:
     def test_kernel(self):
         mat = [[1, 2, 3], [2, 4, 6]]
-        basis, free = modp.kernel_mod(mat, P)
+        basis, free = kernel_mod(mat, P)
         assert len(basis) == 2
         for v in basis:
             assert all(sum(r * x for r, x in zip(row, v)) % P == 0 for row in mat)
@@ -137,7 +209,7 @@ class TestLinear:
     def test_kernel_free_columns(self):
         # rref [[1, 0, 2], [0, 1, 3]]: column 2 is free
         mat = [[1, 0, 2], [2, 1, 7]]
-        basis, free = modp.kernel_mod(mat, P)
+        basis, free = kernel_mod(mat, P)
         assert free == [2]
         assert basis == [[(-2) % P, (-3) % P, 1]]
 

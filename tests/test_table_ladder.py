@@ -1,0 +1,87 @@
+"""Character tables of generalised symmetric groups against references made
+without torusquot.
+
+The irreducible characters of G(m,1,n) = mu_m wr S_n are indexed by the
+m-tuples of partitions (lambda_0, ..., lambda_{m-1}) of total size n, and
+the one of such a tuple has degree n! / prod |lambda_i|! * prod f(lambda_i),
+with f(lambda) the number of standard Young tableaux of shape lambda (the
+hook-length formula).  The class count, the degree multiset and
+sum d^2 = m^n * n! are computed here from partitions alone.
+"""
+
+import math
+from collections import Counter
+from itertools import product
+
+import pytest
+
+import chartab_oracle as oracle
+
+from torusquot import chartab
+from torusquot.cyclo import Cyclotomic, one
+from torusquot.groups import Monomial, close
+
+
+def wreath(m, n):
+    """Generators of G(m,1,n): zeta_m in the first coordinate, a
+    transposition and an n-cycle."""
+    ones = (one(),) * n
+    return [Monomial(tuple(range(n)), (Cyclotomic.zeta(m),) + ones[1:]),
+            Monomial((1, 0) + tuple(range(2, n)), ones),
+            Monomial(tuple(range(1, n)) + (0,), ones)]
+
+
+def partitions(n, largest=None):
+    """The partitions of n as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def standard_tableaux(shape):
+    """f(lambda) = |lambda|! / prod of the hook lengths."""
+    conjugate = [sum(1 for row in shape if row > j) for j in range(shape[0] if shape else 0)]
+    hooks = math.prod(row - j + conjugate[j] - i - 1
+                      for i, row in enumerate(shape) for j in range(row))
+    return math.factorial(sum(shape)) // hooks
+
+
+def reference_degrees(m, n):
+    """Degrees of the irreducibles of G(m,1,n), one per m-multipartition of n."""
+    by_size = [list(partitions(k)) for k in range(n + 1)]
+    degrees = []
+    for sizes in product(range(n + 1), repeat=m):
+        if sum(sizes) != n:
+            continue
+        for shapes in product(*(by_size[k] for k in sizes)):
+            degrees.append(math.factorial(n)
+                           // math.prod(math.factorial(k) for k in sizes)
+                           * math.prod(standard_tableaux(s) for s in shapes))
+    return degrees
+
+
+def test_reference_degrees_of_small_cases():
+    # S_4: 1, 1, 2, 3, 3; the hyperoctahedral group B_2 = G(2,1,2): 1, 1, 1, 1, 2
+    assert sorted(reference_degrees(1, 4)) == [1, 1, 2, 3, 3]
+    assert sorted(reference_degrees(2, 2)) == [1, 1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("m, n", [(2, 5), (3, 4), (6, 3)],
+                         ids=["G(2,1,5)", "G(3,1,4)", "G(6,1,3)"])
+def test_ladder_rung(m, n):
+    group = close(wreath(m, n))
+    table = chartab.character_table(group)
+    expected = reference_degrees(m, n)
+    assert group.order == m ** n * math.factorial(n) == sum(d * d for d in expected)
+    assert group.num_classes == len(expected)
+    assert Counter(table.degrees) == Counter(expected)
+
+
+def test_split_matches_oracle_on_g314():
+    group = close(wreath(3, 4))
+    p = next(chartab._admissible_primes(group.exponent(), group.order))
+    assert group.num_classes == 51
+    assert chartab._split_eigenspaces(group, p) == oracle._split_eigenspaces(group, p)

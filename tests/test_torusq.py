@@ -12,7 +12,7 @@ from fibration_oracle import isotypic_projections
 from helpers import one_dim_rep, regular_rep
 from torusq_oracle import bareiss_det, has_eigenvalue_one
 
-from torusquot.chartab import character_table, natural_character, inner_product
+from torusquot.chartab import character_table
 from torusquot.cyclo import Cyclotomic, one, zero
 from torusquot.errors import InvalidInputError, NotAHomomorphismError
 from torusquot.groups import Dense, Monomial, close
