@@ -147,22 +147,18 @@ def cmd_search(args) -> int:
     if not catalog.is_dir():
         return _fail(f"catalog {args.catalog!r} is not a directory", 2)
     files = sorted(catalog.glob("*.group"))
+    # a closure limit of max_order raises past it, so no larger group is reported
+    limit = args.max_order or args.limit
     processed = 0
     for path in files:
         try:
             gf = parse_group(path)
-            limit = args.max_order if args.max_order else args.limit
             group = close(gf.elements(), limit=limit)
         except GroupTooLargeError:
-            print(f"warning: {path.name}: order exceeds {args.max_order or args.limit}, skipped",
-                  file=sys.stderr)
+            print(f"warning: {path.name}: order exceeds {limit}, skipped", file=sys.stderr)
             continue
         except TorusQuotError as exc:
             print(f"warning: {path.name}: {exc}, skipped", file=sys.stderr)
-            continue
-        if args.max_order and group.order > args.max_order:
-            print(f"warning: {path.name}: order {group.order} exceeds {args.max_order}, skipped",
-                  file=sys.stderr)
             continue
         processed += 1
         _search_report(path.name, group)

@@ -21,18 +21,17 @@ because closure multiplies on the right, and (x·g)⁻¹(e_j) = g⁻¹(x⁻¹(e_
 the permutation of g⁻¹ applied to the stored tuple.  With at most 256 points
 the key is a byte string and that step is one ``bytes.translate`` through
 g⁻¹'s permutation padded to 256 bytes; a larger point set keeps tuple keys,
-since a byte holds no index past 255.  The points x(e_j) are read off x's
-generator word through the generator permutations; they are the base images
-of x⁻¹, so a dict lookup gives the inverse.
+since a byte holds no index past 255.
 
-The BFS also keeps its tree: each element x after the identity is
-parent(x)·g for the generator g that first reached it.  Left multiplication
-by any h then follows the tree, h·x = (h·parent(x))·g, one lookup in the
-right-multiplication table per element in BFS order; conjugation by a
-generator, conjugacy classes and class-matrix rows are built from it without
-folding words.  Products of single indices are folded through the generator
-word of the right factor; element orders and powers walk each cyclic
-subgroup through the right-multiplication table once.
+The BFS tree (a Schreier vector) is the only record of how an element was
+reached: x after the identity is parent(x)·g for the generator g that first
+reached it.  Read up the tree, it gives x's generator word in O(depth) and,
+through the generator permutations, the points x(e_j), which are the base
+images of x⁻¹: a dict lookup gives the inverse.  Left multiplication by any
+h follows the tree, h·x = (h·parent(x))·g, one table lookup per element in
+BFS order, so conjugation by a generator, conjugacy classes and class-matrix
+rows need no words.  A product of single indices folds through the right
+factor's word, and powers walk each cyclic subgroup once.
 
 Matrices are built only on demand, without arithmetic: e_1..e_n are the
 first n points, and column j of x's matrix is the point x(e_j).
@@ -40,7 +39,7 @@ first n points, and column j of x's matrix is the point x(e_j).
 The closure limit bounds the number of elements and, through them, the point
 set: an orbit is never larger than |G|, so more than ``limit * degree``
 points proves |G| > limit.  Memory is thus O(limit * degree) for the
-elements plus the point set itself.
+elements and their tree plus the point set itself.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from collections import Counter
 from operator import methodcaller
 
 from . import linalg
-from .cyclo import Cyclotomic, one, rref, zero
+from .cyclo import Cyclotomic, is_prime, one, rref, zero
 from .errors import GroupTooLargeError, InvalidInputError
 
 DEFAULT_CLOSURE_LIMIT = 20000
@@ -303,9 +302,9 @@ def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
     x⁻¹(e_1)..x⁻¹(e_n), as bytes when there are at most 256 points.  The
     action is faithful, so two elements are equal exactly when their
     matrices are.  Elements are found in deterministic BFS order with the
-    identity at index 0.  Raises GroupTooLargeError when the closure would
-    exceed ``limit`` elements, or the point set ``limit * degree`` points,
-    which proves the same.
+    identity at index 0; the BFS tree alone records how each was reached.
+    Raises GroupTooLargeError when the closure would exceed ``limit``
+    elements, or the point set ``limit * degree`` points, which proves the same.
     """
     gens = list(generators)
     if not gens:
@@ -335,13 +334,9 @@ def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
         steps = [lambda x, p=p: tuple(map(p.__getitem__, x)) for p in inverse_perms]
     keys, index, right_table, (parents, letters) = _orbit(
         [encode(range(degree))], steps, limit, limit)
-    # an element's word is its parent's plus the generator that first reached it
-    words = [()]
-    for j in range(1, len(keys)):
-        words.append(words[parents[j]] + (letters[j],))
     gen_indices = tuple(index[encode(g[:degree])] for g in inverse_perms)
     return FiniteGroup(kind, degree, tuple(points), gen_perms, keys, index, encode, gen_indices,
-                       right_table, (tuple(parents), tuple(letters)), tuple(words))
+                       right_table, (tuple(parents), tuple(letters)))
 
 
 class FiniteGroup:
@@ -349,11 +344,12 @@ class FiniteGroup:
 
     Element i is stored by its base images (see the module docstring); its
     matrix is read off those of its inverse when asked for.  In the BFS tree
-    element i > 0 is ``parents[i]`` times generator ``letters[i]``.
+    element i > 0 is ``parents[i]`` times generator ``letters[i]``; words,
+    inverses and products of single indices are read up that tree.
     """
 
     def __init__(self, kind, degree, points, gen_perms, keys, index, encode, generator_indices,
-                 right_table, tree, words):
+                 right_table, tree):
         self._kind = kind
         self._degree = degree
         self._points = points
@@ -364,7 +360,6 @@ class FiniteGroup:
         self.generator_indices = generator_indices
         self._right = right_table
         self.parents, self.letters = tree
-        self._words = words
         self._elements = None
         self._inv = {}
         self._powers = {}
@@ -379,19 +374,20 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self._words)
+        return len(self._keys)
 
     @property
     def degree(self) -> int:
         return self._degree
 
     def _images(self, i: int) -> tuple[int, ...]:
-        """Indices of the points x(e_1)..x(e_n) for element x = i: its word's
-        generator permutations applied to the basis, the last letter first."""
-        images = range(self._degree)
-        for a in reversed(self._words[i]):
-            images = map(self._gen_perms[a].__getitem__, images)
-        return tuple(images)
+        """Indices of the points x(e_1)..x(e_n) for element x = i: the generator
+        permutations applied to the basis while walking up the tree from i."""
+        images = tuple(range(self._degree))
+        while i:
+            images = tuple(map(self._gen_perms[self.letters[i]].__getitem__, images))
+            i = self.parents[i]
+        return images
 
     def element(self, i: int):
         """The matrix of element i: column j is the point that it sends e_j to,
@@ -406,17 +402,25 @@ class FiniteGroup:
         return self._elements
 
     def word(self, i: int) -> tuple[int, ...]:
-        """Generator word that reaches element i from the identity (BFS order,
-        so every proper prefix is the word of an earlier element)."""
-        return self._words[i]
+        """Generator word that reaches element i from the identity, read up the
+        BFS tree in O(depth); every proper prefix is an earlier element's word."""
+        letters = []
+        while i:
+            letters.append(self.letters[i])
+            i = self.parents[i]
+        return tuple(reversed(letters))
 
     # -- index arithmetic
 
-    def mult(self, i: int, j: int) -> int:
-        x = i
-        for a in self._words[j]:
+    def _fold(self, x: int, word) -> int:
+        """The index of x·w for the element w with generator word ``word``."""
+        for a in word:
             x = self._right[a][x]
         return x
+
+    def mult(self, i: int, j: int) -> int:
+        """The index of i·j: i folded through j's word, O(depth of j)."""
+        return self._fold(i, self.word(j))
 
     def left_multiply_all(self, h: int) -> list[int]:
         """The index of h·x for every index x, in BFS order along the tree:
@@ -428,9 +432,8 @@ class FiniteGroup:
         return left
 
     def inv(self, i: int) -> int:
-        """The base images of x⁻¹ are the points x(e_j).  Each inverse is
-        computed on first request and kept, together with the inverse of the
-        inverse."""
+        """The base images of x⁻¹ are the points x(e_j).  Each inverse is computed
+        on first request and kept, together with the inverse of the inverse."""
         j = self._inv.get(i)
         if j is None:
             j = self._inv[i] = self._index[self._encode(self._images(i))]
@@ -439,14 +442,15 @@ class FiniteGroup:
 
     def _cyclic(self, i: int) -> tuple[int, ...]:
         """Indices of i^0, i^1, ..., i^(o-1) for the order o of i, walked once
-        through the right-multiplication table and kept."""
+        through the right-multiplication table by i's word and kept."""
         powers = self._powers.get(i)
         if powers is None:
             powers = [0]
+            word = self.word(i)
             x = i
             while x != 0:
                 powers.append(x)
-                x = self.mult(x, i)
+                x = self._fold(x, word)
             powers = self._powers[i] = tuple(powers)
         return powers
 
@@ -503,8 +507,7 @@ class FiniteGroup:
     @property
     def class_map(self) -> tuple[int, ...]:
         """The class index of every element, in BFS order."""
-        if self._class_of is None:
-            self._compute_classes()
+        self._compute_classes()
         return self._class_of
 
     def class_of(self, i: int) -> int:
@@ -557,31 +560,28 @@ class FiniteGroup:
 
     def sylow_cyclic(self, p: int) -> bool:
         """True iff some element order equals the exact p-part of |G|."""
-        from .cyclo import is_prime
         if not isinstance(p, int) or not is_prime(p):
             raise InvalidInputError(f"{p!r} is not a prime")
         if self.order % p:
             raise InvalidInputError(f"{p} does not divide the group order {self.order}")
-        p_part = 1
-        n = self.order
-        while n % p == 0:
+        p_part = p
+        while self.order % (p_part * p) == 0:
             p_part *= p
-            n //= p
         return any(o == p_part for o in self.class_orders)
 
     def _subgroup_closure(self, candidates) -> set[int]:
-        # incremental closure: only adopt a candidate that enlarges the subgroup
+        # incremental closure: adopt a candidate, and read its word, only if it grows the subgroup
         members = {0}
-        gens: list[int] = []
+        words: list[tuple[int, ...]] = []
         for t in candidates:
             if t in members:
                 continue
-            gens.append(t)
+            words.append(self.word(t))
             frontier = list(members)
             while frontier:
                 x = frontier.pop()
-                for g in gens:
-                    y = self.mult(x, g)
+                for w in words:
+                    y = self._fold(x, w)
                     if y not in members:
                         members.add(y)
                         frontier.append(y)

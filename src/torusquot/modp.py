@@ -99,20 +99,26 @@ def hessenberg_mod(mat, p):
 
 def hessenberg_charpoly(h, p):
     """Monic characteristic polynomial of an upper Hessenberg matrix mod p,
-    by the leading-minor recurrence; coefficient list has index = degree."""
+    by the leading-minor recurrence; coefficient list has index = degree.
+    Each minor is accumulated in one integer list and reduced once; it is
+    monic of degree k, so it needs no trim."""
     polys = [[1]]
     for k in range(1, len(h) + 1):
-        # expand along the last row of the k x k block
-        term = poly_sub(poly_shift(polys[k - 1]),
-                        poly_scale(polys[k - 1], h[k - 1][k - 1]), p)
+        # expand along the last row of the k x k block, from x * p_(k-1) on
+        prev = polys[k - 1]
+        term = [0] + prev
+        d = h[k - 1][k - 1]
+        for t, c in enumerate(prev):
+            term[t] -= d * c
         run = 1
         for i in range(k - 2, -1, -1):
             run = run * h[i + 1][i] % p
             if not run:  # a zero subdiagonal ends every later term
                 break
             coef = run * h[i][k - 1] % p
-            term = poly_sub(term, poly_scale(polys[i], coef), p)
-        polys.append(term)
+            for t, c in enumerate(polys[i]):
+                term[t] -= coef * c
+        polys.append([c % p for c in term])
     return polys[-1]
 
 
@@ -164,24 +170,6 @@ def poly_trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def poly_shift(f):
-    return [0] + list(f)
-
-
-def poly_scale(f, c):
-    return [x * c for x in f]
-
-
-def poly_sub(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, x in enumerate(f):
-        out[i] = x
-    for i, x in enumerate(g):
-        out[i] = (out[i] - x) % p
-    return poly_trim(out)
 
 
 def poly_eval(f, x, p):

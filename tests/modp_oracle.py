@@ -10,7 +10,7 @@ split used it once per eigenvalue before each eigenspace came from one
 Hessenberg reduction (`modp.hessenberg_kernel`).
 """
 
-from torusquot.modp import inv_mod, poly_eval, poly_sub, poly_trim, rref_mod
+from torusquot.modp import inv_mod, poly_eval, poly_trim, rref_mod
 
 
 def kernel_mod(mat, p):
@@ -31,6 +31,16 @@ def kernel_mod(mat, p):
         basis.append(v)
         free_columns.append(free)
     return basis, free_columns
+
+
+def poly_sub(f, g, p):
+    n = max(len(f), len(g))
+    out = [0] * n
+    for i, x in enumerate(f):
+        out[i] = x
+    for i, x in enumerate(g):
+        out[i] = (out[i] - x) % p
+    return poly_trim(out)
 
 
 def poly_mul_mod(f, g, p):

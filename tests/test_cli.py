@@ -211,7 +211,7 @@ def test_search_max_order(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "c2.group" in captured.out
-    assert "s4.group" in captured.err  # skipped with a warning
+    assert "s4.group: order exceeds 10, skipped" in captured.err
 
 
 def test_search_empty_catalog_exit_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ here as the oracle for random subgroups of G(m,1,n).
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,15 @@ from torusquot.groups import Dense, Monomial, close
 
 def perm_monomial(images):
     return Monomial(images, (one(),) * len(images))
+
+
+def cycles_monomial(*lengths):
+    """One permutation of disjoint cycles of the given lengths: it generates
+    a cyclic group of order lcm(lengths) whose BFS tree is a path."""
+    images = []
+    for n in lengths:
+        images += [len(images) + (k + 1) % n for k in range(n)]
+    return perm_monomial(images)
 
 
 def s4_group():
@@ -138,6 +148,24 @@ class TestIndexArithmetic:
             o = g.element_order(i)
             assert g.power(i, o) == 0
             assert all(g.power(i, k) != 0 for k in range(1, o))
+
+
+class TestDeepTree:
+    def test_closure_memory_linear_in_order(self):
+        # cycles 5, 7, 8, 9: order 2520 and BFS depth 2519, so a stored word
+        # per element would hold about 2520**2 / 2 letters
+        gen = cycles_monomial(5, 7, 8, 9)
+        tracemalloc.start()
+        try:
+            g = close([gen])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.order == 2520
+        assert peak < 4 * 2**20
+        for i in (0, 1, 2519):
+            assert g.word(i) == (0,) * i
+        assert g.inv(2519) == 1
 
 
 class TestConjugacy:
