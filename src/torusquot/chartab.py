@@ -8,7 +8,9 @@ split out one class sum at a time with one Hessenberg reduction per space, are
 is lifted exactly to a sum of roots of unity by finite-field Fourier
 inversion of the eigenvalue multiplicities.  The lift is exact because every
 multiplicity is at most the degree, which is below p.  The smallest such p
-is small, so eigenvalues are found by evaluation over F_p.
+is small, so eigenvalues are found by evaluation over F_p.  The table keeps
+the eigenvalue-1 multiplicities the lift finds and the check's lifted values,
+from which it computes each indicator once, when it is first asked for.
 
 Character values are exact `Cyclotomic` values.  The sums over classes
 (inner products, indicators, eigenvalue-1 counts and the table check) do
@@ -54,9 +56,6 @@ class Character:
             raise InconsistentCharacterError("identity value is not an integer")
         return d.num[0]
 
-    def value_at_element(self, i: int) -> Cyclotomic:
-        return self.values[self.group.class_of(i)]
-
     def conjugate(self) -> "Character":
         return Character(self.group, tuple(v.conjugate() for v in self.values))
 
@@ -65,9 +64,6 @@ class Character:
         character: faithful when only the identity class reaches χ(1)."""
         d = self.values[0]
         return all(v != d for v in self.values[1:])
-
-    def is_real_valued(self) -> bool:
-        return all(v == v.conjugate() for v in self.values)
 
     def __add__(self, other: "Character") -> "Character":
         if self.group is not other.group:
@@ -182,14 +178,17 @@ def inner_product(a: Character, b: Character) -> Cyclotomic:
     return _canonical(*_pairing(g, m, _class_pairs(g), _lift(a, m), _lift(b, m)), m)
 
 
-def frobenius_schur(chi: Character) -> int:
-    """(1/|G|) sum of chi(g^2): 1 real type, 0 complex, -1 quaternionic."""
-    g = chi.group
-    m = _conductor((chi,))
-    val = _average(m, _lift(chi, m), zip(g.power_classes(2), g.class_sizes), g.order)
+def _indicator(group: FiniteGroup, m: int, lifted) -> int:
+    val = _average(m, lifted, zip(group.power_classes(2), group.class_sizes), group.order)
     if val is None:
         raise InconsistentCharacterError("indicator is not an integer")
     return val
+
+
+def frobenius_schur(chi: Character) -> int:
+    """(1/|G|) sum of chi(g^2): 1 real type, 0 complex, -1 quaternionic."""
+    m = _conductor((chi,))
+    return _indicator(chi.group, m, _lift(chi, m))
 
 
 def exterior_square(chi: Character) -> Character:
@@ -255,11 +254,16 @@ def decompose(chi: Character, table: "CharacterTable") -> tuple[int, ...]:
 
 
 class CharacterTable:
-    """All irreducible characters, sorted by degree then value order."""
+    """All irreducible characters, sorted by degree then value order, with
+    ``eigenvalue_one[i]``, irreducible i's eigenvalue-1 multiplicity per
+    class, and the table check's (conductor, lifts) pair for `indicator`."""
 
-    def __init__(self, group: FiniteGroup, irreducibles):
+    def __init__(self, group: FiniteGroup, irreducibles, eigenvalue_one, lifted):
         self.group = group
         self.irreducibles = tuple(irreducibles)
+        self.eigenvalue_one = tuple(eigenvalue_one)
+        self._lifted = lifted
+        self._indicators = {}
 
     def __len__(self):
         return len(self.irreducibles)
@@ -273,6 +277,14 @@ class CharacterTable:
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(chi.degree for chi in self.irreducibles)
+
+    def indicator(self, i: int) -> int:
+        """Frobenius-Schur indicator of irreducible i, computed once."""
+        fs = self._indicators.get(i)
+        if fs is None:
+            m, lifted = self._lifted
+            fs = self._indicators[i] = _indicator(self.group, m, lifted[i])
+        return fs
 
     def index_of(self, chi: Character) -> int | None:
         for i, irr in enumerate(self.irreducibles):
@@ -296,10 +308,10 @@ class CharacterTable:
             "irreducibles": [
                 {
                     "degree": chi.degree,
-                    "indicator": frobenius_schur(chi),
+                    "indicator": self.indicator(i),
                     "values": [format_entry(v) for v in chi.values],
                 }
-                for chi in self.irreducibles
+                for i, chi in enumerate(self.irreducibles)
             ],
         }
 
@@ -395,14 +407,16 @@ def _split_eigenspaces(group: FiniteGroup, p: int):
                 refined.append((pivots, basis))  # M acts as lam: one eigenspace
                 continue
             h, transform = modp.hessenberg_mod(restriction, p)
+            columns = None if start else list(zip(*basis))
             for lam in modp.roots_mod(modp.hessenberg_charpoly(h, p), p):
                 # the whole eigenspace stays one subspace; later class
-                # matrices keep refining it
+                # matrices keep refining it.  A kernel vector y is 0 past
+                # its free column, so S * y reads only the columns up to it
                 kernel = [[sum(map(operator.mul, row, y)) % p for row in transform]
-                          for y in modp.hessenberg_kernel(h, lam, p)]
+                          for y in map(modp.poly_trim, modp.hessenberg_kernel(h, lam, p))]
                 coeffs, free = modp.rref_mod(kernel, p)
                 eigenspace = coeffs if start else [
-                    [sum(map(operator.mul, c, col)) % p for col in zip(*basis)] for c in coeffs]
+                    [sum(map(operator.mul, c, col)) % p for col in columns] for c in coeffs]
                 refined.append(([pivots[f] for f in free], eigenspace))
         spaces = refined
     if any(len(basis) != 1 for _, basis in spaces) or len(spaces) != r:
@@ -442,24 +456,29 @@ def _lift_character(plan, p: int, xk: list[int], d: int):
 
     At a class of order o the value is sum(mults[j] * zeta_o^j), built by
     one reduction of the multiplicity vector, kept in the plan for the next
-    class or character with the same values at the powers.
+    class or character with the same values at the powers.  Also returns
+    mults[0] per class, the multiplicity of eigenvalue 1: it is in [0, d]
+    and d < p, so it is exact once the table check accepts the values.
     """
-    values = []
+    values, ones = [], []
     for o, oinv, powers, rows, known in plan:
         xs = tuple(xk[c] for c in powers)
         lift = known.get(xs)
         if lift is None:
             mults = [sum(map(operator.mul, row, xs)) * oinv % p for row in rows]
-            lift = known[xs] = (sum(mults), max(mults), _canonical(_reduce(mults, o), 1, o))
-        total, largest, value = lift
+            # mults[0] is read before _reduce folds the list in place
+            lift = known[xs] = (sum(mults), max(mults), mults[0],
+                                _canonical(_reduce(mults, o), 1, o))
+        total, largest, fixed, value = lift
         if total != d or largest > d:
             raise TableComputationError(
                 "eigenvalue multiplicities do not sum to the degree")
         values.append(value)
-    return tuple(values)
+        ones.append(fixed)
+    return tuple(values), tuple(ones)
 
 
-def _table_mod_p(group: FiniteGroup, p: int) -> list[Character]:
+def _table_mod_p(group: FiniteGroup, p: int) -> CharacterTable:
     r = group.num_classes
     sizes = group.class_sizes
     inv_class = group.inverse_class
@@ -467,7 +486,7 @@ def _table_mod_p(group: FiniteGroup, p: int) -> list[Character]:
     vectors = _split_eigenspaces(group, p)
     size_inv = [modp.inv_mod(h % p, p) for h in sizes]
     plan = _lift_plan(group, p, modp.element_of_order(group.exponent(), p))
-    chars = []
+    chars, ones = [], []
     max_d = math.isqrt(order)
     for v in vectors:
         t = sum(v[k] * v[inv_class[k]] % p * size_inv[k] for k in range(r)) % p
@@ -478,14 +497,20 @@ def _table_mod_p(group: FiniteGroup, p: int) -> list[Character]:
         if d is None:
             raise TableComputationError("no admissible degree matches the eigenvector")
         xk = [d * v[k] % p * size_inv[k] % p for k in range(r)]
-        chars.append(Character(group, _lift_character(plan, p, xk, d)))
-    _verify_table(group, chars)
-    return chars
+        values, fixed = _lift_character(plan, p, xk, d)
+        chars.append(Character(group, values))
+        ones.append(fixed)
+    m, lifted = _verify_table(group, chars)
+    rows = sorted(zip(chars, ones, lifted),
+                  key=lambda row: (row[0].degree, tuple(v.sort_key() for v in row[0].values)))
+    chars, ones, lifted = zip(*rows)
+    return CharacterTable(group, chars, ones, (m, lifted))
 
 
 def _verify_table(group: FiniteGroup, chars: list[Character]):
     """Exact check of the lifted table: the degrees' squares sum to |G|, and
-    every one of the r^2 orthonormality relations holds.
+    every one of the r^2 orthonormality relations holds.  Returns the
+    conductor m and the characters lifted at m.
 
     Only the pairs j >= i are summed: the pairing sum_k |C_k| a(k) b(k^-1)
     is symmetric in a and b, since k -> k^-1 maps classes to classes of the
@@ -499,22 +524,21 @@ def _verify_table(group: FiniteGroup, chars: list[Character]):
         for j, b in enumerate(lifted[i:], i):
             if _integer(*_pairing(group, m, classes, a, b)) != (1 if i == j else 0):
                 raise TableComputationError("lifted characters are not orthonormal")
+    return m, lifted
 
 
 def character_table(group: FiniteGroup) -> CharacterTable:
     """Compute all irreducible characters exactly."""
     if group.num_classes == 1:
-        return CharacterTable(group, [trivial_character(group)])
+        chars = [trivial_character(group)]
+        return CharacterTable(group, chars, [(1,)], _verify_table(group, chars))
     failures = []
     primes = _admissible_primes(group.exponent(), group.order)
     for _ in range(MAX_PRIME_ATTEMPTS):
         p = next(primes)
         try:
-            chars = _table_mod_p(group, p)
+            return _table_mod_p(group, p)
         except TableComputationError as exc:
             failures.append(f"p={p}: {exc}")
-            continue
-        chars.sort(key=lambda c: (c.degree, tuple(v.sort_key() for v in c.values)))
-        return CharacterTable(group, chars)
     raise TableComputationError(
         "character table failed for all primes tried: " + "; ".join(failures))

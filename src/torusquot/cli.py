@@ -20,12 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .chartab import (
-    character_table,
-    eigenvalue_one_counts,
-    frobenius_schur,
-    natural_character,
-)
+from .chartab import character_table, natural_character
 from .errors import GroupFileError, GroupTooLargeError, TorusQuotError
 from .groups import DEFAULT_CLOSURE_LIMIT, close
 from .groupfile import (
@@ -176,14 +171,11 @@ def _search_report(name: str, group) -> None:
     table = character_table(group)
     chi_nat = natural_character(group)
     for i, chi in enumerate(table):
-        d = chi.degree
-        fs = frobenius_schur(chi)
-        eig_ok = all(c > 0 for c in eigenvalue_one_counts(chi))
-        faithful = chi.is_faithful()
+        eig_ok = all(table.eigenvalue_one[i])
         note = " [natural]" if chi.values == chi_nat.values else ""
-        print(f"  irreducible {i}: degree {d}, type {FS_NAMES[fs]}, "
+        print(f"  irreducible {i}: degree {chi.degree}, type {FS_NAMES[table.indicator(i)]}, "
               f"eigenvalue-1 all classes: {_show(eig_ok)}, "
-              f"candidate: {_show(eig_ok and faithful)}{note}")
+              f"candidate: {_show(eig_ok and chi.is_faithful())}{note}")
 
 
 @functools.cache

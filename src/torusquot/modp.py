@@ -122,12 +122,6 @@ def hessenberg_charpoly(h, p):
     return polys[-1]
 
 
-def charpoly_mod(mat, p):
-    """Monic characteristic polynomial of a square matrix mod p, read off
-    its Hessenberg form.  Coefficient list has index = degree."""
-    return hessenberg_charpoly(hessenberg_mod(mat, p)[0], p)
-
-
 def hessenberg_kernel(h, lam, p):
     """Basis of ker(H - lam*I) for an upper Hessenberg H mod p: vector t is
     1 at the t-th free column and 0 at the others.  O((m + 1) * n^2) for a

@@ -26,7 +26,6 @@ from .chartab import (
     CharacterTable,
     decompose,
     eigenvalue_one_counts,
-    frobenius_schur,
     inner_product,
     trivial_character,
 )
@@ -296,15 +295,14 @@ def classify_symplectic(rep: AnalyticRep, table: CharacterTable, *,
     support = [i for i, m in enumerate(mult) if m]
     if len(support) == 1:
         i = support[0]
-        irr = table[i]
         if mult[i] == 1:
-            if frobenius_schur(irr) == -1:
+            if table.indicator(i) == -1:
                 return QUATERNIONIC
             return NOT_UNI_SYMPLECTIC
         if mult[i] == 2:
-            if irr.values == trivial_character(rep.group).values:
+            if table[i].values == trivial_character(rep.group).values:
                 return SymplecticClass(SymplecticKind.CONJUGATE_PAIR, "trivial")
-            if frobenius_schur(irr) == 1:
+            if table.indicator(i) == 1:
                 return SymplecticClass(SymplecticKind.CONJUGATE_PAIR, "real")
         return NOT_UNI_SYMPLECTIC
     if len(support) == 2:

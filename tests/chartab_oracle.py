@@ -19,7 +19,8 @@ table's bookkeeping read degrees and sort keys through `Fraction`
 (:func:`degree`, :func:`sort_key`).
 
 They are slow and simple, and the differential tests compare `chartab`
-against them.
+against them; :func:`check_table_reads` compares what a finished table
+stores with them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 import modp_oracle
 from helpers import mat_mul_mod, solve_unique_mod
 
-from torusquot import modp
+from torusquot import chartab, modp
 from torusquot.chartab import Character
 from torusquot.cyclo import Cyclotomic, _canonical, _reduce, zero
 from torusquot.errors import InconsistentCharacterError, TableComputationError
@@ -124,7 +125,7 @@ def _split_eigenspaces(group, p: int):
             cols = [list(col) for col in zip(*basis)]  # r x s, columns = basis
             image = mat_mul_mod(mat, cols, p)
             restriction = solve_unique_mod(cols, image, p)
-            for lam in modp_oracle.roots_mod(modp.charpoly_mod(restriction, p), p):
+            for lam in modp_oracle.roots_mod(modp_oracle.charpoly_mod(restriction, p), p):
                 s = len(basis)
                 shifted = [[(restriction[a][b] - (lam if a == b else 0)) % p
                             for b in range(s)] for a in range(s)]
@@ -184,3 +185,12 @@ def degree(chi: Character) -> int:
 
 def sort_key(v: Cyclotomic):
     return (v.n, v.coeffs)
+
+
+def check_table_reads(table):
+    """Each irreducible's stored eigenvalue-1 counts and indicator equal both
+    per-character sums, `chartab`'s and this module's."""
+    for i, chi in enumerate(table):
+        assert table.eigenvalue_one[i] == chartab.eigenvalue_one_counts(chi) == \
+            eigenvalue_one_counts(chi)
+        assert table.indicator(i) == chartab.frobenius_schur(chi) == frobenius_schur(chi)

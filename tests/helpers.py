@@ -40,7 +40,16 @@ def one_dim_rep(group: FiniteGroup, chi: Character) -> AnalyticRep:
         raise InvalidInputError("need a degree-1 character")
     return AnalyticRep(
         group,
-        tuple(Monomial((0,), (chi.value_at_element(i),)) for i in range(group.order)))
+        tuple(Monomial((0,), (value_at_element(chi, i),)) for i in range(group.order)))
+
+
+def value_at_element(chi: Character, i: int) -> Cyclotomic:
+    """chi at the element with index i: the value at its class."""
+    return chi.values[chi.group.class_of(i)]
+
+
+def is_real_valued(chi: Character) -> bool:
+    return all(v == v.conjugate() for v in chi.values)
 
 
 def regular_rep(group: FiniteGroup) -> AnalyticRep:

@@ -7,10 +7,24 @@ a = 0, 1, 2, ..., so repeated runs agree.
 
 `kernel_mod` reads a kernel basis off the reduced row echelon form; the
 split used it once per eigenvalue before each eigenspace came from one
-Hessenberg reduction (`modp.hessenberg_kernel`).
+Hessenberg reduction (`modp.hessenberg_kernel`).  `charpoly_mod` gives the
+characteristic polynomial of any square matrix through that reduction.
 """
 
-from torusquot.modp import inv_mod, poly_eval, poly_trim, rref_mod
+from torusquot.modp import (
+    hessenberg_charpoly,
+    hessenberg_mod,
+    inv_mod,
+    poly_eval,
+    poly_trim,
+    rref_mod,
+)
+
+
+def charpoly_mod(mat, p):
+    """Monic characteristic polynomial of a square matrix mod p, read off
+    its Hessenberg form.  Coefficient list has index = degree."""
+    return hessenberg_charpoly(hessenberg_mod(mat, p)[0], p)
 
 
 def kernel_mod(mat, p):

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from torusquot import chartab, cli, torusq
 from torusquot.cli import main
 from torusquot.fixtures import FIXTURES
 
@@ -121,6 +122,19 @@ def group_paths(tmp_path_factory):
 def test_golden_output(case, group_paths):
     expected = (GOLDEN / f"{case}.out").read_text()
     assert _run(case, group_paths) == expected
+
+
+def test_search_reads_types_and_eigenvalue_one_off_the_table(group_paths, monkeypatch):
+    # the per-character sums stay for arbitrary class functions; search reads
+    # each irreducible's indicator and eigenvalue-1 counts off its table
+    def refuse(chi):
+        raise AssertionError("search summed over the classes of one character")
+
+    for module in (chartab, cli, torusq):
+        for name in ("frobenius_schur", "eigenvalue_one_counts"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    expected = (GOLDEN / "search-catalog.out").read_text()
+    assert _run("search-catalog", group_paths) == expected
 
 
 def _record() -> int:

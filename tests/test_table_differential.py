@@ -9,7 +9,9 @@ reduction, and set the lift up again for each character.  On random
 subgroups of G(m,1,n) = mu_m wr S_n, written monomial and conjugated to
 dense, on the corpus groups and on s4, g216 and g1280, every requested row
 must equal the oracle's matrix row, the split must return the same vectors
-in the same order, and the lifted values must be equal.
+in the same order, and the lifted values must be equal.  The eigenvalue-1
+counts the lift keeps and the indicators read off the check's lift must
+equal both per-character sums, `chartab`'s and the oracle's.
 """
 
 from types import SimpleNamespace
@@ -25,7 +27,7 @@ from torusquot import chartab, modp
 from torusquot.errors import GroupTooLargeError, TableComputationError
 from torusquot.fixtures import FIXTURES
 from torusquot.groupfile import parse_group_text
-from torusquot.groups import FiniteGroup, close
+from torusquot.groups import FiniteGroup, Monomial, close
 
 
 def _recording(mp, name):
@@ -55,7 +57,9 @@ def check_table_steps(group):
     for i in range(r):
         assert chartab._class_matrix_rows(group, i, range(r)) == oracle._class_matrix(group, i)
     if r == 1:
-        return  # character_table answers without a split
+        # character_table answers without a split
+        oracle.check_table_reads(chartab.character_table(group))
+        return
     p = next(chartab._admissible_primes(group.exponent(), group.order))
     omega = modp.element_of_order(group.exponent(), p)
     with pytest.MonkeyPatch.context() as mp:
@@ -68,8 +72,14 @@ def check_table_steps(group):
         matrix = oracle._class_matrix(group, i)
         assert out == [matrix[j] for j in requested]
     assert splits[0][1] == oracle._split_eigenspaces(group, p)
-    for (_, _, xk, d), values in lifts:
+    for (_, _, xk, d), (values, _) in lifts:
         assert values == oracle._lift_character(group, xk, d, p, omega)
+    oracle.check_table_reads(chars)
+
+
+def _lifted_values(plan, p, xk, d):
+    """chartab's lift without the eigenvalue-1 counts it also returns."""
+    return chartab._lift_character(plan, p, xk, d)[0]
 
 
 def _close_or_none(gens, limit):
@@ -101,6 +111,11 @@ def test_corpus_and_paper_groups(name, request):
     check_table_steps(request.getfixturevalue(f"{name}_group"))
 
 
+def test_trivial_group():
+    # one class: character_table answers without a split or a prime
+    check_table_steps(close([Monomial.identity(1)]))
+
+
 @pytest.fixture(scope="module")
 def g216_lift(g216_group):
     """The plan and the mod-p irreducibles (values, degree) of g216's table."""
@@ -124,12 +139,18 @@ def test_lift_of_sums_and_noise_matches_oracle(g216_lift, data):
         c = data.draw(st.integers(0, 2))
         xk = [(a + c * b) % p for a, b in zip(xk, values)]
         d += c * degree
-    if data.draw(st.booleans()):
+    noise = data.draw(st.booleans())
+    if noise:
         k = data.draw(st.integers(0, group.num_classes - 1))
         xk[k] = (xk[k] + data.draw(st.integers(1, p - 1))) % p
     plan = chartab._lift_plan(group, p, omega)
-    assert _outcome(chartab._lift_character, plan, p, xk, d) == \
+    assert _outcome(_lifted_values, plan, p, xk, d) == \
         _outcome(oracle._lift_character, group, xk, d, p, omega)
+    if not noise and d < p:
+        # a character of degree below p lifts exactly, and the counts it
+        # keeps are its eigenvalue-1 multiplicities
+        values, ones = chartab._lift_character(plan, p, xk, d)
+        assert ones == chartab.eigenvalue_one_counts(chartab.Character(group, values))
 
 
 def test_inexact_class_matrix_entry_raises():
