@@ -138,9 +138,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 def rref(a) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices, exactly.
 
-    Entries are all Fractions or all Cyclotomic values.  An augmented
-    system [A | t] is inconsistent exactly when a pivot lands in the last
-    column.
+    Entries are all Fractions (or ints) or all Cyclotomic values.  An
+    augmented system [A | t] is inconsistent exactly when a pivot lands in
+    the last column.  Only nonzero entries are worked on: the pivot row is
+    scaled where it is nonzero, and the other rows change only there.
     """
     rows = [list(r) for r in a]
     nrows = len(rows)
@@ -153,12 +154,14 @@ def rref(a) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         p = rows[r][c]
-        inv = p.inverse() if isinstance(p, Cyclotomic) else 1 / p
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        inv = p.inverse() if isinstance(p, Cyclotomic) else _F1 / p
+        pivot = rows[r] = [v * inv if v else v for v in rows[r]]
+        support = [(j, y) for j, y in enumerate(pivot) if y]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for j, y in support:
+                    row[j] = row[j] - f * y
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -549,7 +552,7 @@ class Cyclotomic:
         return NotImplemented
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.n != 1 or self.num[0] != 0
 
     def __hash__(self):
         if self._hash is None:

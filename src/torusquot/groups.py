@@ -126,7 +126,7 @@ class Monomial:
         return Monomial(cols, [s.inverse() for s in scalars])
 
     def conjugate(self) -> "Monomial":
-        return Monomial(self.perm, tuple(s.conjugate() for s in self.scalars))
+        return Monomial._from_columns([(p, s.conjugate()) for p, s in zip(self.perm, self.scalars)])
 
     def transpose(self) -> "Monomial":
         return Monomial(*self.row_entries())
@@ -146,10 +146,8 @@ class Monomial:
 
     def block_sum(self, other: "Monomial") -> "Monomial":
         d = self.degree
-        return Monomial(
-            self.perm + tuple(p + d for p in other.perm),
-            self.scalars + other.scalars,
-        )
+        return Monomial._from_columns(
+            [*zip(self.perm, self.scalars), *zip((p + d for p in other.perm), other.scalars)])
 
     def __eq__(self, other):
         if isinstance(other, Monomial):
@@ -224,7 +222,7 @@ class Dense:
         return Dense(linalg.mat_inverse(self.rows))
 
     def conjugate(self) -> "Dense":
-        return Dense(linalg.conj_matrix(self.rows))
+        return Dense._from_columns(zip(*linalg.conj_matrix(self.rows)))
 
     def transpose(self) -> "Dense":
         return Dense(linalg.transpose(self.rows))
@@ -239,7 +237,7 @@ class Dense:
         return linalg.mat_eq(self.rows, linalg.identity_matrix(self.degree))
 
     def block_sum(self, other) -> "Dense":
-        return Dense(linalg.block_diag(self.rows, other.to_dense().rows))
+        return Dense._from_columns(zip(*linalg.block_diag(self.rows, other.to_dense().rows)))
 
     def __eq__(self, other):
         if isinstance(other, Dense):

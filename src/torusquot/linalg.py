@@ -50,7 +50,8 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 
 def kernel_basis(a: Matrix) -> tuple[tuple[Cyclotomic, ...], ...]:
-    """Basis of the right kernel, one vector per free column."""
+    """Basis of the right kernel, one vector per free column; only the
+    nonzero entries of the reduced form are negated into it."""
     red, pivots = rref(a)
     ncols = len(a[0])
     pivot_set = set(pivots)
@@ -61,7 +62,8 @@ def kernel_basis(a: Matrix) -> tuple[tuple[Cyclotomic, ...], ...]:
         v = [zero()] * ncols
         v[free] = one()
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
+            if red[r][free]:
+                v[pc] = -red[r][free]
         basis.append(tuple(v))
     return tuple(basis)
 

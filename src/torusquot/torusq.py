@@ -146,17 +146,19 @@ def conjugate_pair_rep(rep: AnalyticRep) -> AnalyticRep:
 
 
 class SymplecticForm:
-    """An antisymmetric bilinear form in coordinates."""
+    """An antisymmetric bilinear form in coordinates.  ``support[i]`` lists
+    row i's nonzero entries as (column, value) pairs; antisymmetry is
+    checked at each of them, which covers every pair with a nonzero entry."""
 
     def __init__(self, matrix):
         self.matrix = linalg.as_matrix(matrix)
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix):
             raise InvalidInputError("form matrix must be square")
-        for i in range(n):
-            for j in range(i, n):
-                if self.matrix[i][j] != -self.matrix[j][i]:
-                    raise InvalidInputError("form matrix must be antisymmetric")
+        self.support = tuple(tuple((j, w) for j, w in enumerate(row) if w)
+                             for row in self.matrix)
+        if any(self.matrix[j][i] != -w for i, row in enumerate(self.support) for j, w in row):
+            raise InvalidInputError("form matrix must be antisymmetric")
         self._nondegenerate = None
 
     @staticmethod
@@ -175,7 +177,7 @@ class SymplecticForm:
         return len(self.matrix)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.matrix for x in row)
+        return not any(self.support)
 
     def is_nondegenerate(self) -> bool:
         """Full rank, decided by the one exact row reduction."""
@@ -184,10 +186,11 @@ class SymplecticForm:
         return self._nondegenerate
 
     def evaluate(self, u, v) -> Cyclotomic:
+        """u^T * Omega * v, over the nonzero entries of each form row."""
         return sum(
-            (ui * self.matrix[i][j] * v[j]
-             for i, ui in enumerate(u) if ui
-             for j in range(self.degree) if self.matrix[i][j]),
+            (ui * w * v[j]
+             for ui, row in zip(u, self.support) if ui
+             for j, w in row if v[j]),
             zero())
 
     def __eq__(self, other):
@@ -400,26 +403,32 @@ def invariant_form(rep: AnalyticRep) -> SymplecticForm | None:
                 if scale is not None:
                     break
             if scale is not None:
-                return SymplecticForm([[scale * x for x in row] for row in acc])
+                return SymplecticForm([[scale * x if x else x for x in row] for row in acc])
     return None
 
 
 def preserves_form(rep: AnalyticRep, form: SymplecticForm) -> bool:
-    """Exact congruence check on generators; the homomorphism property
-    extends it to the whole group."""
+    """Exact congruence check M^T * Omega * M = Omega on generators; the
+    homomorphism property extends it to the whole group.
+
+    A monomial M (column j is s_j * e_perm[j]) has (M^T Omega M)[j][k] =
+    s_j * s_k * Omega[perm[j]][perm[k]].  Only the form's nonzero entries
+    w = Omega[j][k] are read, each checked to have Omega[perm[j]][perm[k]]
+    != 0 and s_j * s_k * Omega[perm[j]][perm[k]] == w.  This is exact: the
+    map (j, k) -> (perm[j], perm[k]) is a bijection of index pairs sending
+    the support into itself, hence onto it, so every zero of Omega maps to
+    a zero."""
     if form.degree != rep.degree:
         raise InvalidInputError("form degree does not match the representation")
     omega = form.matrix
+    support = [(j, k, w) for j, row in enumerate(form.support) for k, w in row]
     for m in rep.generator_images():
         if isinstance(m, Monomial):
-            columns = tuple(zip(m.perm, m.scalars))
-            for j, (pj, sj) in enumerate(columns):
-                for k, (pk, sk) in enumerate(columns):
-                    lhs = omega[pj][pk]
-                    if lhs:
-                        lhs = sj * sk * lhs
-                    if lhs != omega[j][k]:
-                        return False
+            perm, s = m.perm, m.scalars
+            for j, k, w in support:
+                lhs = omega[perm[j]][perm[k]]
+                if not lhs or s[j] * s[k] * lhs != w:
+                    return False
         else:
             congr = linalg.mat_mul(linalg.transpose(m.rows),
                                    linalg.mat_mul(omega, m.rows))
@@ -532,10 +541,9 @@ def _basis_is_lagrangian(basis, form: SymplecticForm) -> bool:
     gives w(u, u) = 0 and w(v, u) = -w(u, v), so only the pairs u before v
     are evaluated, each as the functional u^T * Omega applied to v; the
     nonzero entries of each form row are read once."""
-    rows = [[(j, w) for j, w in enumerate(row) if w] for row in form.matrix]
     for a, u in enumerate(basis[:-1]):
         functional = {}
-        for ui, row in zip(u, rows):
+        for ui, row in zip(u, form.support):
             if ui:
                 for j, w in row:
                     functional[j] = functional.get(j, zero()) + ui * w

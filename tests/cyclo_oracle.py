@@ -5,7 +5,9 @@
 reduced modulo Phi_n and descended to the minimal conductor by testing
 every automorphism of Q(zeta_n)/Q(zeta_d) and solving a rational system.
 It is slow and simple, and the differential tests compare the integer
-implementation against it.
+implementation against it.  `rref` is the earlier dense row reduction,
+which works on every entry; the oracle's own solves use it, and the
+differential tests compare :func:`torusquot.cyclo.rref` against it.
 
 `embed_float` and `is_integral` act on :mod:`torusquot` values.  Only
 tests need them: the package itself decides everything exactly.
@@ -17,7 +19,8 @@ import cmath
 import math
 from fractions import Fraction
 
-from torusquot.cyclo import cyclotomic_polynomial, divisors, prime_factors, rref, totient
+from torusquot.cyclo import Cyclotomic as _PackageCyclotomic
+from torusquot.cyclo import cyclotomic_polynomial, divisors, prime_factors, totient
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -37,6 +40,34 @@ def is_integral(x, m: int) -> bool:
     if m % x.n:
         return False
     return all(c.denominator == 1 for c in _reduce(x.lift_coeffs(m), m))
+
+
+def rref(a):
+    """Reduced row echelon form and pivot columns, every entry worked on.
+    Entries are Fractions or :mod:`torusquot` values; pivots are inverted
+    exactly."""
+    rows = [list(r) for r in a]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p = rows[r][c]
+        inv = p.inverse() if isinstance(p, _PackageCyclotomic) else _F1 / p
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
 # ---------------------------------------------------------------------------

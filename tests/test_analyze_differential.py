@@ -26,7 +26,12 @@ from helpers import (
     unimodular,
     wreath_generator_pairs,
 )
-from torusq_oracle import basis_is_lagrangian_all_pairs, faithful_by_matrices, group_average_form
+from torusq_oracle import (
+    basis_is_lagrangian_all_pairs,
+    evaluate_all_entries,
+    faithful_by_matrices,
+    group_average_form,
+)
 from torusq_oracle import eigenvalue_one_all as eigenvalue_one_by_matrices
 
 from torusquot import torusq
@@ -360,3 +365,6 @@ def test_lagrangian_check_matches_all_pairs(case):
     form, basis = case
     basis = [tuple(Cyclotomic.from_value(x) for x in v) for v in basis]
     assert _basis_is_lagrangian(basis, form) == basis_is_lagrangian_all_pairs(basis, form)
+    for u in basis:
+        for v in basis:
+            assert form.evaluate(u, v) == evaluate_all_entries(form, u, v)

@@ -132,6 +132,12 @@ class TestSolveAndRank:
             assert red[r][c] == 1
             assert all(red[k][c].is_zero() for k in range(len(m)) if k != r)
 
+    def test_rref_of_ints_is_exact(self):
+        red, pivots = linalg.rref([[2, 4], [1, 3]])
+        assert pivots == (0, 1)
+        assert red == ((1, 0), (0, 1))
+        assert not any(isinstance(x, float) for row in red for x in row)
+
     def test_column_space(self):
         m = rational_matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
         basis = column_space_basis(m)

@@ -1,0 +1,195 @@
+"""Differential tests: the elimination and form checks that read only
+nonzero entries, against the earlier bodies that read every entry.
+
+- `cyclo.rref` against `cyclo_oracle.rref`: the same pivots and the same
+  exact entries, over Q(zeta_m) and over the rationals, on sparse and
+  dense matrices.
+- `torusq.preserves_form` against `torusq_oracle.preserves_form_all_entries`
+  on the conjugate pairs of random monomial groups and of their dense
+  conjugates, under random, invariant and perturbed forms.
+- `conjugate()` and `block_sum()`, which build their results unchecked,
+  against the validating constructors.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cyclo_oracle as oracle
+from helpers import conjugated_elements, wreath_generator_pairs
+from torusq_oracle import preserves_form_all_entries
+
+from torusquot import linalg
+from torusquot.cyclo import Cyclotomic, rref
+from torusquot.groups import Dense, Monomial, close
+from torusquot.torusq import (
+    SymplecticForm,
+    conjugate_pair_rep,
+    h0_reflexive_2forms,
+    invariant_form,
+    natural_rep,
+    preserves_form,
+)
+
+FIELDS = (1, 3, 4, 5, 8, 12, "Fraction")
+
+
+# -- row reduction
+
+
+@st.composite
+def matrices(draw, rows=st.integers(0, 5), cols=st.integers(1, 6)):
+    """A field, and a matrix over it whose entries are zero with a drawn
+    chance out of 10: mostly zero, about half, or mostly nonzero."""
+    field = draw(st.sampled_from(FIELDS))
+    zero_tenths = draw(st.sampled_from((8, 5, 1)))
+    nrows, ncols = draw(rows), draw(cols)
+
+    def entry():
+        if draw(st.integers(0, 9)) < zero_tenths:
+            return Fraction(0) if field == "Fraction" else Cyclotomic.from_value(0)
+        if field == "Fraction":
+            return Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        terms = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, field - 1)),
+                              min_size=1, max_size=2))
+        return sum((c * Cyclotomic.zeta(field, k) for c, k in terms), Cyclotomic.from_value(0))
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def assert_same_rref(a):
+    red, pivots = rref(a)
+    red0, pivots0 = oracle.rref(a)
+    assert pivots == pivots0
+    assert red == red0
+    assert all(not isinstance(x, float) for row in red for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_matches_dense_oracle(a):
+    assert_same_rref(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(rows=st.integers(1, 3), cols=st.integers(5, 8)))
+def test_rref_matches_dense_oracle_on_wide_matrices(a):
+    assert_same_rref(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(rows=st.integers(5, 8), cols=st.integers(1, 3)))
+def test_rref_matches_dense_oracle_on_tall_matrices(a):
+    assert_same_rref(a)
+
+
+def test_rref_edge_cases_match_dense_oracle():
+    z, w = Cyclotomic.from_value(0), Cyclotomic.zeta(3)
+    assert rref([]) == oracle.rref([]) == ((), ())
+    assert_same_rref([[z] * 4 for _ in range(3)])
+    assert_same_rref([[z, w, z], [z, z, z], [z, w + 1, z]])  # zero rows and columns
+    # x + w*y = 1 and 2x + 2w*y = 3 have no solution: a pivot in the last column
+    system = [[1, w, 1], [2, 2 * w, 3]]
+    system = [[Cyclotomic.from_value(x) for x in row] for row in system]
+    assert_same_rref(system)
+    assert rref(system)[1] == (0, 2)
+
+
+# -- form preservation
+
+
+@st.composite
+def pair_reps(draw):
+    """The conjugate pair of a random subgroup of G(m,1,n), n <= 3, on its
+    monomial generators or on their dense conjugates P^-1 x P."""
+    m = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    n = draw(st.integers(1, 3))
+    gens = [Monomial(draw(st.permutations(range(n))),
+                     [Cyclotomic.zeta(m, k) for k in
+                      draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))])
+            for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        gens = conjugated_elements(gens)
+    return conjugate_pair_rep(natural_rep(close(gens)))
+
+
+_ENTRIES = (0, 0, 0, 1, -1, 2, Cyclotomic.zeta(3), Cyclotomic.zeta(4, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_reps(), st.data())
+def test_preserves_form_matches_all_entries(rep, data):
+    n = rep.degree
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = data.draw(st.sampled_from(_ENTRIES))
+            rows[j][i] = -rows[i][j]
+    forms = [SymplecticForm(rows)]
+    invariant = invariant_form(rep)
+    if invariant is not None:
+        forms.append(invariant)
+        # a change only where the invariant form is 0: preserved iff the
+        # added wedge is itself invariant, never when the invariant form
+        # is unique up to scale
+        holes = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if not invariant.matrix[i][j]]
+        if holes:
+            i, j = data.draw(st.sampled_from(holes))
+            c = data.draw(st.sampled_from(_ENTRIES[3:]))
+            moved = [list(row) for row in invariant.matrix]
+            moved[i][j], moved[j][i] = c, -c
+            perturbed = SymplecticForm(moved)
+            forms.append(perturbed)
+            if h0_reflexive_2forms(rep) == 1:
+                assert not preserves_form(rep, perturbed)
+    for form in forms:
+        assert preserves_form(rep, form) == preserves_form_all_entries(rep, form)
+
+
+def test_perturbed_invariant_form_is_not_preserved(g216_group):
+    rep = conjugate_pair_rep(natural_rep(g216_group))
+    form = invariant_form(rep)
+    assert preserves_form(rep, form)
+    n = rep.degree
+    for i, j in [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if not form.matrix[i][j]][:6]:
+        moved = [list(row) for row in form.matrix]
+        moved[i][j], moved[j][i] = Cyclotomic.from_value(1), Cyclotomic.from_value(-1)
+        perturbed = SymplecticForm(moved)
+        assert not preserves_form(rep, perturbed)
+        assert not preserves_form_all_entries(rep, perturbed)
+
+
+# -- pair blocks
+
+
+def assert_same_monomial(built, checked):
+    assert (built.perm, built.scalars) == (checked.perm, checked.scalars)
+    assert type(built.perm) is tuple and type(built.scalars) is tuple
+
+
+def assert_same_dense(built, checked):
+    assert built.rows == checked.rows
+    assert type(built.rows) is tuple and all(type(row) is tuple for row in built.rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wreath_generator_pairs())
+def test_monomial_pair_blocks_match_validated_constructor(pair):
+    x, y = pair
+    d = x.degree
+    assert_same_monomial(x.conjugate(),
+                         Monomial(x.perm, [s.conjugate() for s in x.scalars]))
+    assert_same_monomial(x.block_sum(y),
+                         Monomial(x.perm + tuple(p + d for p in y.perm), x.scalars + y.scalars))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wreath_generator_pairs())
+def test_dense_pair_blocks_match_validated_constructor(pair):
+    x, y = conjugated_elements(pair)
+    assert isinstance(x, Dense)
+    assert_same_dense(x.conjugate(), Dense(linalg.conj_matrix(x.rows)))
+    assert_same_dense(x.block_sum(y), Dense(linalg.block_diag(x.rows, y.rows)))

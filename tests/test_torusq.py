@@ -206,6 +206,8 @@ def test_form_requires_antisymmetry():
     with pytest.raises(InvalidInputError):
         SymplecticForm([[one(), zero()], [zero(), one()]])
     with pytest.raises(InvalidInputError):
+        SymplecticForm([[zero(), one()], [zero(), zero()]])
+    with pytest.raises(InvalidInputError):
         SymplecticForm.wedge_pairs(3, [(0, 3)])
 
 

@@ -4,10 +4,13 @@
 The library now walks line orbits under the generators and reads the
 kernel off the character; the differential tests require the same answers
 as these group-wide sums.  Also here: the earlier Lagrangian check, which
-evaluates the form on every ordered pair of basis vectors, and the earlier
-eigenvalue-1 test, which looks at the matrix of each class representative
-(a cycle walk for a monomial matrix, a fraction-free determinant of M - I
-for a dense one), where the library averages the character over <g>.
+evaluates the form on every ordered pair of basis vectors through every
+entry of the form; the earlier eigenvalue-1 test, which looks at the
+matrix of each class representative (a cycle walk for a monomial matrix,
+a fraction-free determinant of M - I for a dense one), where the library
+averages the character over <g>; and the earlier form-preservation check,
+which compares every entry of M^T * Omega * M with Omega, where the
+library reads only the form's nonzero entries.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from torusquot.cyclo import one, zero
 from torusquot.errors import InvalidInputError
 from torusquot.groups import Monomial
-from torusquot.linalg import identity_matrix
+from torusquot.linalg import identity_matrix, mat_eq, mat_mul, transpose
 from torusquot.torusq import AnalyticRep, SymplecticForm
 
 
@@ -55,13 +58,37 @@ def group_average_form(rep: AnalyticRep) -> SymplecticForm | None:
     return None
 
 
+def preserves_form_all_entries(rep: AnalyticRep, form: SymplecticForm) -> bool:
+    """M^T * Omega * M == Omega for every generator M, entry by entry."""
+    omega = form.matrix
+    for m in rep.generator_images():
+        if isinstance(m, Monomial):
+            columns = tuple(zip(m.perm, m.scalars))
+            for j, (pj, sj) in enumerate(columns):
+                for k, (pk, sk) in enumerate(columns):
+                    lhs = omega[pj][pk]
+                    if lhs:
+                        lhs = sj * sk * lhs
+                    if lhs != omega[j][k]:
+                        return False
+        elif not mat_eq(mat_mul(transpose(m.rows), mat_mul(omega, m.rows)), omega):
+            return False
+    return True
+
+
 def faithful_by_matrices(rep: AnalyticRep) -> bool:
     """No element other than the identity has the identity matrix."""
     return all(not rep.matrix(i).is_identity() for i in range(1, rep.group.order))
 
 
+def evaluate_all_entries(form: SymplecticForm, u, v):
+    """u^T * Omega * v, summed over every entry of Omega."""
+    return sum((ui * row[j] * v[j] for ui, row in zip(u, form.matrix) for j in range(len(v))),
+               zero())
+
+
 def basis_is_lagrangian_all_pairs(basis, form: SymplecticForm) -> bool:
-    return all(form.evaluate(u, v).is_zero() for u in basis for v in basis)
+    return all(evaluate_all_entries(form, u, v).is_zero() for u in basis for v in basis)
 
 
 def mat_sub(a, b):
