@@ -6,8 +6,11 @@ Usage: PYTHONPATH=src python3 scripts/table_ladder.py [--repeat N]
 The rungs are the generalised symmetric groups G(m,1,n) = mu_m wr S_n,
 from monomial generators, and the affine groups AGL(1,q) of x -> ax + b
 on the q points of F_q, from permutation generators.  Each line gives
-|G|, the class count r, the first admissible prime p of the table (the
-smallest p = 1 mod exponent above 2*sqrt(|G|)) and the wall time of
+|G|, the class count r, the number r1 of linear characters (the table's
+degree-1 rows; the eigenspace split reads them off the abelianization and
+splits only the complement of their span, of dimension r - r1), the first
+admissible prime p of the table (the smallest p = 1 mod exponent above
+2*sqrt(|G|)) and the wall time of
 `character_table`, the best of N runs on a freshly closed group (so the
 table's time includes the conjugacy classes), and beside it the best wall
 times of `close`, of the classes alone and of the table's eigenspace split
@@ -55,7 +58,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=1, help="runs per rung, best kept")
     args = parser.parse_args(argv)
-    print(f"{'rung':<10} {'|G|':>6} {'r':>4} {'p':>6} {'close_s':>8} {'classes_s':>9} "
+    print(f"{'rung':<10} {'|G|':>6} {'r':>4} {'r1':>4} {'p':>6} {'close_s':>8} {'classes_s':>9} "
           f"{'split_s':>8} {'table_s':>8}")
     for name, make_gens in RUNGS:
         best = [math.inf] * 4
@@ -76,7 +79,8 @@ def main(argv=None) -> int:
             best = [min(b, t) for b, t in zip(best, (closed - start, classed - closed,
                                                      split - classed, done - table_start))]
         assert sum(d * d for d in table.degrees) == group.order
-        print(f"{name:<10} {group.order:>6} {group.num_classes:>4} {p:>6} {best[0]:>8.3f} "
+        print(f"{name:<10} {group.order:>6} {group.num_classes:>4} "
+              f"{table.degrees.count(1):>4} {p:>6} {best[0]:>8.3f} "
               f"{best[1]:>9.3f} {best[2]:>8.3f} {best[3]:>8.3f}")
     return 0
 

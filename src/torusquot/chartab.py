@@ -1,16 +1,19 @@
 """Exact character tables of finite matrix groups.
 
-The table is computed by the classical class-matrix method: class sums act on
-the r-dimensional space of class functions over a prime field F_p with
-p = 1 mod exponent(G) and p > 2*ceil(sqrt(|G|)), their common eigenvectors,
-split out one class sum at a time with one Hessenberg reduction per space, are
-(after normalization) the irreducible characters reduced mod p, and each value
-is lifted exactly to a sum of roots of unity by finite-field Fourier
-inversion of the eigenvalue multiplicities.  The lift is exact because every
-multiplicity is at most the degree, which is below p.  The smallest such p
-is small, so eigenvalues are found by evaluation over F_p.  The table keeps
-the eigenvalue-1 multiplicities the lift finds and the check's lifted values,
-from which it computes each indicator once, when it is first asked for.
+The table is computed by the classical class-matrix method (Dixon, Numer.
+Math. 10, 1967; Schneider, J. Symb. Comp. 9, 1990): class sums act on the
+r-dimensional space of class functions over a prime field F_p with
+p = 1 mod exponent(G) and p > 2*ceil(sqrt(|G|)), and their common
+eigenvectors are (after normalization) the irreducible characters reduced
+mod p.  The linear characters come from the abelianization; the
+complement of their span is split one class sum at a time with one
+Hessenberg reduction per space.  Each value is lifted exactly to a sum of
+roots of unity by finite-field Fourier inversion of the eigenvalue
+multiplicities.  The lift is exact because every multiplicity is at most
+the degree, which is below p.  The smallest such p is small, so eigenvalues
+are found by evaluation over F_p.  The table keeps the eigenvalue-1
+multiplicities the lift finds and the check's lifted values, from which it
+computes each indicator once, when it is first asked for.
 
 Character values are exact `Cyclotomic` values.  The sums over classes
 (inner products, indicators, eigenvalue-1 counts and the table check) do
@@ -372,42 +375,63 @@ def _admissible_primes(exponent: int, group_order: int):
 
 def _split_eigenspaces(group: FiniteGroup, p: int):
     """Common eigenvectors (normalized at the identity class) of all class
-    matrices mod p, via deterministic iterated splitting.
+    matrices mod p: v_k = |C_k| chi(g_k) / chi(1), one per irreducible chi.
 
-    A space is held as its pivot rows P and a basis that is the identity at
-    P.  The class matrices commute, so each space is invariant: M * B = B * R,
-    and at the rows P this reads R = M[P, :] * B.  Only the rows of M at the
-    pivots of the spaces that are still to split are built.  One Hessenberg
-    reduction H = S^-1 * R * S gives the characteristic polynomial and every
-    eigenspace, as S * ker(H - lam), brought to the identity at its pivots
-    by `rref_mod`.  The spaces are common eigenspaces, so they and their
-    order do not depend on the bases chosen."""
+    The linear characters come from the abelianization lattice, reduced at
+    w of order e = exponent(G): v_k = |C_k| w^(t_k).  By the row
+    orthogonality relations the vectors are orthogonal under
+    B(u, v) = sum_k u_k v_(k^-1) / |C_k|, with |G|/chi(1)^2, a unit mod p,
+    on the diagonal.  So the others span the u with B(u, v_lambda) = 0 for
+    every lambda, one `rref_mod` of an r1 x r system, and only that
+    complement is split.
+
+    A space is held as its pivot columns P, the other columns N and, per
+    basis vector, its entries at N; the vector is 1 at its own pivot and 0
+    at the other pivots, so the complement's vectors have 1 + r1 entries.
+    The class matrices commute, so each space is invariant: M * B = B * R,
+    and at the rows P this reads R = M[P, :] * B, built from the rows of M
+    at the pivots of the spaces still to split.  One Hessenberg reduction
+    H = S^-1 * R * S gives every eigenspace, as S * ker(H - lam), brought
+    to the identity at its new pivots by `rref_mod`."""
     r = group.num_classes
-    spaces = [(list(range(r)), [[1 if i == j else 0 for i in range(r)] for j in range(r)])]
+    sizes, inv_class = group.class_sizes, group.inverse_class
+    e = group.exponent()
+    w = modp.element_of_order(e, p)
+    vectors = [[h * pow(w, t, p) % p for h, t in zip(sizes, ts)]
+               for ts in group.linear_characters(e)]
+    weights = [modp.inv_mod(h % p, p) for h in sizes]
+    system, others = modp.rref_mod(
+        [[v[inv_class[k]] * weights[k] % p for k in range(r)] for v in vectors], p)
+    if len(others) != len(vectors):
+        raise TableComputationError(f"linear characters are dependent mod {p}")
+    taken = set(others)
+    pivots = [k for k in range(r) if k not in taken]
+    spaces = []
+    if pivots:  # the complement, empty when every irreducible is linear
+        spaces.append((pivots, others, [[-row[f] % p for row in system] for f in pivots]))
     for ci in range(1, r):
-        if all(len(basis) == 1 for _, basis in spaces):
+        if all(len(pivots) == 1 for pivots, _, _ in spaces):
             break
-        needed = sorted(j for pivots, basis in spaces if len(basis) > 1 for j in pivots)
+        needed = sorted(j for pivots, _, _ in spaces if len(pivots) > 1 for j in pivots)
         rows = dict(zip(needed, _class_matrix_rows(group, ci, needed)))
         refined = []
-        for pivots, basis in spaces:
-            s = len(basis)
-            if s == 1:
-                refined.append((pivots, basis))
+        for pivots, others, basis in spaces:
+            if len(pivots) == 1:
+                refined.append((pivots, others, basis))
                 continue
-            start = s == r  # the starting space, whose basis is the identity
-            if start:
-                restriction = [[x % p for x in rows[j]] for j in pivots]
-            else:
-                restriction = [[sum(map(operator.mul, rows[j], v)) % p for v in basis]
-                               for j in pivots]
+            restriction = []
+            for j in pivots:
+                row = rows[j]
+                at_others = [row[k] for k in others]
+                restriction.append([(row[f] + sum(map(operator.mul, at_others, v))) % p
+                                    for f, v in zip(pivots, basis)])
             lam = restriction[0][0]
             if all(x == (lam if a == b else 0)
                    for a, row in enumerate(restriction) for b, x in enumerate(row)):
-                refined.append((pivots, basis))  # M acts as lam: one eigenspace
+                refined.append((pivots, others, basis))  # M acts as lam: one eigenspace
                 continue
             h, transform = modp.hessenberg_mod(restriction, p)
-            columns = None if start else list(zip(*basis))
+            columns = list(zip(*basis))
             for lam in modp.roots_mod(modp.hessenberg_charpoly(h, p), p):
                 # the whole eigenspace stays one subspace; later class
                 # matrices keep refining it.  A kernel vector y is 0 past
@@ -415,20 +439,28 @@ def _split_eigenspaces(group: FiniteGroup, p: int):
                 kernel = [[sum(map(operator.mul, row, y)) % p for row in transform]
                           for y in map(modp.poly_trim, modp.hessenberg_kernel(h, lam, p))]
                 coeffs, free = modp.rref_mod(kernel, p)
-                eigenspace = coeffs if start else [
-                    [sum(map(operator.mul, c, col)) % p for col in columns] for c in coeffs]
-                refined.append(([pivots[f] for f in free], eigenspace))
+                kept = set(free)
+                rest = [b for b in range(len(pivots)) if b not in kept]
+                refined.append(([pivots[f] for f in free], [pivots[b] for b in rest] + others,
+                                [[c[b] for b in rest] + [sum(map(operator.mul, c, col)) % p
+                                                         for col in columns] for c in coeffs]))
         spaces = refined
-    if any(len(basis) != 1 for _, basis in spaces) or len(spaces) != r:
+    if any(len(pivots) != 1 for pivots, _, _ in spaces):
         raise TableComputationError(
             f"class matrices failed to split into {r} one-dimensional eigenspaces mod {p}")
-    vectors = []
-    for _, (v,) in spaces:
+    for (pivot,), others, (entries,) in spaces:
+        v = [0] * r
+        v[pivot] = 1
+        for k, x in zip(others, entries):
+            v[k] = x
+        vectors.append(v)
+    normalized = []
+    for v in vectors:
         if v[0] % p == 0:
             raise TableComputationError("eigenvector vanishes at the identity class")
         inv0 = modp.inv_mod(v[0], p)
-        vectors.append([x * inv0 % p for x in v])
-    return vectors
+        normalized.append([x * inv0 % p for x in v])
+    return normalized
 
 
 def _lift_plan(group: FiniteGroup, p: int, omega: int):

@@ -138,12 +138,15 @@ def _show(value) -> str:
 
 
 def cmd_search(args) -> int:
+    for flag, value in (("--max-order", args.max_order), ("--limit", args.limit)):
+        if value is not None and value < 1:
+            return _fail(f"{flag} must be at least 1, got {value}", 2)
     catalog = Path(args.catalog)
     if not catalog.is_dir():
         return _fail(f"catalog {args.catalog!r} is not a directory", 2)
     files = sorted(catalog.glob("*.group"))
     # a closure limit of max_order raises past it, so no larger group is reported
-    limit = args.max_order or args.limit
+    limit = args.limit if args.max_order is None else args.max_order
     processed = 0
     for path in files:
         try:

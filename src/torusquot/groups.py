@@ -33,6 +33,11 @@ BFS order, so conjugation by a generator, conjugacy classes and class-matrix
 rows need no words.  A product of single indices folds through the right
 factor's word, and powers walk each cyclic subgroup once.
 
+The tree also presents the abelianization: with c(x) the generator
+exponent sums of x's tree word, G/[G,G] = Z^g / L for the lattice L of the
+Schreier relations c(x) + e_a - c(x·g_a).  Its Hermite normal form gives
+|G/[G,G]| and the linear characters x -> zeta_e^(a·c(x)), L·a = 0 mod e.
+
 Matrices are built only on demand, without arithmetic: e_1..e_n are the
 first n points, and column j of x's matrix is the point x(e_j).
 
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from operator import methodcaller
+from operator import methodcaller, mul, sub
 
 from . import linalg
 from .cyclo import Cyclotomic, is_prime, one, rref, zero
@@ -368,7 +373,8 @@ class FiniteGroup:
         self._conjugations = None
         self._cyclic_classes = None
         self._inverse_class = None
-        self._abelianization = None
+        self._lattice = None
+        self._class_sums = None
 
     @property
     def order(self) -> int:
@@ -567,50 +573,104 @@ class FiniteGroup:
             p_part *= p
         return any(o == p_part for o in self.class_orders)
 
-    def _subgroup_closure(self, candidates) -> set[int]:
-        # incremental closure: adopt a candidate, and read its word, only if it grows the subgroup
-        members = {0}
-        words: list[tuple[int, ...]] = []
-        for t in candidates:
-            if t in members:
-                continue
-            words.append(self.word(t))
-            frontier = list(members)
-            while frontier:
-                x = frontier.pop()
-                for w in words:
-                    y = self._fold(x, w)
-                    if y not in members:
-                        members.add(y)
-                        frontier.append(y)
-        return members
+    # -- the abelianization
+
+    def _relation_lattice(self) -> tuple[tuple[int, ...], ...]:
+        """The Hermite basis of L, built once.  Each c(x) is packed into one
+        int as sum_a c_a * base^a, so the relations are int differences,
+        collected in a set; an entry of one lies in [-|G|, |G|], so base =
+        2|G| + 1 keeps the slots apart.  |G/[G,G]| divides |G|, so |G|·Z^g
+        lies in L."""
+        if self._lattice is None:
+            n, rank = self.order, len(self._right)
+            base = 2 * n + 1
+            units = [base ** a for a in range(rank)]
+            sums = [0] * n
+            parents, letters = self.parents, self.letters
+            for x in range(1, n):
+                sums[x] = sums[parents[x]] + units[letters[x]]
+            relations = set()
+            for unit, column in zip(units, self._right):
+                differences = set(map(sub, sums, map(sums.__getitem__, column)))
+                relations.update(d + unit for d in differences)
+            relations.discard(0)
+            self._lattice = _hermite_basis((_unpack(v, base, rank) for v in relations), rank, n)
+        return self._lattice
 
     def abelianization_order(self) -> int:
-        """|G| / |[G,G]|, with [G,G] the normal closure of generator commutators."""
-        if self._abelianization is None:
-            seeds = set()
-            gi = self.generator_indices
-            for a in gi:
-                for b in gi:
-                    c = self.mult(self.mult(self.mult(self.inv(a), self.inv(b)), a), b)
-                    if c:
-                        seeds.add(c)
-            # close the seed set under conjugation so the subgroup comes out normal
-            orbit = set(seeds)
-            frontier = list(seeds)
-            perms = self._conjugation_perms()
-            while frontier:
-                x = frontier.pop()
-                for perm in perms:
-                    y = perm[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
-            commutator = self._subgroup_closure(sorted(orbit))
-            if self.order % len(commutator):
-                raise InvalidInputError("commutator subgroup size does not divide |G|")
-            self._abelianization = self.order // len(commutator)
-        return self._abelianization
+        """|G/[G,G]| = det L, the product of the Hermite basis's diagonal."""
+        order = 1
+        for i, row in enumerate(self._relation_lattice()):
+            order *= row[i]
+        return order
+
+    def linear_characters(self, e: int) -> list[tuple[int, ...]]:
+        """The linear characters with values in the e-th roots of unity (all
+        of them when the exponent of G/[G,G] divides e), as exponents t_k per
+        class with lambda(g_k) = zeta_e^(t_k).  Up the triangular basis, row
+        i with diagonal d leaves gcd(d, e) choices of a_i, or none."""
+        if self._class_sums is None:
+            rank = len(self._right)
+            self._class_sums = []
+            for x in self.class_representatives:
+                c = [0] * rank
+                for a in self.word(x):
+                    c[a] += 1
+                self._class_sums.append(c)
+        lattice = self._relation_lattice()
+        solutions = [()]
+        for i in reversed(range(len(lattice))):
+            d, tail = lattice[i][i], lattice[i][i + 1:]
+            g = math.gcd(d, e)
+            step = e // g
+            d_inv = pow(d // g, -1, step)
+            extended = []
+            for a in solutions:
+                s, rest = divmod(sum(map(mul, tail, a)), g)
+                if not rest:
+                    first = -s * d_inv % step
+                    extended.extend((first + t * step,) + a for t in range(g))
+            solutions = extended
+        return [tuple(sum(map(mul, a, c)) % e for c in self._class_sums)
+                for a in solutions]
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
+
+
+def _unpack(packed: int, base: int, rank: int) -> list[int]:
+    """The entries x_a in [-(base-1)/2, (base-1)/2] of sum_a x_a * base^a."""
+    half = base // 2
+    out = []
+    for _ in range(rank):
+        packed, x = divmod(packed + half, base)
+        out.append(x - half)
+    return out
+
+
+def _hermite_basis(vectors, rank: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    """The Hermite normal form (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 2.4.2) of the lattice spanned by ``vectors`` and
+    bound·Z^rank.  From rows bound·I, each vector is cleared column by
+    column, by a unimodular step with s·d + t·x = gcd(d, x) where the pivot
+    d does not divide the entry x.  The rows at and below column j hold
+    bound·e_j in their span, so entries right of it are reduced mod bound."""
+    rows = [[bound if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for v in vectors:
+        for i, row in enumerate(rows):
+            x, d = v[i], row[i]
+            if x % d:
+                g = math.gcd(d, x)
+                t = pow(x // g, -1, d // g)
+                s = (g - t * x) // d
+                rows[i] = [(s * b + t * a) % bound for a, b in zip(v, row)]
+                v = [(d // g * a - x // g * b) % bound for a, b in zip(v, row)]
+            elif x:
+                q = x // d
+                v = [(a - q * b) % bound for a, b in zip(v, row)]
+    for j in range(rank):
+        for k in range(j):
+            q = rows[k][j] // rows[j][j]
+            if q:
+                rows[k] = [x - q * y for x, y in zip(rows[k], rows[j])]
+    return tuple(map(tuple, rows))

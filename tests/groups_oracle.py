@@ -1,8 +1,11 @@
 """Test-only reference bodies for the conjugacy structure of `groups`.
 
-They are the earlier bodies of :meth:`FiniteGroup._compute_classes` and
-:meth:`FiniteGroup.abelianization_order`, which conjugate by each generator
-as two products of indices, each folded through a generator word, and of
+They are the earlier bodies of :meth:`FiniteGroup._compute_classes`,
+which conjugates by each generator as two products of indices, each folded
+through a generator word; of :meth:`FiniteGroup.abelianization_order`,
+which closed the normal closure of the generators' commutators to the
+subgroup [G,G] (the package now reads |G/[G,G]| off the Hermite basis of
+the Schreier relations between the tree words' exponent sums); and of
 :func:`torusquot.chartab._class_matrix_rows`, which counts the class of
 x·g_j for each member x of class i, folding g_j's word once per member.
 The differential tests compare `groups` and `chartab` against them.

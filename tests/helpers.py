@@ -24,6 +24,14 @@ def wreath_generator_pairs(draw):
     return [element(), element()]
 
 
+def affine_generators(q, g):
+    """Generators of AGL(1,q) on F_q as permutation matrices: x -> x + 1 and
+    x -> g*x, g of order q - 1; its abelianization is cyclic of order q - 1."""
+    ones = (one(),) * q
+    return [Monomial(tuple((x + 1) % q for x in range(q)), ones),
+            Monomial(tuple(g * x % q for x in range(q)), ones)]
+
+
 def conjugated_elements(elements):
     """P⁻¹·x·P for P with entries (i+1)^(j+1): the columns of P have
     coordinates of distinct sizes, so their orbits under G(m,1,n) are regular."""

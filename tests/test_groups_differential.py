@@ -4,19 +4,20 @@ against the word-fold bodies kept in `groups_oracle`.
 
 The groups are random two-generator subgroups of G(m,1,n), m, n <= 4, from
 monomial generators and from their dense conjugates (a point set of n·|G|
-vectors), and the three paper fixtures.
+vectors), the three paper fixtures, AGL(1,31) and an abelian group.
 """
 
 import pytest
 from hypothesis import given, settings
 
 import groups_oracle as oracle
-from helpers import conjugated_elements, wreath_generator_pairs
+from helpers import affine_generators, conjugated_elements, wreath_generator_pairs
 
 from torusquot.chartab import _class_matrix_rows
+from torusquot.cyclo import Cyclotomic
 from torusquot.fixtures import FIXTURES
 from torusquot.groupfile import parse_group_text
-from torusquot.groups import close
+from torusquot.groups import Monomial, close
 
 
 def check_against_oracle(group):
@@ -41,6 +42,16 @@ def test_fixtures_match_word_folds(name):
     fx = FIXTURES[name]
     gens = parse_group_text(fx.file_text, source=name).elements()
     check_against_oracle(close(gens, limit=fx.closure_limit))
+
+
+@pytest.mark.parametrize("gens", [
+    affine_generators(31, 3),
+    # diag(i, 1, 1) and diag(1, zeta_6, -1): abelian of order 12
+    [Monomial((0, 1, 2), (Cyclotomic.zeta(4), 1, 1)),
+     Monomial((0, 1, 2), (1, Cyclotomic.zeta(6), -1))],
+], ids=["AGL(1,31)", "abelian"])
+def test_affine_and_abelian_groups_match_word_folds(gens):
+    check_against_oracle(close(gens))
 
 
 @settings(max_examples=40, deadline=None)

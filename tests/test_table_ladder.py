@@ -16,6 +16,7 @@ from itertools import product
 import pytest
 
 import chartab_oracle as oracle
+from helpers import affine_generators
 
 from torusquot import chartab
 from torusquot.cyclo import Cyclotomic, one
@@ -84,4 +85,15 @@ def test_split_matches_oracle_on_g314():
     group = close(wreath(3, 4))
     p = next(chartab._admissible_primes(group.exponent(), group.order))
     assert group.num_classes == 51
-    assert chartab._split_eigenspaces(group, p) == oracle._split_eigenspaces(group, p)
+    assert sorted(chartab._split_eigenspaces(group, p)) == \
+        sorted(oracle._split_eigenspaces(group, p))
+
+
+def test_split_matches_oracle_on_agl_1_31():
+    # 30 of the 31 irreducibles are linear, so only one vector comes from
+    # the complement of their span
+    group = close(affine_generators(31, 3))
+    p = next(chartab._admissible_primes(group.exponent(), group.order))
+    assert (group.num_classes, group.abelianization_order()) == (31, 30)
+    assert sorted(chartab._split_eigenspaces(group, p)) == \
+        sorted(oracle._split_eigenspaces(group, p))
