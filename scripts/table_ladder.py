@@ -13,16 +13,18 @@ admissible prime p of the table (the smallest p = 1 mod exponent above
 2*sqrt(|G|)) and the wall time of
 `character_table`, the best of N runs on a freshly closed group (so the
 table's time includes the conjugacy classes), and beside it the best wall
-times of `close`, of the classes alone and of the table's eigenspace split
-(`_split_eigenspaces` at p, on the closed group).  Each table is checked
-against sum d^2 = |G|.  About 3 s in all at N = 1.
+times of `close`, of the classes alone, of the table's eigenspace split
+(`_split_eigenspaces` at p, on the closed group) and of its exact check
+(`_verify_table` on the finished table).  Each table is checked against
+sum d^2 = |G|.  About 7 s in all at N = 1.
 """
 
 import argparse
 import math
 import time
 
-from torusquot.chartab import _admissible_primes, _split_eigenspaces, character_table
+from torusquot.chartab import (_admissible_primes, _split_eigenspaces, _verify_table,
+                               character_table)
 from torusquot.cyclo import Cyclotomic, one
 from torusquot.groups import Monomial, close
 
@@ -49,6 +51,8 @@ RUNGS = [
     ("G(5,1,3)", lambda: wreath(5, 3)),
     ("G(4,1,4)", lambda: wreath(4, 4)),
     ("G(6,1,3)", lambda: wreath(6, 3)),
+    ("G(8,1,3)", lambda: wreath(8, 3)),
+    ("G(5,1,4)", lambda: wreath(5, 4)),
     ("AGL(1,31)", lambda: affine(31, 3)),
     ("AGL(1,61)", lambda: affine(61, 2)),
 ]
@@ -59,9 +63,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=1, help="runs per rung, best kept")
     args = parser.parse_args(argv)
     print(f"{'rung':<10} {'|G|':>6} {'r':>4} {'r1':>4} {'p':>6} {'close_s':>8} {'classes_s':>9} "
-          f"{'split_s':>8} {'table_s':>8}")
+          f"{'split_s':>8} {'check_s':>8} {'table_s':>8}")
     for name, make_gens in RUNGS:
-        best = [math.inf] * 4
+        best = [math.inf] * 5
         for _ in range(args.repeat):
             gens = make_gens()
             start = time.perf_counter()
@@ -76,12 +80,15 @@ def main(argv=None) -> int:
             table_start = time.perf_counter()
             table = character_table(group)
             done = time.perf_counter()
+            _verify_table(group, list(table))
+            checked = time.perf_counter()
             best = [min(b, t) for b, t in zip(best, (closed - start, classed - closed,
-                                                     split - classed, done - table_start))]
+                                                     split - classed, checked - done,
+                                                     done - table_start))]
         assert sum(d * d for d in table.degrees) == group.order
         print(f"{name:<10} {group.order:>6} {group.num_classes:>4} "
               f"{table.degrees.count(1):>4} {p:>6} {best[0]:>8.3f} "
-              f"{best[1]:>9.3f} {best[2]:>8.3f} {best[3]:>8.3f}")
+              f"{best[1]:>9.3f} {best[2]:>8.3f} {best[3]:>8.3f} {best[4]:>8.3f}")
     return 0
 
 

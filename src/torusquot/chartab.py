@@ -2,26 +2,22 @@
 
 The table is computed by the classical class-matrix method (Dixon, Numer.
 Math. 10, 1967; Schneider, J. Symb. Comp. 9, 1990): class sums act on the
-r-dimensional space of class functions over a prime field F_p with
-p = 1 mod exponent(G) and p > 2*ceil(sqrt(|G|)), and their common
-eigenvectors are (after normalization) the irreducible characters reduced
-mod p.  The linear characters come from the abelianization; the
-complement of their span is split one class sum at a time with one
-Hessenberg reduction per space.  Each value is lifted exactly to a sum of
-roots of unity by finite-field Fourier inversion of the eigenvalue
-multiplicities.  The lift is exact because every multiplicity is at most
-the degree, which is below p.  The smallest such p is small, so eigenvalues
-are found by evaluation over F_p.  The table keeps the eigenvalue-1
-multiplicities the lift finds and the check's lifted values, from which it
-computes each indicator once, when it is first asked for.
+class functions over F_p, p = 1 mod exponent(G) and p > 2*ceil(sqrt(|G|)),
+and their common eigenvectors are (after normalization) the irreducible
+characters mod p.  The linear characters come exactly from the
+abelianization, as zeta_e^(t_k); the complement of their span is split one
+class sum at a time with one Hessenberg reduction per space, eigenvalues
+found by evaluation over F_p.  Each value of the others is lifted exactly
+to a sum of roots of unity by Fourier inversion of the eigenvalue
+multiplicities, each at most the degree, which is below p.  The exact
+check evaluates every distinct value at an integer point past a norm bound
+(`_verify_table`): the orthonormality relations become one Gram product
+mod q, and the indicators one more sum per row.  The table keeps them and
+the eigenvalue-1 multiplicities the lift finds.
 
-Character values are exact `Cyclotomic` values.  The sums over classes
-(inner products, indicators, eigenvalue-1 counts and the table check) do
-not chain field operations: each class function is lifted once to integer
-numerators over one common denominator in Z[z]/(z^m - 1), z = zeta_m with
-m the lcm of the values' conductors, the sum is accumulated there in
-integers, and the total is reduced mod Phi_m once.  The checks read integers
-off the reduced numerators; only `inner_product` canonicalises.
+The other sums over classes lift each class function to integer numerators
+over one denominator in Z[z]/(z^m - 1), z = zeta_m, m the values' conductor,
+sum in integers and reduce mod Phi_m once; only `inner_product` canonicalises.
 """
 
 from __future__ import annotations
@@ -33,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modp
-from .cyclo import Cyclotomic, _canonical, _reduce, format_entry, is_prime, one, zero
+from .cyclo import (Cyclotomic, _canonical, _reduce, cyclotomic_polynomial, format_entry,
+                    is_prime, one, zero)
 from .errors import InconsistentCharacterError, TableComputationError
 from .groups import FiniteGroup
 
@@ -95,21 +92,13 @@ def natural_character(group: FiniteGroup) -> Character:
 def _conductor(functions) -> int:
     """m for the lift: the lcm of the values' conductors, the least m with
     every value in Q(zeta_m); 1 when every value is rational."""
-    m = 1
-    for chi in functions:
-        for v in chi.values:
-            if m % v.n:
-                m = math.lcm(m, v.n)
-    return m
+    return math.lcm(*(v.n for chi in functions for v in chi.values))
 
 
 def _lift(chi: Character, m: int) -> tuple[int, list]:
     """A common denominator D and, per class, the nonzero numerators (i, c)
     with chi(k) = sum(c * z^i) / D in Z[z]/(z^m - 1), z = zeta_m."""
-    den = 1
-    for v in chi.values:
-        if den % v.den:
-            den = math.lcm(den, v.den)
+    den = math.lcm(*(v.den for v in chi.values))
     rows = []
     for v in chi.values:
         num, f = v.num, den // v.den
@@ -121,18 +110,13 @@ def _lift(chi: Character, m: int) -> tuple[int, list]:
     return den, rows
 
 
-def _class_pairs(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
-    """(|C_k|, index of the class of k^-1) for each class k."""
-    return tuple(zip(group.class_sizes, group.inverse_class))
-
-
-def _pairing(group: FiniteGroup, m: int, classes, a, b) -> tuple[list[int], int]:
+def _pairing(group: FiniteGroup, m: int, a, b) -> tuple[list[int], int]:
     """(1/|G|) sum_k |C_k| a(k) b(k^-1) of two lifted class functions, as
     numerators accumulated in Z[z]/(z^m - 1) and reduced mod Phi_m once,
     over their denominator."""
     (da, ra), (db, rb) = a, b
     acc = [0] * m
-    for (h, kinv), xs in zip(classes, ra):
+    for h, kinv, xs in zip(group.class_sizes, group.inverse_class, ra):
         ys = rb[kinv]
         if not ys:
             continue
@@ -178,38 +162,33 @@ def inner_product(a: Character, b: Character) -> Cyclotomic:
     if g is not b.group:
         raise InconsistentCharacterError("characters belong to different groups")
     m = _conductor((a, b))
-    return _canonical(*_pairing(g, m, _class_pairs(g), _lift(a, m), _lift(b, m)), m)
+    return _canonical(*_pairing(g, m, _lift(a, m), _lift(b, m)), m)
 
 
-def _indicator(group: FiniteGroup, m: int, lifted) -> int:
-    val = _average(m, lifted, zip(group.power_classes(2), group.class_sizes), group.order)
+def frobenius_schur(chi: Character) -> int:
+    """(1/|G|) sum of chi(g^2): 1 real type, 0 complex, -1 quaternionic."""
+    g = chi.group
+    m = _conductor((chi,))
+    val = _average(m, _lift(chi, m), zip(g.power_classes(2), g.class_sizes), g.order)
     if val is None:
         raise InconsistentCharacterError("indicator is not an integer")
     return val
 
 
-def frobenius_schur(chi: Character) -> int:
-    """(1/|G|) sum of chi(g^2): 1 real type, 0 complex, -1 quaternionic."""
-    m = _conductor((chi,))
-    return _indicator(chi.group, m, _lift(chi, m))
+def _square(chi: Character, sign: int) -> Character:
+    """(chi(g)^2 + sign * chi(g^2)) / 2 per class."""
+    half = Cyclotomic.from_value(Fraction(1, 2))
+    return Character(chi.group, tuple(
+        half * (v * v + sign * chi.values[s])
+        for v, s in zip(chi.values, chi.group.power_classes(2))))
 
 
 def exterior_square(chi: Character) -> Character:
-    g = chi.group
-    sq = g.power_classes(2)
-    half = Cyclotomic.from_value(Fraction(1, 2))
-    return Character(g, tuple(
-        half * (chi.values[k] * chi.values[k] - chi.values[sq[k]])
-        for k in range(g.num_classes)))
+    return _square(chi, -1)
 
 
 def symmetric_square(chi: Character) -> Character:
-    g = chi.group
-    sq = g.power_classes(2)
-    half = Cyclotomic.from_value(Fraction(1, 2))
-    return Character(g, tuple(
-        half * (chi.values[k] * chi.values[k] + chi.values[sq[k]])
-        for k in range(g.num_classes)))
+    return _square(chi, 1)
 
 
 def eigenvalue_one_counts(chi: Character) -> tuple[int, ...]:
@@ -239,10 +218,9 @@ def decompose(chi: Character, table: "CharacterTable") -> tuple[int, ...]:
         raise InconsistentCharacterError("characters belong to different groups")
     m = _conductor((chi, *table.irreducibles))
     a = _lift(chi, m)
-    classes = _class_pairs(g)
     mult = []
     for irr in table.irreducibles:
-        v = _integer(*_pairing(g, m, classes, a, _lift(irr, m)))
+        v = _integer(*_pairing(g, m, a, _lift(irr, m)))
         if v is None or v < 0:
             raise InconsistentCharacterError(
                 "inner product with an irreducible is not a non-negative integer")
@@ -259,14 +237,13 @@ def decompose(chi: Character, table: "CharacterTable") -> tuple[int, ...]:
 class CharacterTable:
     """All irreducible characters, sorted by degree then value order, with
     ``eigenvalue_one[i]``, irreducible i's eigenvalue-1 multiplicity per
-    class, and the table check's (conductor, lifts) pair for `indicator`."""
+    class, and their Frobenius-Schur indicators."""
 
-    def __init__(self, group: FiniteGroup, irreducibles, eigenvalue_one, lifted):
+    def __init__(self, group: FiniteGroup, irreducibles, eigenvalue_one, indicators):
         self.group = group
         self.irreducibles = tuple(irreducibles)
         self.eigenvalue_one = tuple(eigenvalue_one)
-        self._lifted = lifted
-        self._indicators = {}
+        self._indicators = tuple(indicators)
 
     def __len__(self):
         return len(self.irreducibles)
@@ -282,12 +259,8 @@ class CharacterTable:
         return tuple(chi.degree for chi in self.irreducibles)
 
     def indicator(self, i: int) -> int:
-        """Frobenius-Schur indicator of irreducible i, computed once."""
-        fs = self._indicators.get(i)
-        if fs is None:
-            m, lifted = self._lifted
-            fs = self._indicators[i] = _indicator(self.group, m, lifted[i])
-        return fs
+        """Frobenius-Schur indicator of irreducible i, read off the check."""
+        return self._indicators[i]
 
     def index_of(self, chi: Character) -> int | None:
         for i, irr in enumerate(self.irreducibles):
@@ -448,19 +421,17 @@ def _split_eigenspaces(group: FiniteGroup, p: int):
     if any(len(pivots) != 1 for pivots, _, _ in spaces):
         raise TableComputationError(
             f"class matrices failed to split into {r} one-dimensional eigenspaces mod {p}")
+    # the lattice's vectors are 1 at the identity class already
     for (pivot,), others, (entries,) in spaces:
         v = [0] * r
         v[pivot] = 1
         for k, x in zip(others, entries):
             v[k] = x
-        vectors.append(v)
-    normalized = []
-    for v in vectors:
         if v[0] % p == 0:
             raise TableComputationError("eigenvector vanishes at the identity class")
         inv0 = modp.inv_mod(v[0], p)
-        normalized.append([x * inv0 % p for x in v])
-    return normalized
+        vectors.append([x * inv0 % p for x in v])
+    return vectors
 
 
 def _lift_plan(group: FiniteGroup, p: int, omega: int):
@@ -511,52 +482,84 @@ def _lift_character(plan, p: int, xk: list[int], d: int):
 
 
 def _table_mod_p(group: FiniteGroup, p: int) -> CharacterTable:
-    r = group.num_classes
-    sizes = group.class_sizes
-    inv_class = group.inverse_class
-    order = group.order
-    vectors = _split_eigenspaces(group, p)
-    size_inv = [modp.inv_mod(h % p, p) for h in sizes]
-    plan = _lift_plan(group, p, modp.element_of_order(group.exponent(), p))
-    chars, ones = [], []
-    max_d = math.isqrt(order)
-    for v in vectors:
-        t = sum(v[k] * v[inv_class[k]] % p * size_inv[k] for k in range(r)) % p
-        if t == 0:
-            raise TableComputationError("degree normalization sum vanished")
-        d_sq = order % p * modp.inv_mod(t, p) % p
-        d = next((c for c in range(1, max_d + 1) if c * c % p == d_sq), None)
-        if d is None:
-            raise TableComputationError("no admissible degree matches the eigenvector")
-        xk = [d * v[k] % p * size_inv[k] % p for k in range(r)]
-        values, fixed = _lift_character(plan, p, xk, d)
-        chars.append(Character(group, values))
-        ones.append(fixed)
-    m, lifted = _verify_table(group, chars)
-    rows = sorted(zip(chars, ones, lifted),
+    """The linear rows from the lattice, zeta_e^(t_k) with eigenvalue-1
+    counts [t_k = 0]; the others lifted from the split's vectors past them."""
+    r, sizes, inv_class = group.num_classes, group.class_sizes, group.inverse_class
+    order, e = group.order, group.exponent()
+    linear = group.linear_characters(e)
+    vectors = _split_eigenspaces(group, p)[len(linear):]
+    # zeta_e^t built at its order e/gcd(t, e), far cheaper to canonicalise than at e
+    roots = {t: Cyclotomic.zeta(e // math.gcd(t, e), t // math.gcd(t, e))
+             for t in {t for ts in linear for t in ts}}
+    chars = [Character(group, tuple(map(roots.__getitem__, ts))) for ts in linear]
+    ones = [tuple(int(t == 0) for t in ts) for ts in linear]
+    if vectors:
+        size_inv = [modp.inv_mod(h % p, p) for h in sizes]
+        plan = _lift_plan(group, p, modp.element_of_order(e, p))
+        max_d = math.isqrt(order)
+        for v in vectors:
+            t = sum(v[k] * v[inv_class[k]] % p * size_inv[k] for k in range(r)) % p
+            if t == 0:
+                raise TableComputationError("degree normalization sum vanished")
+            d_sq = order % p * modp.inv_mod(t, p) % p
+            d = next((c for c in range(1, max_d + 1) if c * c % p == d_sq), None)
+            if d is None:
+                raise TableComputationError("no admissible degree matches the eigenvector")
+            xk = [d * v[k] % p * size_inv[k] % p for k in range(r)]
+            values, fixed = _lift_character(plan, p, xk, d)
+            chars.append(Character(group, values))
+            ones.append(fixed)
+    indicators = _verify_table(group, chars)
+    rows = sorted(zip(chars, ones, indicators),
                   key=lambda row: (row[0].degree, tuple(v.sort_key() for v in row[0].values)))
-    chars, ones, lifted = zip(*rows)
-    return CharacterTable(group, chars, ones, (m, lifted))
+    return CharacterTable(group, *zip(*rows))
 
 
-def _verify_table(group: FiniteGroup, chars: list[Character]):
-    """Exact check of the lifted table: the degrees' squares sum to |G|, and
-    every one of the r^2 orthonormality relations holds.  Returns the
-    conductor m and the characters lifted at m.
+def _verify_table(group: FiniteGroup, chars) -> list[int]:
+    """Exact check of the lifted table: the degrees' squares sum to |G|,
+    the rows are orthonormal, and the degrees are positive (a row times -1
+    keeps the relations).  Returns the rows' indicators.
 
-    Only the pairs j >= i are summed: the pairing sum_k |C_k| a(k) b(k^-1)
-    is symmetric in a and b, since k -> k^-1 maps classes to classes of the
-    same size, so (b|a) repeats (a|b) exactly."""
-    if sum(c.degree ** 2 for c in chars) != group.order:
+    With D the values' common denominator, x_ij = sum_k |C_k| D chi_i(k)
+    D chi_j(k^-1) - |G| D^2 delta_ij lies in Z[zeta_m], m the values'
+    conductor.  A conjugate of D chi(k) is at most L, the largest L1 norm of
+    its numerators, so those of x_ij are at most B = |G| (L^2 + D^2).  For
+    w = B + 2 the map zeta_m -> w mod q = Phi_m(w) (q need not be prime) has
+    kernel (zeta_m - w), of norm q >= (w - 1)^phi(m) > B^phi(m) >= |N(x_ij)|,
+    so x_ij maps to 0 only if it is 0.  Each value is evaluated once, and the
+    Gram matrix is one product mod q, read at j >= i (x_ji = x_ij, as
+    k -> k^-1 keeps class sizes).  The conjugates of sum_k |C_k| D chi(g_k^2)
+    - |G| D nu are at most |G| (L + D) <= B, so the indicator nu is exact."""
+    order = group.order
+    if sum(c.degree ** 2 for c in chars) != order:
         raise TableComputationError("degrees do not satisfy the sum-of-squares identity")
-    m = _conductor(chars)
-    lifted = [_lift(c, m) for c in chars]
-    classes = _class_pairs(group)
-    for i, a in enumerate(lifted):
-        for j, b in enumerate(lifted[i:], i):
-            if _integer(*_pairing(group, m, classes, a, b)) != (1 if i == j else 0):
+    values = {id(v): v for c in chars for v in c.values}  # shared values once
+    m = math.lcm(*(v.n for v in values.values()))
+    den = math.lcm(*(v.den for v in values.values()))
+    top = max(sum(map(abs, v.num)) * (den // v.den) for v in values.values())
+    w = order * (top * top + den * den) + 2
+    q = sum(c * w ** j for j, c in enumerate(cyclotomic_polynomial(m)))
+    powers = [pow(w, t, q) for t in range(m)]
+    at = {k: sum(c * powers[i * (m // v.n)] for i, c in enumerate(v.num) if c)
+          * (den // v.den) % q for k, v in values.items()}
+    evaluated = [[at[id(v)] for v in c.values] for c in chars]
+    right = [list(map(row.__getitem__, group.inverse_class)) for row in evaluated]
+    sizes, unit = group.class_sizes, order * den
+    for i, row in enumerate(evaluated):
+        left = list(map(operator.mul, sizes, row))
+        for j in range(i, len(chars)):
+            if sum(map(operator.mul, left, right[j])) % q != (unit * den % q if i == j else 0):
                 raise TableComputationError("lifted characters are not orthonormal")
-    return m, lifted
+    if any(c.degree < 1 for c in chars):
+        raise TableComputationError("a degree is not positive")
+    squares = [0] * len(sizes)  # sum_k |C_k| chi(g_k^2) = sum_j squares[j] chi(g_j)
+    for h, k in zip(sizes, group.power_classes(2)):
+        squares[k] += h
+    signs = {unit % q: 1, 0: 0, -unit % q: -1}
+    indicators = [signs.get(sum(map(operator.mul, squares, row)) % q) for row in evaluated]
+    if None in indicators:
+        raise TableComputationError("an indicator is not -1, 0 or 1")
+    return indicators
 
 
 def character_table(group: FiniteGroup) -> CharacterTable:

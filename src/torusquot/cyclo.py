@@ -279,12 +279,6 @@ def _lowest_terms(n: int, num, den: int) -> "Cyclotomic":
     return Cyclotomic(n, tuple(num), den)
 
 
-def _from_rationals(coeffs: list[Fraction], n: int) -> "Cyclotomic":
-    den = math.lcm(*(c.denominator for c in coeffs))
-    num = [c.numerator * (den // c.denominator) for c in coeffs]
-    return _canonical(_reduce(num, n), den, n)
-
-
 def _reciprocal(p: int, q: int) -> "Cyclotomic":
     """The value q/p for coprime p != 0 and q > 0."""
     return Cyclotomic(1, (q,), p) if p > 0 else Cyclotomic(1, (-q,), -p)
@@ -311,7 +305,10 @@ def normalize(coeffs, conductor: int) -> "Cyclotomic":
     if len(coeffs) != conductor:
         raise InvalidInputError(
             f"coefficient sequence has length {len(coeffs)}, conductor is {conductor}")
-    return _from_rationals([Fraction(c) for c in coeffs], conductor)
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    num = [c.numerator * (den // c.denominator) for c in coeffs]
+    return _canonical(_reduce(num, conductor), den, conductor)
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +591,11 @@ class EntryParseError(InvalidInputError):
 
 
 def parse_entry(text: str, conductor: int) -> Cyclotomic:
-    """Parse `a/b*z^k` sums at the given conductor.  Whitespace-insensitive."""
+    """Parse `a/b*z^k` sums at the given conductor.  Whitespace-insensitive.
+    The terms are summed as integer numerators over their denominators' lcm."""
     if not isinstance(conductor, int) or conductor < 1:
         raise InvalidInputError(f"conductor must be a positive integer, got {conductor!r}")
-    n = conductor
-    raw = [_F0] * n
-    pos = 0
+    terms = []  # (power of z, signed numerator, denominator)
     length = len(text)
 
     def skip_ws(p):
@@ -615,10 +611,9 @@ def parse_entry(text: str, conductor: int) -> Cyclotomic:
             raise EntryParseError("expected a digit", start + 1)
         return int(text[start:p]), p
 
-    pos = skip_ws(pos)
+    pos = skip_ws(0)
     if pos == length:
         raise EntryParseError("empty entry", pos + 1)
-    saw_term = False
     while pos < length:
         sign = 1
         while pos < length and text[pos] in "+-":
@@ -627,7 +622,7 @@ def parse_entry(text: str, conductor: int) -> Cyclotomic:
             pos = skip_ws(pos + 1)
         if pos >= length:
             raise EntryParseError("dangling sign", pos + 1)
-        coeff = None
+        num = None
         if text[pos].isdigit():
             num, pos = read_int(pos)
             den = 1
@@ -635,7 +630,6 @@ def parse_entry(text: str, conductor: int) -> Cyclotomic:
                 den, pos = read_int(pos + 1)
                 if den == 0:
                     raise EntryParseError("zero denominator", pos)
-            coeff = Fraction(num, den)
             pos = skip_ws(pos)
             if pos < length and text[pos] == "*":
                 pos = skip_ws(pos + 1)
@@ -646,20 +640,21 @@ def parse_entry(text: str, conductor: int) -> Cyclotomic:
             k = 1
             if pos < length and text[pos] == "^":
                 k, pos = read_int(skip_ws(pos + 1))
-            if coeff is None:
-                coeff = _F1
-            raw[k % n] += sign * coeff
-        elif coeff is not None:
-            raw[0] += sign * coeff
+            if num is None:
+                num, den = 1, 1
+            terms.append((k % conductor, sign * num, den))
+        elif num is not None:
+            terms.append((0, sign * num, den))
         else:
             raise EntryParseError(f"unexpected character {text[pos]!r}", pos + 1)
-        saw_term = True
         pos = skip_ws(pos)
         if pos < length and text[pos] not in "+-":
             raise EntryParseError(f"unexpected character {text[pos]!r}", pos + 1)
-    if not saw_term:
-        raise EntryParseError("empty entry", 1)
-    return _from_rationals(raw, n)
+    den = math.lcm(*(d for _, _, d in terms))
+    raw = [0] * conductor
+    for i, c, d in terms:
+        raw[i] += c * (den // d)
+    return _canonical(_reduce(raw, conductor), den, conductor)
 
 
 def format_entry(x: Cyclotomic, conductor: int | None = None) -> str:

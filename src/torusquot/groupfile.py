@@ -206,7 +206,8 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
 
 
 def _block_lines(lines: _Lines, allowed):
-    """Yield (lineno, keyword, rest, rest_offset) until the next directive."""
+    """Yield (lineno, keyword, rest, rest_offset) until the next directive:
+    the keyword split off as `_keyword` does, rest from its 0-based column."""
     while True:
         item = lines.peek()
         if item is None:
@@ -216,9 +217,8 @@ def _block_lines(lines: _Lines, allowed):
         if kw not in allowed:
             return
         lines.take()
-        head, _, rest = body.partition(" ")
-        offset = body.index(head) + len(head) + 1
-        yield lineno, kw, rest, offset
+        offset = body.index(kw) + len(kw)
+        yield lineno, kw, body[offset:], offset
 
 
 def _parse_generator(lines: _Lines, header: str, lineno: int, gf: GroupFile) -> GeneratorSpec:

@@ -374,7 +374,7 @@ class FiniteGroup:
         self._cyclic_classes = None
         self._inverse_class = None
         self._lattice = None
-        self._class_sums = None
+        self._linear = None
 
     @property
     def order(self) -> int:
@@ -604,35 +604,37 @@ class FiniteGroup:
             order *= row[i]
         return order
 
-    def linear_characters(self, e: int) -> list[tuple[int, ...]]:
+    def linear_characters(self, e: int) -> tuple[tuple[int, ...], ...]:
         """The linear characters with values in the e-th roots of unity (all
         of them when the exponent of G/[G,G] divides e), as exponents t_k per
         class with lambda(g_k) = zeta_e^(t_k).  Up the triangular basis, row
-        i with diagonal d leaves gcd(d, e) choices of a_i, or none."""
-        if self._class_sums is None:
+        i with diagonal d leaves gcd(d, e) choices of a_i, or none.  Kept
+        for the last e, which the table's split and its rows both ask for."""
+        if self._linear is None or self._linear[0] != e:
             rank = len(self._right)
-            self._class_sums = []
+            sums = []
             for x in self.class_representatives:
                 c = [0] * rank
                 for a in self.word(x):
                     c[a] += 1
-                self._class_sums.append(c)
-        lattice = self._relation_lattice()
-        solutions = [()]
-        for i in reversed(range(len(lattice))):
-            d, tail = lattice[i][i], lattice[i][i + 1:]
-            g = math.gcd(d, e)
-            step = e // g
-            d_inv = pow(d // g, -1, step)
-            extended = []
-            for a in solutions:
-                s, rest = divmod(sum(map(mul, tail, a)), g)
-                if not rest:
-                    first = -s * d_inv % step
-                    extended.extend((first + t * step,) + a for t in range(g))
-            solutions = extended
-        return [tuple(sum(map(mul, a, c)) % e for c in self._class_sums)
-                for a in solutions]
+                sums.append(c)
+            lattice = self._relation_lattice()
+            solutions = [()]
+            for i in reversed(range(len(lattice))):
+                d, tail = lattice[i][i], lattice[i][i + 1:]
+                g = math.gcd(d, e)
+                step = e // g
+                d_inv = pow(d // g, -1, step)
+                extended = []
+                for a in solutions:
+                    s, rest = divmod(sum(map(mul, tail, a)), g)
+                    if not rest:
+                        first = -s * d_inv % step
+                        extended.extend((first + t * step,) + a for t in range(g))
+                solutions = extended
+            self._linear = e, tuple(tuple(sum(map(mul, a, c)) % e for c in sums)
+                                    for a in solutions)
+        return self._linear[1]
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order}, degree={self.degree})"

@@ -14,9 +14,11 @@ a full product and a row reduction, finds eigenvalues by the
 Cantor-Zassenhaus root finder of `modp_oracle` and row-reduces once per
 eigenvalue (`modp_oracle.kernel_mod`), :func:`_lift_character`,
 which sets up the Fourier inversion again for each character, and
-:func:`_verify_table`, which compares canonical inner products.  The
-table's bookkeeping read degrees and sort keys through `Fraction`
-(:func:`degree`, :func:`sort_key`).
+:func:`_verify_table`, which compares canonical inner products.
+:func:`_verify_pairings` is the check that followed it: each of the
+r(r+1)/2 pairings accumulated in integers in Z[z]/(z^m - 1) and read off
+its numerators reduced mod Phi_m.  The table's bookkeeping read degrees
+and sort keys through `Fraction` (:func:`degree`, :func:`sort_key`).
 
 They are slow and simple, and the differential tests compare `chartab`
 against them; :func:`check_table_reads` compares what a finished table
@@ -173,6 +175,19 @@ def _verify_table(group, chars):
     for i, a in enumerate(chars):
         for j, b in enumerate(chars):
             if inner_product(a, b) != (1 if i == j else 0):
+                raise TableComputationError("lifted characters are not orthonormal")
+
+
+def _verify_pairings(group, chars):
+    """The degrees' squares sum to |G|, and each pairing (a|b), j >= i,
+    summed in Z[z]/(z^m - 1), is the integer delta_ij."""
+    if sum(c.degree ** 2 for c in chars) != group.order:
+        raise TableComputationError("degrees do not satisfy the sum-of-squares identity")
+    m = chartab._conductor(chars)
+    lifted = [chartab._lift(c, m) for c in chars]
+    for i, a in enumerate(lifted):
+        for j, b in enumerate(lifted[i:], i):
+            if chartab._integer(*chartab._pairing(group, m, a, b)) != (1 if i == j else 0):
                 raise TableComputationError("lifted characters are not orthonormal")
 
 

@@ -9,6 +9,8 @@ implementation against it.  `rref` is the earlier dense row reduction,
 which works on every entry; the oracle's own solves use it, and the
 differential tests compare :func:`torusquot.cyclo.rref` against it.
 
+`parse_entry` is the earlier entry parser, which summed `Fraction` terms.
+
 `embed_float` and `is_integral` act on :mod:`torusquot` values.  Only
 tests need them: the package itself decides everything exactly.
 """
@@ -20,7 +22,10 @@ import math
 from fractions import Fraction
 
 from torusquot.cyclo import Cyclotomic as _PackageCyclotomic
+from torusquot.cyclo import EntryParseError
+from torusquot.cyclo import normalize as _package_normalize
 from torusquot.cyclo import cyclotomic_polynomial, divisors, prime_factors, totient
+from torusquot.errors import InvalidInputError
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -337,3 +342,73 @@ def format_entry(x: Cyclotomic, conductor: int | None = None) -> str:
         else:
             terms.append(f"{c}*z^{k}")
     return " + ".join(terms) if terms else "0"
+
+
+def parse_entry(text: str, conductor: int) -> _PackageCyclotomic:
+    """The earlier body of :func:`torusquot.cyclo.parse_entry`: each term a
+    `Fraction` summed into a length-n vector, then canonicalised."""
+    if not isinstance(conductor, int) or conductor < 1:
+        raise InvalidInputError(f"conductor must be a positive integer, got {conductor!r}")
+    n = conductor
+    raw = [_F0] * n
+    pos = 0
+    length = len(text)
+
+    def skip_ws(p):
+        while p < length and text[p].isspace():
+            p += 1
+        return p
+
+    def read_int(p):
+        start = p
+        while p < length and text[p].isdigit():
+            p += 1
+        if p == start:
+            raise EntryParseError("expected a digit", start + 1)
+        return int(text[start:p]), p
+
+    pos = skip_ws(pos)
+    if pos == length:
+        raise EntryParseError("empty entry", pos + 1)
+    saw_term = False
+    while pos < length:
+        sign = 1
+        while pos < length and text[pos] in "+-":
+            if text[pos] == "-":
+                sign = -sign
+            pos = skip_ws(pos + 1)
+        if pos >= length:
+            raise EntryParseError("dangling sign", pos + 1)
+        coeff = None
+        if text[pos].isdigit():
+            num, pos = read_int(pos)
+            den = 1
+            if pos < length and text[pos] == "/":
+                den, pos = read_int(pos + 1)
+                if den == 0:
+                    raise EntryParseError("zero denominator", pos)
+            coeff = Fraction(num, den)
+            pos = skip_ws(pos)
+            if pos < length and text[pos] == "*":
+                pos = skip_ws(pos + 1)
+                if pos >= length or text[pos] != "z":
+                    raise EntryParseError("expected z after *", pos + 1)
+        if pos < length and text[pos] == "z":
+            pos = skip_ws(pos + 1)
+            k = 1
+            if pos < length and text[pos] == "^":
+                k, pos = read_int(skip_ws(pos + 1))
+            if coeff is None:
+                coeff = _F1
+            raw[k % n] += sign * coeff
+        elif coeff is not None:
+            raw[0] += sign * coeff
+        else:
+            raise EntryParseError(f"unexpected character {text[pos]!r}", pos + 1)
+        saw_term = True
+        pos = skip_ws(pos)
+        if pos < length and text[pos] not in "+-":
+            raise EntryParseError(f"unexpected character {text[pos]!r}", pos + 1)
+    if not saw_term:
+        raise EntryParseError("empty entry", 1)
+    return _package_normalize(raw, n)

@@ -4,7 +4,11 @@ Values are drawn over conductors that reach every descent branch: prime
 powers (a support check and a re-index), p exactly dividing n (a Galois
 generator test and the cached integer rewrite), n = 2 mod 4 and mixed
 conductors.  Galois-orbit sums are drawn on purpose, because they lie in
-a proper subfield and must descend.
+a proper subfield and must descend.  The entry parser, which gathers
+integer numerators over one denominator, is compared with the earlier
+one, which summed `Fraction` terms, on well-formed sums and on random
+strings of the entry syntax's tokens: the same value, or the same error
+at the same column.
 """
 
 import math
@@ -14,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclo_oracle as oracle
-from torusquot.cyclo import format_entry, normalize
+from torusquot.cyclo import EntryParseError, format_entry, normalize, parse_entry
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 21, 24, 30, 36, 60]
 
@@ -99,3 +103,40 @@ def test_root_of_unity_order_matches_oracle(n, k, scale):
     a0 = oracle.normalize([scale if i == k % n else 0 for i in range(n)], n)
     assert a.root_of_unity_order() == a0.root_of_unity_order()
     assert (a + 1).root_of_unity_order() == (a0 + 1).root_of_unity_order()
+
+
+@st.composite
+def entry_texts(draw):
+    """A sum of signed terms a/b*z^k, some parts left out, with random
+    spacing; or a random string of the syntax's tokens, mostly malformed."""
+    space = st.sampled_from(["", "", " ", "  ", "\t"])
+    if draw(st.booleans()):
+        parts = []
+        for _ in range(draw(st.integers(1, 4))):
+            parts.append(draw(st.sampled_from(["", "+", "-", "- -", "+-"])) + draw(space))
+            coeff = draw(st.sampled_from(["", "{a}", "{a}/{b}"])).format(
+                a=draw(st.integers(0, 40)), b=draw(st.integers(1, 12)))
+            power = draw(st.sampled_from(["", "z", "z^{k}", "z ^ {k}"])).format(
+                k=draw(st.integers(0, 130)))
+            if not coeff and not power:
+                power = "z"
+            joint = "*" if coeff and power and draw(st.booleans()) else ""
+            parts.append(coeff + draw(space) + joint + draw(space) + power + draw(space))
+        return "".join(parts)
+    tokens = ["1", "2", "17", "0", "/", "/0", "/3", "1/", "*", "z", "^", "z^", "^2", "+", "-",
+              " ", "\t", "q", "."]
+    return "".join(draw(st.lists(st.sampled_from(tokens), max_size=8)))
+
+
+def _parsed(parse, text, n):
+    try:
+        return "ok", parse(text, n)
+    except EntryParseError as exc:
+        return "error", str(exc), exc.column
+
+
+@given(entry_texts(), st.sampled_from(CONDUCTORS))
+@settings(max_examples=300, deadline=None)
+def test_parse_entry_matches_oracle(text, n):
+    # values compare by conductor, numerators and denominator
+    assert _parsed(parse_entry, text, n) == _parsed(oracle.parse_entry, text, n)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import chartab_oracle as oracle
 
-from torusquot import chartab
+from torusquot import chartab, modp
 from torusquot.chartab import (
     Character,
     character_table,
@@ -121,19 +121,33 @@ def test_negative_eigenvalue_one_average_is_refused(s4_group):
 
 
 def _oracle_check(group, chars):
-    """The oracle's table check, returning the (conductor, lifts) pair the
-    table keeps, as `chartab._verify_table` does."""
+    """The oracle's table check, returning the indicators the table keeps,
+    as `chartab._verify_table` does."""
     oracle._verify_table(group, chars)
-    m = chartab._conductor(chars)
-    return m, [chartab._lift(c, m) for c in chars]
+    return [oracle.frobenius_schur(c) for c in chars]
+
+
+def _lattice_first(group, p):
+    """The oracle's eigenvectors with the lattice's linear characters first,
+    where `chartab._table_mod_p` reads them: each of them must be one of the
+    oracle's vectors."""
+    e = group.exponent()
+    w = modp.element_of_order(e, p)
+    linear = [[h * pow(w, t, p) % p for h, t in zip(group.class_sizes, ts)]
+              for ts in group.linear_characters(e)]
+    vectors = oracle._split_eigenspaces(group, p)
+    assert all(v in vectors for v in linear)
+    return linear + [v for v in vectors if v not in linear]
 
 
 def _earlier_table(group):
     """`character_table` through the earlier steps: whole class matrices,
     Cantor-Zassenhaus roots, canonical inner products in the check, and
-    degrees and sort keys read through `Fraction`."""
+    degrees and sort keys read through `Fraction`.  The linear rows come
+    from the lattice, which must give r1 of the split's vectors, and only
+    the other r - r1 rows are lifted."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chartab, "_split_eigenspaces", oracle._split_eigenspaces)
+        mp.setattr(chartab, "_split_eigenspaces", _lattice_first)
         mp.setattr(chartab, "_verify_table", _oracle_check)
         mp.setattr(Character, "degree", property(oracle.degree))
         mp.setattr(Cyclotomic, "sort_key", oracle.sort_key)

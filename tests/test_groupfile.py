@@ -112,6 +112,47 @@ def test_malformed_entry_is_positioned():
     assert err.column is not None
 
 
+# each block kind as (lines before it, its lines as (keyword, rest)); the
+# last rest holds an entry list where the block has one
+_BLOCKS = {
+    "perm-map": ("generator perm\n", [("map", "2 1")]),
+    "monomial": ("generator monomial\n", [("map", "2 1"), ("scalars", "z^1; -1")]),
+    "dense-row": ("generator dense\n", [("row", "0; 1"), ("row", "1; 0")]),
+    "form-row": ("generator perm\nmap 2 1\nform dense\n", [("row", "0; 1"), ("row", "-1; 0")]),
+}
+_LAYOUTS = {
+    "tab": "{kw}\t{rest}",
+    "indented": "  {kw} {rest}",
+    "indented-tab": "\t{kw}\t{rest}",
+}
+
+
+def _block_text(block, layout, last_rest=None):
+    before, lines = _BLOCKS[block]
+    if last_rest is not None:
+        lines = lines[:-1] + [(lines[-1][0], last_rest)]
+    body = "".join(_LAYOUTS[layout].format(kw=kw, rest=rest) + "\n" for kw, rest in lines)
+    return "conductor 4\ndegree 2\n" + before + body
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("block", list(_BLOCKS))
+def test_block_keyword_is_split_at_any_whitespace(block, layout):
+    plain = parse_group_text(_block_text(block, "tab").replace("\t", " "))
+    assert _same_content(parse_group_text(_block_text(block, layout)), plain)
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("block", ["monomial", "dense-row", "form-row"])
+def test_entry_errors_after_whitespace_keep_their_columns(block, layout):
+    # the last entry of the block's last line gains a stray q
+    rest = _BLOCKS[block][1][-1][1] + "q"
+    text = _block_text(block, layout, rest)
+    lines = text.splitlines()
+    err = _expect_error(text, "unexpected character 'q'", line=len(lines))
+    assert err.column == lines[-1].index("q") + 1
+
+
 def test_missing_headers():
     _expect_error("degree 2\ngenerator perm\nmap 1 2\n", "missing conductor")
     _expect_error("conductor 1\ngenerator perm\nmap 1\n", "missing degree")

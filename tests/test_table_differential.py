@@ -3,7 +3,8 @@
 `chartab` takes the linear characters from the abelianization lattice,
 splits only their complement, builds class-matrix rows only at the pivot
 rows of the spaces still to split, counted without inverses, reads each
-restriction off those rows, and lifts every character through one plan.
+restriction off those rows, and lifts every other character through one
+plan.
 The earlier steps (`chartab_oracle`) built whole class matrices from the inverses of
 the class members, restricted each space by a full product and a row
 reduction, and set the lift up again for each character.  On random
@@ -11,9 +12,10 @@ subgroups of G(m,1,n) = mu_m wr S_n, written monomial and conjugated to
 dense, on the corpus groups and on s4, g216 and g1280, every requested row
 must equal the oracle's matrix row, the split must return the same set of
 vectors (their order follows the split, and the table sorts its rows),
-and the lifted values must be equal.  The eigenvalue-1
-counts the lift keeps and the indicators read off the check's lift must
-equal both per-character sums, `chartab`'s and the oracle's.
+the linear rows must be the lattice's characters, and the lifted values
+of the other rows must be equal.  The eigenvalue-1
+counts the table keeps and the indicators its check reads must equal
+both per-character sums, `chartab`'s and the oracle's.
 """
 
 from types import SimpleNamespace
@@ -26,6 +28,7 @@ import chartab_oracle as oracle
 from helpers import conjugated_elements, wreath_generator_pairs
 
 from torusquot import chartab, modp
+from torusquot.cyclo import Cyclotomic
 from torusquot.errors import GroupTooLargeError, TableComputationError
 from torusquot.fixtures import FIXTURES
 from torusquot.groupfile import parse_group_text
@@ -70,9 +73,15 @@ def check_table_steps(group):
         lifts = _recording(mp, "_lift_character")
         chars = chartab._table_mod_p(group, p)
     # rows are built only when the complement of the linear characters
-    # has a space of dimension 2 or more to split
-    assert bool(rows) == (r - group.abelianization_order() > 1)
-    assert len(splits) == 1 and len(lifts) == len(chars) == r
+    # has a space of dimension 2 or more to split, and only the complement
+    # is lifted: the linear rows are the lattice's characters
+    r1 = group.abelianization_order()
+    assert bool(rows) == (r - r1 > 1)
+    assert len(splits) == 1 and len(lifts) == r - r1 and len(chars) == r
+    e = group.exponent()
+    lattice = [tuple(Cyclotomic.zeta(e, t) for t in ts) for ts in group.linear_characters(e)]
+    assert sorted((c.values for c in chars if c.degree == 1), key=str) == \
+        sorted(lattice, key=str)
     for (_, i, requested), out in rows:
         matrix = oracle._class_matrix(group, i)
         assert out == [matrix[j] for j in requested]
