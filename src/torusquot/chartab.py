@@ -488,9 +488,7 @@ def _table_mod_p(group: FiniteGroup, p: int) -> CharacterTable:
     order, e = group.order, group.exponent()
     linear = group.linear_characters(e)
     vectors = _split_eigenspaces(group, p)[len(linear):]
-    # zeta_e^t built at its order e/gcd(t, e), far cheaper to canonicalise than at e
-    roots = {t: Cyclotomic.zeta(e // math.gcd(t, e), t // math.gcd(t, e))
-             for t in {t for ts in linear for t in ts}}
+    roots = {t: Cyclotomic.zeta(e, t) for t in {t for ts in linear for t in ts}}
     chars = [Character(group, tuple(map(roots.__getitem__, ts))) for ts in linear]
     ones = [tuple(int(t == 0) for t in ts) for ts in linear]
     if vectors:

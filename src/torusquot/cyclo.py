@@ -17,11 +17,11 @@ Descent to the minimal conductor takes one prime p of n at a time:
 - p^2 divides n: Phi_n(x) = Phi_{n/p}(x^p), so Q(zeta_{n/p}) is exactly
   the span of the basis powers z^(p*j).  Membership is a support check and
   the rewrite a re-index.
-- p exactly divides n: x lies in Q(zeta_{n/p}) iff a generator of the
-  cyclic group Gal(Q(zeta_n)/Q(zeta_{n/p})) fixes it, and an integer
-  matrix over one denominator, built once per (n, n/p), rewrites it.
-  Z[zeta_n] meets Q(zeta_{n/p}) in Z[zeta_{n/p}], so the rewritten
-  numerators are integers over the same denominator.
+- p exactly divides n: z^i = zeta_p^j * zeta_{n/p}^k for one pair (j, k),
+  so x regroups as sum(zeta_p^j * A_j) with A_j in Z[zeta_{n/p}], and
+  zeta_p, ..., zeta_p^(p-1) are a basis over Q(zeta_{n/p}).  Membership
+  compares A_1, ..., A_(p-1), and the rewrite is A_0 - A_1, integer
+  numerators over the same denominator.
 
 Rational factors and summands, and Galois automorphisms, keep the
 conductor and need no descent.  Values are immutable and every operation
@@ -203,44 +203,29 @@ def _galois_num(num, n: int, k: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _subfield_generator(n: int, p: int) -> int | None:
-    """A generator k of Gal(Q(zeta_n)/Q(zeta_{n/p})) for p exactly dividing n.
+def _coprime_split(n: int, p: int) -> tuple[int, ...]:
+    """For p exactly dividing n and d = n/p, entry i is j*d + k with
+    z^i = zeta_p^j * zeta_d^k, i < phi(n).
 
-    The group is cyclic of order p - 1: k = 1 mod n/p and k is a primitive
-    root mod p.  None when the group is trivial (p = 2).
+    Take a = 1/d mod p and b = 1/p mod d, so a*d + b*p = 1 mod n and
+    z = zeta_p^a * zeta_d^b: then j = a*i mod p and k = b*i mod d.
     """
     d = n // p
-    for k in range(d + 1, n, d):
-        if k % p and all(pow(k, (p - 1) // q, p) != 1 for q in prime_factors(p - 1)):
-            return k
-    return None
-
-
-@lru_cache(maxsize=None)
-def _subfield_solver(n: int, d: int):
-    """Rewrite Q(zeta_d) inside Q(zeta_n) back to conductor d.
-
-    Column j of M is zeta_d^j = z^(j*n/d) reduced mod Phi_n.  Returns rows
-    r of M whose square submatrix S is invertible, and S^-1 as an integer
-    matrix A over one denominator D: numerators b at conductor d solve
-    M b = v, so b = A v[r] / D, and the division is exact for integer v.
-    """
-    t_n, t_d, step = totient(n), totient(d), n // d
-    cols = []
-    for j in range(t_d):
-        raw = [0] * n
-        raw[j * step] = 1
-        cols.append(_reduce(raw, n)[:t_n])
-    _, rows = rref([[Fraction(c) for c in col] for col in cols])
-    aug = [[Fraction(cols[j][r]) for j in range(t_d)]
-           + [_F1 if i == k else _F0 for k in range(t_d)] for i, r in enumerate(rows)]
-    inv = [row[t_d:] for row in rref(aug)[0]]
-    den = math.lcm(*(x.denominator for row in inv for x in row))
-    return rows, tuple(tuple(int(x * den) for x in row) for row in inv), den
+    a, b = pow(d, -1, p), pow(p, -1, d)
+    return tuple(a * i % p * d + b * i % d for i in range(totient(n)))
 
 
 def _canonical(num: list[int], den: int, n: int) -> "Cyclotomic":
-    """The canonical value num/den, num a length-n list reduced mod Phi_n."""
+    """The canonical value num/den, num a length-n list reduced mod Phi_n.
+
+    For a prime p exactly dividing n and d = n/p, the numerators regroup
+    as x = sum(zeta_p^j * A_j(zeta_d), j = 0..p-1), each A_j reduced mod
+    Phi_d.  Since [Q(zeta_n) : Q(zeta_d)] = p - 1, the powers zeta_p, ...,
+    zeta_p^(p-1) are a basis of Q(zeta_n) over Q(zeta_d), and they sum to
+    -1.  So x = sum(zeta_p^j * (A_j - A_0), j >= 1) lies in Q(zeta_d)
+    exactly when A_1 = ... = A_(p-1), and then x = A_0 - A_1.  For p = 2
+    there is nothing to compare.
+    """
     while n > 1:
         support = [i for i in range(totient(n)) if num[i]]
         if not support:
@@ -258,12 +243,13 @@ def _canonical(num: list[int], den: int, n: int) -> "Cyclotomic":
                     num = num[::p]
                     break
             elif d > 1:
-                k = _subfield_generator(n, p)
-                if k is None or _galois_num(num, n, k) == num:
-                    rows, inv, scale = _subfield_solver(n, d)
-                    v = [num[r] for r in rows]
-                    num = [sum(a * x for a, x in zip(row, v)) // scale for row in inv]
-                    num += [0] * (d - len(num))
+                split = _coprime_split(n, p)
+                raw = [0] * n
+                for i in support:
+                    raw[split[i]] = num[i]
+                a1 = _reduce(raw[d:2 * d], d)
+                if all(_reduce(raw[j:j + d], d) == a1 for j in range(2 * d, n, d)):
+                    num = [x - y for x, y in zip(_reduce(raw[:d], d), a1)]
                     break
         else:
             break
@@ -334,11 +320,14 @@ class Cyclotomic:
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
-        """The root of unity zeta_n^k."""
+        """The root of unity zeta_n^k, built as zeta_(n/g)^(k/g), g = gcd(n, k)."""
         if not isinstance(n, int) or n < 1:
             raise InvalidInputError(f"zeta needs a positive conductor, got {n!r}")
+        k %= n
+        g = math.gcd(n, k)
+        n, k = n // g, k // g
         raw = [0] * n
-        raw[k % n] = 1
+        raw[k] = 1
         return _canonical(_reduce(raw, n), 1, n)
 
     @staticmethod
@@ -361,17 +350,6 @@ class Cyclotomic:
             den = self.den
             self._coeffs = tuple(Fraction(c, den) if c else _F0 for c in self.num)
         return self._coeffs
-
-    def lift_coeffs(self, m: int) -> list[Fraction]:
-        """Coefficient vector of this value at conductor m (n must divide m)."""
-        if m % self.n:
-            raise InvalidInputError(f"cannot lift conductor {self.n} value to conductor {m}")
-        step = m // self.n
-        out = [_F0] * m
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * step] = c
-        return out
 
     def is_zero(self) -> bool:
         return self.n == 1 and not self.num[0]

@@ -94,6 +94,17 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
     return value
 
 
+def _header_value(body: str, kw: str, lineno: int) -> int:
+    """The N of a `conductor N` or `degree N` line, which must be positive."""
+    parts = body.split()
+    if len(parts) != 2:
+        raise GroupFileError(f"expected `{kw} N`", lineno)
+    value = _parse_int(parts[1], kw, lineno)
+    if value < 1:
+        raise GroupFileError(f"{kw} must be positive", lineno)
+    return value
+
+
 def _parse_index_list(rest: str, degree: int, lineno: int, what: str):
     tokens = rest.split()
     if len(tokens) != degree:
@@ -155,12 +166,7 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
         if kw not in ("conductor", "degree"):
             break
         lines.take()
-        parts = body.split()
-        if len(parts) != 2:
-            raise GroupFileError(f"expected `{kw} N`", lineno)
-        value = _parse_int(parts[1], kw, lineno)
-        if value < 1:
-            raise GroupFileError(f"{kw} must be positive", lineno)
+        value = _header_value(body, kw, lineno)
         if kw == "conductor":
             if conductor is not None:
                 raise GroupFileError("duplicate conductor line", lineno)
@@ -353,10 +359,7 @@ def parse_form_file(path, conductor: int, degree: int) -> SymplecticForm:
     item = lines.peek()
     if item is not None and _keyword(item[1]) == "conductor":
         lineno, body = lines.take()
-        parts = body.split()
-        if len(parts) != 2:
-            raise GroupFileError("expected `conductor N`", lineno)
-        conductor = _parse_int(parts[1], "conductor", lineno)
+        conductor = _header_value(body, "conductor", lineno)
     item = lines.take()
     if item is None:
         raise GroupFileError(f"{path}: no form block", None)

@@ -368,6 +368,7 @@ class FiniteGroup:
         self._powers = {}
         self._classes = None
         self._class_of = None
+        self._class_sizes = None
         self._rep_orders = None
         self._power_maps = {}
         self._conjugations = None
@@ -497,6 +498,7 @@ class FiniteGroup:
             classes.append(tuple(sorted(orbit)))
         self._classes = tuple(classes)
         self._class_of = tuple(class_of)
+        self._class_sizes = tuple(map(len, classes))
 
     @property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -523,7 +525,8 @@ class FiniteGroup:
 
     @property
     def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.conjugacy_classes)
+        self._compute_classes()
+        return self._class_sizes
 
     @property
     def class_orders(self) -> tuple[int, ...]:

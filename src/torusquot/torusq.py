@@ -220,20 +220,21 @@ class LatticeSpec:
         self.order = order
 
     def contains(self, x: Cyclotomic) -> bool:
-        """Exact membership in Z + wZ."""
+        """Exact membership in Z + wZ.
+
+        A w other than 1 is not real, so x = a + b*w with rational a and b
+        exactly when b = (x - conj(x)) / (w - conj(w)) and a = x - b*w are
+        both rational; then a and b must be integers.
+        """
         if self.order == 1:
             r = x.as_rational()
             return r is not None and r.denominator == 1
-        if self.order % x.conductor:
+        w = self.omega
+        b = ((x - x.conjugate()) / (w - w.conjugate())).as_rational()
+        if b is None or b.denominator != 1:
             return False
-        target = x.lift_coeffs(self.order)
-        one_vec = one().lift_coeffs(self.order)
-        omega_vec = self.omega.lift_coeffs(self.order)
-        # solve a*1 + b*omega = x over Q, then require integer a, b
-        red, pivots = rref([[one_vec[k], omega_vec[k], target[k]] for k in range(len(target))])
-        if pivots[-1] == 2:
-            return False  # inconsistent: x is not in Q + Q*omega
-        return all(row[2].denominator == 1 for row in red[:len(pivots)])
+        a = (x - b * w).as_rational()
+        return a is not None and a.denominator == 1
 
     def __repr__(self):
         return f"LatticeSpec(omega={self.omega})"

@@ -27,6 +27,8 @@ from torusquot.cyclo import normalize as _package_normalize
 from torusquot.cyclo import cyclotomic_polynomial, divisors, prime_factors, totient
 from torusquot.errors import InvalidInputError
 
+from helpers import lift_coeffs
+
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -44,7 +46,7 @@ def is_integral(x, m: int) -> bool:
     """True iff the torusquot value x lies in the ring Z[zeta_m]."""
     if m % x.n:
         return False
-    return all(c.denominator == 1 for c in _reduce(x.lift_coeffs(m), m))
+    return all(c.denominator == 1 for c in _reduce(lift_coeffs(x, m), m))
 
 
 def rref(a):

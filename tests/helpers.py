@@ -1,5 +1,7 @@
 """Constructions and matrix helpers that only the tests use."""
 
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
 from torusquot import modp
@@ -9,6 +11,18 @@ from torusquot.errors import InvalidInputError
 from torusquot.groups import Dense, FiniteGroup, Monomial
 from torusquot.linalg import mat_inverse, mat_mul
 from torusquot.torusq import AnalyticRep
+
+
+def lift_coeffs(x: Cyclotomic, m: int) -> list[Fraction]:
+    """The rational coefficients of x at conductor m, a multiple of its
+    conductor, one per power of zeta_m and not reduced mod Phi_m."""
+    if m % x.n:
+        raise InvalidInputError(f"cannot lift conductor {x.n} value to conductor {m}")
+    step = m // x.n
+    out = [Fraction(0)] * m
+    for i, c in enumerate(x.coeffs):
+        out[i * step] = c
+    return out
 
 
 @st.composite

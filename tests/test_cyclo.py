@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclo_oracle import embed_float, is_integral
+from helpers import lift_coeffs
 
 from torusquot import (
     Cyclotomic,
@@ -49,7 +50,7 @@ def test_normalize_zeta4_cubed():
 
 def test_normalize_idempotent():
     x = normalize([Fraction(1, 2), 0, -3, 0, 0, 1], 6)
-    y = normalize(x.lift_coeffs(x.n), x.n)
+    y = normalize(lift_coeffs(x, x.n), x.n)
     assert x == y
 
 
@@ -67,6 +68,19 @@ def test_descent_to_minimal_conductor():
     assert Z(4, 2) == -1        # zeta_4^2 = -1, rational
     assert Z(8, 2) == Z(4)
     assert (Z(5) + Z(5, 2) + Z(5, 3) + Z(5, 4)) == -1
+
+
+@pytest.mark.parametrize("n", [210, 930])
+def test_roots_of_unity_at_large_conductors(n):
+    # no oracle: zeta_n^t is zeta_(n/g)^(t/g), and the powers multiply like
+    # their exponents add, so with zeta_n^n = 1 each is an n-th root of unity
+    roots = [Z(n, t) for t in range(n)]
+    assert roots[1] ** n == 1
+    for t, x in enumerate(roots):
+        g = math.gcd(n, t)
+        assert x == Z(n // g, t // g)
+        for s in (1, 31):
+            assert roots[s] * x == roots[(s + t) % n]
 
 
 # --- arithmetic -------------------------------------------------------------
@@ -242,7 +256,7 @@ def test_canonical_form_unique(x):
     # renormalizing at any lifted conductor lands on the identical object state
     for mult in (1, 2, 3):
         m = x.n * mult
-        y = normalize(x.lift_coeffs(m), m)
+        y = normalize(lift_coeffs(x, m), m)
         assert y.n == x.n and y.coeffs == x.coeffs
     assert all(x.coeffs[i] == 0 for i in range(totient(x.n), x.n))
 

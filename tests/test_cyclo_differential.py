@@ -1,14 +1,14 @@
 """Differential tests: integer-numerator Cyclotomic against the Fraction oracle.
 
 Values are drawn over conductors that reach every descent branch: prime
-powers (a support check and a re-index), p exactly dividing n (a Galois
-generator test and the cached integer rewrite), n = 2 mod 4 and mixed
-conductors.  Galois-orbit sums are drawn on purpose, because they lie in
-a proper subfield and must descend.  The entry parser, which gathers
-integer numerators over one denominator, is compared with the earlier
-one, which summed `Fraction` terms, on well-formed sums and on random
-strings of the entry syntax's tokens: the same value, or the same error
-at the same column.
+powers (a support check and a re-index), p exactly dividing n (the
+numerators regrouped by the powers of zeta_p, up to three odd primes at
+105), n = 2 mod 4 and mixed conductors.  Galois-orbit sums are drawn on
+purpose, because they lie in a proper subfield and must descend.  The
+entry parser, which gathers integer numerators over one denominator, is
+compared with the earlier one, which summed `Fraction` terms, on
+well-formed sums and on random strings of the entry syntax's tokens: the
+same value, or the same error at the same column.
 """
 
 import math
@@ -18,9 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclo_oracle as oracle
+from helpers import lift_coeffs
 from torusquot.cyclo import EntryParseError, format_entry, normalize, parse_entry
 
-CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 21, 24, 30, 36, 60]
+CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 21, 24, 30, 35, 36, 42, 60, 105]
+# the oracle inverts by multiplying the other phi(n) - 1 conjugates, about
+# 0.8 s at 105, so inverses and orders are compared up to conductor 60
+INVERSE_MAX = 60
 
 
 @st.composite
@@ -53,7 +57,7 @@ def pairs(draw):
 def assert_same(new, old):
     assert (new.n, new.coeffs) == (old.n, old.coeffs)
     assert all(c == 0 for c in new.coeffs[len(old.coeffs):])
-    assert new.lift_coeffs(2 * new.n) == old.lift_coeffs(2 * old.n)
+    assert lift_coeffs(new, 2 * new.n) == old.lift_coeffs(2 * old.n)
     assert format_entry(new) == oracle.format_entry(old)
     assert format_entry(new, 3 * new.n) == oracle.format_entry(old, 3 * old.n)
     assert new.as_rational() == old.as_rational()
@@ -76,7 +80,7 @@ def test_field_operations_match_oracle(x, y):
     assert_same(a * b, a0 * b0)
     assert (a == b) == (a0 == b0)
     assert (a.sort_key() < b.sort_key()) == (a0.sort_key() < b0.sort_key())
-    if b0.as_rational() != 0:
+    if b0.as_rational() != 0 and b.n <= INVERSE_MAX:
         assert_same(a / b, a0 / b0)
 
 
@@ -88,14 +92,15 @@ def test_unary_operations_match_oracle(x, power, k):
     assert_same(a.conjugate(), a0.conjugate())
     if math.gcd(k % a.n, a.n) == 1:
         assert_same(a.galois(k), a0.galois(k))
-    if a0.as_rational() != 0:
+    if a0.as_rational() != 0 and a.n <= INVERSE_MAX:
         assert_same(a.inverse(), a0.inverse())
         assert_same(a ** power, a0 ** power)
     assert_same(a + 1, a0 + 1)
     assert_same(a * Fraction(-2, 3), a0 * Fraction(-2, 3))
 
 
-@given(st.sampled_from(CONDUCTORS), st.integers(0, 59), st.sampled_from([1, -1, 2]))
+@given(st.sampled_from([n for n in CONDUCTORS if n <= INVERSE_MAX]), st.integers(0, 59),
+       st.sampled_from([1, -1, 2]))
 @settings(max_examples=80, deadline=None)
 def test_root_of_unity_order_matches_oracle(n, k, scale):
     # scaled roots of unity, plus a non-root with the same support

@@ -254,6 +254,16 @@ def test_parse_form_file(tmp_path):
         parse_form_file(path, conductor=1, degree=2)
 
 
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_form_file_conductor_must_be_positive(tmp_path, value):
+    path = tmp_path / "omega.form"
+    path.write_text(f"# a form over Q\nconductor {value}\nform wedge 1:2\n")
+    with pytest.raises(GroupFileError) as exc:
+        parse_form_file(path, conductor=4, degree=2)
+    assert "conductor must be positive" in str(exc.value)
+    assert exc.value.line == 2
+
+
 # -- randomized round trips for monomial blocks
 
 

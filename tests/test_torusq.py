@@ -1,5 +1,6 @@
 """Pipeline-level properties: forms, projections, fibrations, verdicts."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from cyclo_oracle import embed_float
 from fibration_oracle import isotypic_projections
 from helpers import one_dim_rep, regular_rep
-from torusq_oracle import bareiss_det, has_eigenvalue_one
+from torusq_oracle import bareiss_det, has_eigenvalue_one, lattice_contains
 
 from torusquot.chartab import character_table
 from torusquot.cyclo import Cyclotomic, one, zero
@@ -272,9 +273,32 @@ def test_lattice_membership_eisenstein():
 def test_lattice_membership_cyclotomic8():
     z8 = Cyclotomic.zeta(8, 1)
     lat = LatticeSpec(z8)
-    assert not lat.contains(I4)  # not even in Q + Q*z8: the system is inconsistent
+    assert not lat.contains(I4)  # not even in Q + Q*z8
     assert lat.contains(2 - 3 * z8)
     assert not lat.contains(z8 * Cyclotomic.from_value(Fraction(1, 2)))
+
+
+@st.composite
+def lattice_entries(draw):
+    """A lattice z^k of order 3, 4, 5 or 6, and a + b*z^k with small
+    rational a and b, plus sometimes a root of unity of order 1..12."""
+    m = draw(st.sampled_from([3, 4, 5, 6]))
+    k = draw(st.sampled_from([k for k in range(1, m) if math.gcd(k, m) == 1]))
+    w = Cyclotomic.zeta(m, k)
+    a, b = (Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 1, 2, 3])))
+            for _ in range(2))
+    x = a + b * w
+    if draw(st.booleans()):
+        x = x + draw(st.integers(-2, 2)) * Cyclotomic.zeta(draw(st.integers(1, 12)),
+                                                           draw(st.integers(0, 11)))
+    return LatticeSpec(w), x
+
+
+@given(lattice_entries())
+@settings(max_examples=200, deadline=None)
+def test_lattice_membership_matches_row_reduction(case):
+    lat, x = case
+    assert lat.contains(x) == lattice_contains(lat, x)
 
 
 def test_lattice_rejects_bad_generators():

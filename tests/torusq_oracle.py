@@ -10,16 +10,36 @@ matrix of each class representative (a cycle walk for a monomial matrix,
 a fraction-free determinant of M - I for a dense one), where the library
 averages the character over <g>; and the earlier form-preservation check,
 which compares every entry of M^T * Omega * M with Omega, where the
-library reads only the form's nonzero entries.
+library reads only the form's nonzero entries.  And the earlier lattice
+membership test, which solves a + b*w = x over Q by a row reduction of
+coefficient vectors, where the library reads b off the imaginary parts.
 """
 
 from __future__ import annotations
 
-from torusquot.cyclo import one, zero
+from helpers import lift_coeffs
+from torusquot.cyclo import one, rref, zero
 from torusquot.errors import InvalidInputError
 from torusquot.groups import Monomial
 from torusquot.linalg import identity_matrix, mat_eq, mat_mul, transpose
-from torusquot.torusq import AnalyticRep, SymplecticForm
+from torusquot.torusq import AnalyticRep, LatticeSpec, SymplecticForm
+
+
+def lattice_contains(lattice: LatticeSpec, x) -> bool:
+    """Exact membership of x in Z + wZ, w = lattice.omega."""
+    if lattice.order == 1:
+        r = x.as_rational()
+        return r is not None and r.denominator == 1
+    if lattice.order % x.conductor:
+        return False
+    target = lift_coeffs(x, lattice.order)
+    one_vec = lift_coeffs(one(), lattice.order)
+    omega_vec = lift_coeffs(lattice.omega, lattice.order)
+    # solve a*1 + b*omega = x over Q, then require integer a, b
+    red, pivots = rref([[one_vec[k], omega_vec[k], target[k]] for k in range(len(target))])
+    if pivots[-1] == 2:
+        return False  # inconsistent: x is not in Q + Q*omega
+    return all(row[2].denominator == 1 for row in red[:len(pivots)])
 
 
 def group_average_form(rep: AnalyticRep) -> SymplecticForm | None:
