@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modp
@@ -37,17 +36,26 @@ from .groups import FiniteGroup
 MAX_PRIME_ATTEMPTS = 4
 
 
-@dataclass(frozen=True)
 class Character:
-    """A class function with cyclotomic values, one per conjugacy class."""
+    """A class function with cyclotomic values, one per conjugacy class.
+    Equal and hashed by its group and values."""
 
-    group: FiniteGroup
-    values: tuple[Cyclotomic, ...]
+    __slots__ = ("group", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.group.num_classes:
+    def __init__(self, group: FiniteGroup, values: tuple[Cyclotomic, ...]):
+        if len(values) != group.num_classes:
             raise InconsistentCharacterError(
                 "value count does not match the number of conjugacy classes")
+        self.group = group
+        self.values = values
+
+    def __eq__(self, other):
+        if not isinstance(other, Character):
+            return NotImplemented
+        return self.group == other.group and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.group, self.values))
 
     @property
     def degree(self) -> int:

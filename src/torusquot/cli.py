@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -89,6 +88,7 @@ def cmd_analyze(args) -> int:
     except TorusQuotError as exc:
         return _fail(str(exc), 2)
     if args.report == "json":
+        import json
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.to_text())
@@ -104,6 +104,7 @@ def cmd_chartable(args) -> int:
     except TorusQuotError as exc:
         return _fail(str(exc), 2)
     if args.format == "json":
+        import json
         print(json.dumps(table.to_dict(), indent=2))
     else:
         print(table.render())

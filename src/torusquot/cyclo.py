@@ -455,12 +455,22 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse: the other Galois conjugates over the norm."""
+        """Multiplicative inverse.  A single term c·z^i inverts as
+        (1/c)·z^(-i), which lies in the same field and so keeps the minimal
+        conductor; any other value as its other Galois conjugates over the
+        norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
         n = self.n
         if n == 1:
             return _reciprocal(self.num[0], self.den)
+        support = [i for i, c in enumerate(self.num) if c]
+        if len(support) == 1:
+            i = support[0]
+            c = self.num[i]
+            raw = [0] * n
+            raw[-i % n] = self.den if c > 0 else -self.den
+            return _lowest_terms(n, _reduce(raw, n), abs(c))
         rest = _ONE
         for k in range(2, n):
             if math.gcd(k, n) == 1:

@@ -52,9 +52,6 @@ contradict its own other expectations.
 
 from __future__ import annotations
 
-import textwrap
-from dataclasses import dataclass
-
 from .chartab import character_table, frobenius_schur, inner_product, natural_character
 from .groups import close
 from .torusq import (
@@ -66,65 +63,66 @@ from .torusq import (
 from .groupfile import GroupFile, parse_group_text
 
 
-S4_FILE = textwrap.dedent("""\
-    # order 24, twisted degree-3 action (permutation part times parity)
-    conductor 1
-    degree 3
+S4_FILE = """\
+# order 24, twisted degree-3 action (permutation part times parity)
+conductor 1
+degree 3
 
-    generator monomial
-    map 2 1 3
-    scalars 1; -1; 1
+generator monomial
+map 2 1 3
+scalars 1; -1; 1
 
-    generator perm
-    map 2 3 1
-""")
+generator perm
+map 2 3 1
+"""
 
-G216_FILE = textwrap.dedent("""\
-    # order 216, degree 8, scalars in Z[w] for w a primitive cube root of unity
-    conductor 3
-    degree 8
+G216_FILE = """\
+# order 216, degree 8, scalars in Z[w] for w a primitive cube root of unity
+conductor 3
+degree 8
 
-    generator monomial
-    map 3 6 2 5 8 1 4 7
-    scalars 1; 1; 1; z^1; -1 + -z^1; 1; -1 + -z^1; z^1
+generator monomial
+map 3 6 2 5 8 1 4 7
+scalars 1; 1; 1; z^1; -1 + -z^1; 1; -1 + -z^1; z^1
 
-    generator monomial
-    map 1 2 4 5 3 8 6 7
-    scalars -1 + -z^1; -1 + -z^1; 1; 1; 1; 1; 1; 1
+generator monomial
+map 1 2 4 5 3 8 6 7
+scalars -1 + -z^1; -1 + -z^1; 1; 1; 1; 1; 1; 1
 
-    generator monomial
-    map 1 2 3 4 5 6 7 8
-    scalars 1; 1; z^1; z^1; z^1; -1 + -z^1; -1 + -z^1; -1 + -z^1
+generator monomial
+map 1 2 3 4 5 6 7 8
+scalars 1; 1; z^1; z^1; z^1; -1 + -z^1; -1 + -z^1; -1 + -z^1
 
-    lattice z^1
-""")
+lattice z^1
+"""
 
-G1280_FILE = textwrap.dedent("""\
-    # order 1280, degree 20, scalars are powers of i
-    conductor 4
-    degree 20
+G1280_FILE = """\
+# order 1280, degree 20, scalars are powers of i
+conductor 4
+degree 20
 
-    generator perm
-    map 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 1 2 3 4
+generator perm
+map 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 1 2 3 4
 
-    generator monomial
-    map 1 2 3 4 6 5 8 7 10 9 12 11 16 15 14 13 20 19 18 17
-    scalars -z^1; z^1; z^1; -z^1; -1; 1; 1; -1; -z^1; -z^1; z^1; z^1; -z^1; -z^1; -z^1; -z^1; -z^1; -z^1; z^1; z^1
+generator monomial
+map 1 2 3 4 6 5 8 7 10 9 12 11 16 15 14 13 20 19 18 17
+scalars -z^1; z^1; z^1; -z^1; -1; 1; 1; -1; -z^1; -z^1; z^1; z^1; -z^1; -z^1; -z^1; -z^1; -z^1; -z^1; z^1; z^1
 
-    form wedge 1:2 3:4 5:6 7:8 9:10 11:12 13:14 15:16 17:18 19:20
+form wedge 1:2 3:4 5:6 7:8 9:10 11:12 13:14 15:16 17:18 19:20
 
-    lattice z^1
-""")
+lattice z^1
+"""
 
 
-@dataclass(frozen=True)
 class Fixture:
-    name: str
-    file_text: str
-    pair_analysis: bool  # analyze the block sum with the conjugate copy
-    form_pairs: tuple | None  # wedge pairs for the analyzed degree, if not in the file
-    expected: tuple  # ordered (check name, value) pairs
-    closure_limit: int
+    def __init__(self, name: str, file_text: str, pair_analysis: bool,
+                 form_pairs: tuple | None, expected: tuple, closure_limit: int):
+        self.name = name
+        self.file_text = file_text
+        self.pair_analysis = pair_analysis  # analyze the block sum with the conjugate copy
+        self.form_pairs = form_pairs  # wedge pairs for the analyzed degree, if not in the file
+        self.expected = expected  # ordered (check name, value) pairs
+        self.closure_limit = closure_limit
 
 
 FIXTURES = {
@@ -189,12 +187,12 @@ FIXTURES = {
 }
 
 
-@dataclass
 class FixtureResult:
-    fixture: Fixture
-    group_file: GroupFile
-    report: object  # QuotientReport of the analyzed representation
-    checks: list  # (name, expected, actual) with actual == expected iff passing
+    def __init__(self, fixture: Fixture, group_file: GroupFile, report, checks: list):
+        self.fixture = fixture
+        self.group_file = group_file
+        self.report = report  # QuotientReport of the analyzed representation
+        self.checks = checks  # (name, expected, actual) with actual == expected iff passing
 
     @property
     def mismatches(self):

@@ -27,8 +27,6 @@ the primitive conductor-th root of unity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cyclo import Cyclotomic, EntryParseError, one, parse_entry
 from .cyclo import format_entry
 from .errors import GroupFileError
@@ -36,23 +34,25 @@ from .groups import Dense, Monomial
 from .torusq import LatticeSpec, SymplecticForm
 
 
-@dataclass
 class GeneratorSpec:
     """One parsed generator block: the style keyword plus the element."""
 
-    kind: str  # "monomial" | "dense" | "perm"
-    element: object  # Monomial or Dense
+    def __init__(self, kind: str, element):
+        self.kind = kind  # "monomial" | "dense" | "perm"
+        self.element = element  # Monomial or Dense
 
 
-@dataclass
 class GroupFile:
-    conductor: int
-    degree: int
-    generators: list = field(default_factory=list)
-    form: SymplecticForm | None = None
-    form_pairs: list | None = None  # kept when the form came from a wedge line
-    lattice: LatticeSpec | None = None
-    lattice_token: str | None = None
+    def __init__(self, conductor: int, degree: int, generators: list | None = None,
+                 form: SymplecticForm | None = None, form_pairs: list | None = None,
+                 lattice: LatticeSpec | None = None, lattice_token: str | None = None):
+        self.conductor = conductor
+        self.degree = degree
+        self.generators = [] if generators is None else generators
+        self.form = form
+        self.form_pairs = form_pairs  # kept when the form came from a wedge line
+        self.lattice = lattice
+        self.lattice_token = lattice_token
 
     def elements(self):
         return [g.element for g in self.generators]

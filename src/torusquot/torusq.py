@@ -16,7 +16,7 @@ a representative g, and the cyclic-Sylow primitivity criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -274,10 +274,10 @@ class SymplecticKind(Enum):
     NOT_UNI_SYMPLECTIC = "NotUniSymplectic"
 
 
-@dataclass(frozen=True)
-class SymplecticClass:
-    kind: SymplecticKind
-    pair_type: str | None = None  # real | complex | trivial, pairs only
+class SymplecticClass(namedtuple("SymplecticClass", "kind pair_type", defaults=(None,))):
+    """A `SymplecticKind`; `pair_type` is real | complex | trivial, pairs only."""
+
+    __slots__ = ()
 
     def __str__(self):
         if self.kind is SymplecticKind.CONJUGATE_PAIR:
@@ -509,31 +509,33 @@ def _complex_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ..
 
     The class sum S_k = Σ_{g ∈ C_k} ρ(g) is central, so it acts on the copy
     of χ as ω = |C_k|·χ(g_k)/χ(1) and on the copy of χ̄ as ω̄.  At the first
-    class k where χ is not real the two differ, and the halves are
-    ker(S_k − ω) and ker(S_k − ω̄).  Only the members of C_k are read."""
+    class k where χ is not real the two differ.  S_k − ω̄ then kills the copy
+    of χ̄ and acts as ω − ω̄ ≠ 0 on the copy of χ, so the χ half is the column
+    space of S_k − ω̄, and the χ̄ half that of S_k − ω: one row reduction of
+    the transpose each.  Only the members of C_k are read."""
     group, n = rep.group, rep.degree
     chi = table[mult.index(1)]
     k = next(k for k, v in enumerate(chi.values) if v != v.conjugate())
-    acc = [[zero()] * n for _ in range(n)]
+    acc = [[zero()] * n for _ in range(n)]  # the transpose of S_k
     for g in group.conjugacy_classes[k]:
         m = rep.matrix(g)
         if isinstance(m, Monomial):
             for j, (pj, sj) in enumerate(zip(m.perm, m.scalars)):
-                acc[pj][j] = acc[pj][j] + sj
+                acc[j][pj] = acc[j][pj] + sj
         else:
-            for row, arow in zip(m.rows, acc):
+            for i, row in enumerate(m.rows):
                 for j, x in enumerate(row):
                     if x:
-                        arow[j] = arow[j] + x
+                        acc[j][i] = acc[j][i] + x
     omega = Cyclotomic.from_value(Fraction(group.class_sizes[k], chi.degree)) * chi.values[k]
     halves = []
-    for w in (omega, omega.conjugate()):
+    for w in (omega.conjugate(), omega):
         shifted = [[x - w if i == j else x for j, x in enumerate(row)]
                    for i, row in enumerate(acc)]
-        kernel = linalg.kernel_basis(shifted)
-        if len(kernel) != n // 2:
+        red, pivots = rref(shifted)
+        if len(pivots) != n // 2:
             raise TorusQuotError("class sum eigenspaces do not split into halves")
-        halves.append(rref(kernel)[0])
+        halves.append(red[:n // 2])
     return tuple(halves)
 
 
@@ -653,26 +655,33 @@ def lagrangian_fibration_data(rep: AnalyticRep, form: SymplecticForm,
 # -- the full pipeline
 
 
-@dataclass
 class QuotientReport:
-    group_order: int
-    degree: int
-    faithful: bool
-    h10: int
-    h20: int
-    symplectic_class: SymplecticClass
-    homogeneous: bool
-    eigenvalue_one_all: bool
-    eigenvalue_one_failures: tuple[int, ...]
-    primitive: bool
-    verdict: Verdict
-    invariant_form: SymplecticForm | None = None
-    form_provided: bool = False
-    form_preserved: bool | None = None
-    form_degenerate: bool | None = None
-    lattice_provided: bool = False
-    lattice_preserved: bool | None = None
-    fibration: tuple | None = None
+    def __init__(self, group_order: int, degree: int, faithful: bool, h10: int, h20: int,
+                 symplectic_class: SymplecticClass, homogeneous: bool,
+                 eigenvalue_one_all: bool, eigenvalue_one_failures: tuple[int, ...],
+                 primitive: bool, verdict: Verdict,
+                 invariant_form: SymplecticForm | None = None, form_provided: bool = False,
+                 form_preserved: bool | None = None, form_degenerate: bool | None = None,
+                 lattice_provided: bool = False, lattice_preserved: bool | None = None,
+                 fibration: tuple | None = None):
+        self.group_order = group_order
+        self.degree = degree
+        self.faithful = faithful
+        self.h10 = h10
+        self.h20 = h20
+        self.symplectic_class = symplectic_class
+        self.homogeneous = homogeneous
+        self.eigenvalue_one_all = eigenvalue_one_all
+        self.eigenvalue_one_failures = eigenvalue_one_failures
+        self.primitive = primitive
+        self.verdict = verdict
+        self.invariant_form = invariant_form
+        self.form_provided = form_provided
+        self.form_preserved = form_preserved
+        self.form_degenerate = form_degenerate
+        self.lattice_provided = lattice_provided
+        self.lattice_preserved = lattice_preserved
+        self.fibration = fibration
 
     def to_dict(self) -> dict:
         def form_entries(m):

@@ -10,7 +10,9 @@ split wherever this does.
 
 Complex pairs: the isotypic projections, summed over every group element,
 used before the halves were read off one class sum.  Their images must
-equal the class-sum halves.
+equal the class-sum halves.  And the class-sum halves as eigenspaces, the
+kernels of S_k − ω and S_k − ω̄, used before they were read as column
+spaces; the row-reduced bases must be the same.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from torusquot import linalg
 from torusquot.chartab import CharacterTable, decompose
-from torusquot.cyclo import Cyclotomic, divisors, zero
+from torusquot.cyclo import Cyclotomic, divisors, rref, zero
 from torusquot.errors import TorusQuotError
 from torusquot.groups import Monomial
 from torusquot.torusq import AnalyticRep
@@ -161,3 +163,32 @@ def isotypic_projections(rep: AnalyticRep, table: CharacterTable):
                             arow[s] = arow[s] + c * row[s]
         out.append((irr, linalg.as_matrix(acc)))
     return out
+
+
+def kernel_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...]):
+    """The halves of a complex pair as ker(S_k − ω) and ker(S_k − ω̄), each
+    row-reduced, for the first class k where the χ of ``mult`` is not real."""
+    group, n = rep.group, rep.degree
+    chi = table[mult.index(1)]
+    k = next(k for k, v in enumerate(chi.values) if v != v.conjugate())
+    acc = [[zero()] * n for _ in range(n)]
+    for g in group.conjugacy_classes[k]:
+        m = rep.matrix(g)
+        if isinstance(m, Monomial):
+            for j, (pj, sj) in enumerate(zip(m.perm, m.scalars)):
+                acc[pj][j] = acc[pj][j] + sj
+        else:
+            for row, arow in zip(m.rows, acc):
+                for j, x in enumerate(row):
+                    if x:
+                        arow[j] = arow[j] + x
+    omega = Cyclotomic.from_value(Fraction(group.class_sizes[k], chi.degree)) * chi.values[k]
+    halves = []
+    for w in (omega, omega.conjugate()):
+        shifted = [[x - w if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(acc)]
+        kernel = linalg.kernel_basis(shifted)
+        if len(kernel) != n // 2:
+            raise TorusQuotError("class sum eigenspaces do not split into halves")
+        halves.append(rref(kernel)[0])
+    return tuple(halves)

@@ -1,12 +1,13 @@
 """`analyze` read from the generators against the earlier group-wide sums.
 
 The invariant form is walked as line orbits under the generator images,
-the halves of a complex pair are read off one class sum, faithfulness and
-the eigenvalue-1 test off the character, and element matrices are built
-only when a stage reads them.  Each answer is checked against the body that
-summed over every element or looked at every class representative's matrix
-(`torusq_oracle`, `fibration_oracle`), on random monomial subgroups of
-G(m,1,n) = mu_m wr S_n, the corpus, the paper examples and integer
+the halves of a complex pair are read off one class sum as column spaces,
+faithfulness and the eigenvalue-1 test off the character, and element
+matrices are built only when a stage reads them.  Each answer is checked
+against the body that summed over every element or looked at every class
+representative's matrix (`torusq_oracle`, `fibration_oracle`), and the
+halves also against the class sum's kernels, on random monomial subgroups
+of G(m,1,n) = mu_m wr S_n, the corpus, the paper examples and integer
 conjugates of them.
 """
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibration_oracle import isotypic_projections
+from fibration_oracle import isotypic_projections, kernel_halves
 from helpers import (
     column_space_basis,
     conjugated,
@@ -106,8 +107,10 @@ def test_orbit_form_on_the_paper_examples(name, request):
 
 def _check_complex(rep, table):
     assert str(classify_symplectic(rep, table)) == "ConjugatePair(complex)"
-    assert _complex_halves(rep, table, decompose(rep.character, table)) == \
-        _oracle_halves(rep, table)
+    mult = decompose(rep.character, table)
+    halves = _complex_halves(rep, table, mult)
+    assert halves == kernel_halves(rep, table, mult)
+    assert halves == _oracle_halves(rep, table)
 
 
 @settings(max_examples=25, deadline=None)
@@ -122,6 +125,46 @@ def test_class_sum_halves_match_isotypic_images(group, rng):
     p = unimodular(n, [(rng.randrange(n), rng.randrange(n), rng.choice((-2, -1, 1, 2)))
                        for _ in range(2 * n)])
     _check_complex(conjugated(pair, p), table)
+
+
+def _wreath_generators(m, n):
+    """G(m,1,n) = mu_m wr S_n from diag(zeta_m, 1, ..., 1), a transposition
+    and an n-cycle; its natural character is irreducible and, for m >= 3,
+    not real."""
+    ones = (Cyclotomic.from_value(1),) * n
+    return [Monomial(tuple(range(n)), (Cyclotomic.zeta(m, 1),) + ones[1:]),
+            Monomial((1, 0) + tuple(range(2, n)), ones),
+            Monomial(tuple((i + 1) % n for i in range(n)), ones)]
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (6, 3)])
+def test_column_space_halves_match_kernel_halves(m, n):
+    """Column spaces of S_k − ω̄ and S_k − ω against the kernels of S_k − ω
+    and S_k − ω̄, on the complex pair of G(m,1,n) and an integer conjugate."""
+    group = close(_wreath_generators(m, n))
+    table = character_table(group)
+    pair = conjugate_pair_rep(natural_rep(group))
+    rng = random.Random(m * 10 + n)
+    p = unimodular(2 * n, [(rng.randrange(2 * n), rng.randrange(2 * n), rng.choice((-1, 1, 2)))
+                           for _ in range(4 * n)])
+    for rep in (pair, conjugated(pair, p)):
+        assert str(classify_symplectic(rep, table)) == "ConjugatePair(complex)"
+        mult = decompose(rep.character, table)
+        assert _complex_halves(rep, table, mult) == kernel_halves(rep, table, mult)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 8])
+def test_column_space_halves_of_a_rotation(m):
+    """The swap with scalars ζ_m and −ζ_m^-1 squares to −1, so the natural
+    character of the C4 it generates is χ + χ̄ with χ(g) = i; unlike the
+    block sums above, its class sums are not symmetric matrices."""
+    z = Cyclotomic.zeta(m, 1)
+    group = close([Monomial((1, 0), (z, -z.inverse()))])
+    table = character_table(group)
+    rep = natural_rep(group)
+    assert str(classify_symplectic(rep, table)) == "ConjugatePair(complex)"
+    mult = decompose(rep.character, table)
+    assert _complex_halves(rep, table, mult) == kernel_halves(rep, table, mult)
 
 
 def test_class_sum_halves_on_the_corpus(corpus):

@@ -100,6 +100,27 @@ def test_product_of_coprime_roots():
     assert abs(embed_float(p) - cmath.exp(2j * cmath.pi * 7 / 12)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [105, 210, 465, 930])
+def test_single_term_inverse(n):
+    # no oracle: x * x^-1 = 1; at 210 and 930 the roots descend to half the
+    # conductor, where only some stay single terms
+    single = 0
+    for t in range(1, n, 7):
+        for c in (1, -3, Fraction(2, 5), Fraction(-7, 4)):
+            x = C(c) * Z(n, t)
+            if sum(1 for a in x.num if a) == 1:
+                single += 1
+                assert x * x.inverse() == 1
+    assert single >= n // 7
+
+
+@pytest.mark.parametrize("n", [105, 210])
+def test_inverse_of_sums(n):
+    for x in (Z(n) + 2, Z(n, 2) - Z(n, 11) * Fraction(3, 2) + Z(n, 35),
+              C(Fraction(1, 3)) + Z(n, 5) + Z(n, 5).conjugate()):
+        assert x * x.inverse() == 1
+
+
 def test_inverse_and_division():
     x = 1 + 2 * Z(5) - Z(5, 3)
     assert x * x.inverse() == 1
