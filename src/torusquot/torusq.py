@@ -180,9 +180,18 @@ class SymplecticForm:
         return not any(self.support)
 
     def is_nondegenerate(self) -> bool:
-        """Full rank, decided by the one exact row reduction."""
+        """Full rank.  A zero row means rank below full.  One entry per row
+        (every wedge form) means a monomial matrix, of full rank: the entry
+        of row i at column j has its negative as the one entry of row j, so
+        the columns are distinct.  Any other form is decided by the one
+        exact row reduction."""
         if self._nondegenerate is None:
-            self._nondegenerate = len(rref(self.matrix)[1]) == self.degree
+            if not all(self.support):
+                self._nondegenerate = False
+            elif all(len(row) == 1 for row in self.support):
+                self._nondegenerate = True
+            else:
+                self._nondegenerate = len(rref(self.matrix)[1]) == self.degree
         return self._nondegenerate
 
     def evaluate(self, u, v) -> Cyclotomic:
@@ -590,9 +599,9 @@ def _spin_halves(rep: AnalyticRep):
     it, rational ones first, until dim K = 2.  Then U is a line, so each
     vector of K lies in one copy of V and spins to that copy: invariant,
     half-dimensional, and Lagrangian, because a real-type V carries no
-    invariant alternating form.  Two distinct copies meet only in 0.  On a
-    block sum every kernel vector stays inside one block, so the halves are
-    the coordinate blocks.
+    invariant alternating form.  Two distinct copies meet only in 0.
+    Pairs whose generators keep two coordinate blocks never come here
+    (:func:`_block_halves`).
     """
     group, n = rep.group, rep.degree
     basis = linalg.identity_matrix(n)  # of K, as rows
@@ -624,6 +633,67 @@ def _spin_halves(rep: AnalyticRep):
     return halves[0][1], halves[1][1]
 
 
+def _block_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...],
+                  pair_type: str):
+    """The halves of a conjugate pair as unit-vector rows, when its
+    generators keep exactly two coordinate blocks; None otherwise.
+
+    The blocks are the connected components of the coordinates, i and j
+    joined where a generator has a nonzero entry at (i, j): the orbits of
+    the permutations of monomial generators, the support graph of dense
+    ones.  The span of a block is invariant, so two blocks are two
+    invariant subspaces of a sum of two irreducibles, and each is one of
+    them.  They are the halves :func:`_complex_halves` and
+    :func:`_spin_halves` find, in the same order:
+
+    - complex χ + χ̄: the only half-dimensional subrepresentations are the
+      two isotypic components, and an RREF basis is unique.  The χ half
+      goes first: its trace at the first class k where χ is not real is
+      χ(g_k), the other's χ̄(g_k).
+    - real or trivial V + V: on a matrix that is block diagonal up to a
+      permutation of coordinates, row reduction never mixes blocks, so
+      every kernel vector the spin cuts K with stays inside one block and
+      spins to all of it.  The spin sorts its halves by pivots, so the
+      block with the smaller first coordinate goes first.
+    """
+    n = rep.degree
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for m in rep.generator_images():
+        if isinstance(m, Monomial):
+            edges = enumerate(m.perm)
+        else:
+            edges = ((i, j) for i, row in enumerate(m.rows) for j, x in enumerate(row) if x)
+        for i, j in edges:
+            root[find(i)] = find(j)
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(find(i), []).append(i)
+    if len(blocks) != 2:
+        return None
+    first, second = sorted(blocks.values())
+    if pair_type == "complex":
+        chi = table[mult.index(1)]
+        k = next(k for k, v in enumerate(chi.values) if v != v.conjugate())
+        m = rep.matrix(rep.group.class_representatives[k])
+        if isinstance(m, Monomial):
+            trace = sum((m.scalars[i] for i in first if m.perm[i] == i), zero())
+        else:
+            trace = sum((m.rows[i][i] for i in first), zero())
+        if trace == chi.values[k].conjugate():
+            first, second = second, first
+        elif trace != chi.values[k]:
+            raise TorusQuotError("a coordinate block is neither constituent of the pair")
+    unit = linalg.identity_matrix(n)
+    return tuple(unit[i] for i in first), tuple(unit[i] for i in second)
+
+
 def lagrangian_fibration_data(rep: AnalyticRep, form: SymplecticForm,
                               table: CharacterTable, *, mult=None, cls=None,
                               form_preserved: bool = False):
@@ -642,14 +712,16 @@ def lagrangian_fibration_data(rep: AnalyticRep, form: SymplecticForm,
     if cls.kind is not SymplecticKind.CONJUGATE_PAIR:
         raise InvalidInputError(
             "Lagrangian extraction needs a conjugate-pair representation")
-    if cls.pair_type == "complex":
-        v1, v2 = _complex_halves(rep, table, mult)
-    else:  # real or trivial: character theory sees one constituent twice
-        v1, v2 = _spin_halves(rep)
-    for v in (v1, v2):
+    halves = _block_halves(rep, table, mult, cls.pair_type)
+    if halves is None:
+        if cls.pair_type == "complex":
+            halves = _complex_halves(rep, table, mult)
+        else:  # real or trivial: character theory sees one constituent twice
+            halves = _spin_halves(rep)
+    for v in halves:
         if not _basis_is_lagrangian(v, form):
             raise TorusQuotError("extracted invariant subspace is not Lagrangian")
-    return v1, v2
+    return halves
 
 
 # -- the full pipeline

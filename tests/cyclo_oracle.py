@@ -10,6 +10,8 @@ which works on every entry; the oracle's own solves use it, and the
 differential tests compare :func:`torusquot.cyclo.rref` against it.
 
 `parse_entry` is the earlier entry parser, which summed `Fraction` terms.
+`inverse_by_conjugates` is the earlier inverse of a package value, which
+multiplied its other Galois conjugates one at a time.
 
 `embed_float` and `is_integral` act on :mod:`torusquot` values.  Only
 tests need them: the package itself decides everything exactly.
@@ -47,6 +49,17 @@ def is_integral(x, m: int) -> bool:
     if m % x.n:
         return False
     return all(c.denominator == 1 for c in _reduce(lift_coeffs(x, m), m))
+
+
+def inverse_by_conjugates(x: _PackageCyclotomic) -> _PackageCyclotomic:
+    """1/x as the product R of the phi(n) - 1 other Galois conjugates of x,
+    formed one after another, over the rational norm x·R."""
+    n = x.n
+    rest = _PackageCyclotomic.from_value(1)
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            rest = rest * x.galois(k)
+    return rest / (x * rest).as_rational()
 
 
 def rref(a):

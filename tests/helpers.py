@@ -38,6 +38,18 @@ def wreath_generator_pairs(draw):
     return [element(), element()]
 
 
+def wreath_generators(m, n):
+    """G(m,1,n) = mu_m wr S_n from diag(zeta_m, 1, ..., 1), a transposition
+    and an n-cycle; its natural character is irreducible for m >= 2 or
+    n = 1, and not real for m >= 3."""
+    ones = (one(),) * n
+    gens = [Monomial(tuple(range(n)), (Cyclotomic.zeta(m, 1),) + ones[1:])]
+    if n > 1:
+        gens += [Monomial((1, 0) + tuple(range(2, n)), ones),
+                 Monomial(tuple((i + 1) % n for i in range(n)), ones)]
+    return gens
+
+
 def affine_generators(q, g):
     """Generators of AGL(1,q) on F_q as permutation matrices: x -> x + 1 and
     x -> g*x, g of order q - 1; its abelianization is cyclic of order q - 1."""

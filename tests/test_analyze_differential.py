@@ -26,6 +26,7 @@ from helpers import (
     one_dim_rep,
     unimodular,
     wreath_generator_pairs,
+    wreath_generators,
 )
 from torusq_oracle import (
     basis_is_lagrangian_all_pairs,
@@ -44,6 +45,7 @@ from torusquot.torusq import (
     AnalyticRep,
     SymplecticForm,
     _basis_is_lagrangian,
+    _block_halves,
     _complex_halves,
     analyze,
     classify_symplectic,
@@ -51,6 +53,7 @@ from torusquot.torusq import (
     eigenvalue_one_all,
     h0_reflexive_2forms,
     invariant_form,
+    lagrangian_fibration_data,
     natural_rep,
 )
 
@@ -127,21 +130,11 @@ def test_class_sum_halves_match_isotypic_images(group, rng):
     _check_complex(conjugated(pair, p), table)
 
 
-def _wreath_generators(m, n):
-    """G(m,1,n) = mu_m wr S_n from diag(zeta_m, 1, ..., 1), a transposition
-    and an n-cycle; its natural character is irreducible and, for m >= 3,
-    not real."""
-    ones = (Cyclotomic.from_value(1),) * n
-    return [Monomial(tuple(range(n)), (Cyclotomic.zeta(m, 1),) + ones[1:]),
-            Monomial((1, 0) + tuple(range(2, n)), ones),
-            Monomial(tuple((i + 1) % n for i in range(n)), ones)]
-
-
 @pytest.mark.parametrize("m, n", [(3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (6, 3)])
 def test_column_space_halves_match_kernel_halves(m, n):
     """Column spaces of S_k − ω̄ and S_k − ω against the kernels of S_k − ω
     and S_k − ω̄, on the complex pair of G(m,1,n) and an integer conjugate."""
-    group = close(_wreath_generators(m, n))
+    group = close(wreath_generators(m, n))
     table = character_table(group)
     pair = conjugate_pair_rep(natural_rep(group))
     rng = random.Random(m * 10 + n)
@@ -157,14 +150,18 @@ def test_column_space_halves_match_kernel_halves(m, n):
 def test_column_space_halves_of_a_rotation(m):
     """The swap with scalars ζ_m and −ζ_m^-1 squares to −1, so the natural
     character of the C4 it generates is χ + χ̄ with χ(g) = i; unlike the
-    block sums above, its class sums are not symmetric matrices."""
+    block sums above, its class sums are not symmetric matrices.  Its one
+    coordinate block leaves the fibration to the class sum."""
     z = Cyclotomic.zeta(m, 1)
     group = close([Monomial((1, 0), (z, -z.inverse()))])
     table = character_table(group)
     rep = natural_rep(group)
     assert str(classify_symplectic(rep, table)) == "ConjugatePair(complex)"
     mult = decompose(rep.character, table)
-    assert _complex_halves(rep, table, mult) == kernel_halves(rep, table, mult)
+    halves = _complex_halves(rep, table, mult)
+    assert halves == kernel_halves(rep, table, mult)
+    assert _block_halves(rep, table, mult, "complex") is None
+    assert lagrangian_fibration_data(rep, invariant_form(rep), table) == halves
 
 
 def test_class_sum_halves_on_the_corpus(corpus):

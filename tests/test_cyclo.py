@@ -19,6 +19,7 @@ from torusquot import (
     parse_entry,
     totient,
 )
+from torusquot.cyclo import _unit_factors
 
 Z = Cyclotomic.zeta
 C = Cyclotomic.from_value
@@ -114,11 +115,23 @@ def test_single_term_inverse(n):
     assert single >= n // 7
 
 
-@pytest.mark.parametrize("n", [105, 210])
+@pytest.mark.parametrize("n", [105, 210, 465])
 def test_inverse_of_sums(n):
     for x in (Z(n) + 2, Z(n, 2) - Z(n, 11) * Fraction(3, 2) + Z(n, 35),
               C(Fraction(1, 3)) + Z(n, 5) + Z(n, 5).conjugate()):
         assert x * x.inverse() == 1
+
+
+def test_unit_factors_generate_the_unit_group():
+    # each g has exactly the stated order, and the products of powers of all
+    # of them reach each of the phi(n) units once
+    for n in range(1, 400):
+        units = {1 % n}
+        for g, order in _unit_factors(n):
+            assert [k for k in range(1, order + 1) if pow(g, k, n) == 1] == [order]
+            units = {u * pow(g, j, n) % n for u in units for j in range(order)}
+            assert all(math.gcd(u, n) == 1 for u in units)
+        assert len(units) == totient(n)
 
 
 def test_inverse_and_division():

@@ -22,8 +22,9 @@ from helpers import lift_coeffs
 from torusquot.cyclo import EntryParseError, format_entry, normalize, parse_entry
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 21, 24, 30, 35, 36, 42, 60, 105]
-# the oracle inverts by multiplying the other phi(n) - 1 conjugates, about
-# 0.8 s at 105, so inverses and orders are compared up to conductor 60
+# the oracles invert by a rational solve of size phi(n), or by multiplying
+# the other phi(n) - 1 conjugates in turn, so inverses and orders are
+# compared up to conductor 60
 INVERSE_MAX = 60
 
 
@@ -97,6 +98,17 @@ def test_unary_operations_match_oracle(x, power, k):
         assert_same(a ** power, a0 ** power)
     assert_same(a + 1, a0 + 1)
     assert_same(a * Fraction(-2, 3), a0 * Fraction(-2, 3))
+
+
+@given(raw_vectors())
+@settings(max_examples=150, deadline=None)
+def test_inverse_matches_conjugate_product(case):
+    # inverses by doubling over the cyclic factors of (Z/n)^* against the
+    # product of all other conjugates, taken one at a time
+    n, raw = case
+    a = normalize(raw, n)
+    if a and a.n <= INVERSE_MAX:
+        assert a.inverse() == oracle.inverse_by_conjugates(a)
 
 
 @given(st.sampled_from([n for n in CONDUCTORS if n <= INVERSE_MAX]), st.integers(0, 59),

@@ -17,12 +17,13 @@ from fibration_oracle import commutant_split
 from helpers import conjugated, mat_rank, unimodular
 
 from torusquot import linalg
-from torusquot.chartab import character_table, frobenius_schur, inner_product
+from torusquot.chartab import character_table, decompose, frobenius_schur, inner_product
 from torusquot.cyclo import Cyclotomic
 from torusquot.errors import TorusQuotError
 from torusquot.groupfile import parse_group
 from torusquot.groups import Monomial, close
 from torusquot.torusq import (
+    _block_halves,
     _spin_halves,
     classify_symplectic,
     conjugate_pair_rep,
@@ -132,6 +133,9 @@ def test_pair_dense_reproducer():
     rep = natural_rep(group)
     table = character_table(group)
     assert str(classify_symplectic(rep, table)) == "ConjugatePair(real)"
+    # one coordinate block: the fibration spins, and check_against_oracle
+    # compares it with the spin
+    assert _block_halves(rep, table, decompose(rep.character, table), "real") is None
     halves, reference = check_against_oracle(rep, table)
     assert reference is None
     assert all(x.as_rational() is not None for basis in halves for v in basis for x in v)

@@ -14,7 +14,7 @@ from helpers import one_dim_rep, regular_rep
 from torusq_oracle import bareiss_det, has_eigenvalue_one, lattice_contains
 
 from torusquot.chartab import character_table
-from torusquot.cyclo import Cyclotomic, one, zero
+from torusquot.cyclo import Cyclotomic, one, rref, zero
 from torusquot.errors import InvalidInputError, NotAHomomorphismError
 from torusquot.groups import Dense, Monomial, close
 from torusquot.torusq import (
@@ -251,6 +251,44 @@ def alternating_forms(draw):
 def test_nondegenerate_by_rank_agrees_with_determinant(rows):
     form = SymplecticForm(rows)
     assert form.is_nondegenerate() == (not bareiss_det(form.matrix).is_zero())
+
+
+def _full_rank_by_rref(form):
+    return len(rref(form.matrix)[1]) == form.degree
+
+
+@st.composite
+def wedge_forms(draw):
+    """Wedges over consecutive pairs of a shuffled range(n), some dropped
+    (zero rows), plus a few random pairs: a repeated one cancels, a
+    crossing one puts two entries in a row."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[i], order[i + 1]) for i in range(0, n - 1, 2) if draw(st.booleans())]
+    if n > 1:
+        pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] != p[1]), max_size=2))
+    return SymplecticForm.wedge_pairs(n, pairs)
+
+
+@given(wedge_forms())
+@settings(max_examples=150, deadline=None)
+def test_nondegenerate_shortcuts_agree_with_rref(form):
+    assert form.is_nondegenerate() == _full_rank_by_rref(form)
+
+
+@pytest.mark.parametrize("degree, pairs, expected", [
+    (6, [(0, 3), (1, 4), (2, 5)], True),      # monomial
+    (6, [(0, 3), (1, 4)], False),             # zero rows 2 and 5
+    (4, [(0, 1), (2, 3), (0, 1)], True),      # the repeat doubles a wedge: still monomial
+    (4, [(0, 1), (2, 3), (1, 0)], False),     # (1, 0) cancels (0, 1): zero rows 0 and 1
+    (4, [(0, 1), (2, 3), (0, 2)], True),      # Pfaffian 1, rows 0 and 2 not monomial
+    (4, [(0, 1), (2, 3), (0, 2), (1, 3)], False),  # Pfaffian 1 - 1 = 0
+])
+def test_nondegenerate_on_wedge_forms(degree, pairs, expected):
+    form = SymplecticForm.wedge_pairs(degree, pairs)
+    assert form.is_nondegenerate() is expected
+    assert _full_rank_by_rref(form) is expected
 
 
 def test_lattice_membership_gaussian():
