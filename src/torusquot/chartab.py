@@ -83,10 +83,6 @@ class Character:
             raise InconsistentCharacterError("characters belong to different groups")
         return Character(self.group, tuple(a * b for a, b in zip(self.values, other.values)))
 
-    def scale(self, m: int) -> "Character":
-        c = Cyclotomic.from_value(m)
-        return Character(self.group, tuple(c * v for v in self.values))
-
 
 def trivial_character(group: FiniteGroup) -> Character:
     return Character(group, (one(),) * group.num_classes)
@@ -148,17 +144,6 @@ def _integer(num: list[int], den: int) -> int | None:
     return None if rest else q
 
 
-def _average(m: int, lifted, terms, size: int) -> int | None:
-    """(1/size) sum of w * chi(k) over (k, w) in terms, for a lifted chi,
-    when that is an integer."""
-    den, rows = lifted
-    acc = [0] * m
-    for k, w in terms:
-        for i, c in rows[k]:
-            acc[i] += w * c
-    return _integer(_reduce(acc, m), size * den)
-
-
 def inner_product(a: Character, b: Character) -> Cyclotomic:
     """(a|b) = (1/|G|) sum over classes of size * a(g) * b(g^-1).
 
@@ -177,7 +162,12 @@ def frobenius_schur(chi: Character) -> int:
     """(1/|G|) sum of chi(g^2): 1 real type, 0 complex, -1 quaternionic."""
     g = chi.group
     m = _conductor((chi,))
-    val = _average(m, _lift(chi, m), zip(g.power_classes(2), g.class_sizes), g.order)
+    den, rows = _lift(chi, m)
+    acc = [0] * m
+    for k, h in zip(g.power_classes(2), g.class_sizes):
+        for i, c in rows[k]:
+            acc[i] += h * c
+    val = _integer(_reduce(acc, m), g.order * den)
     if val is None:
         raise InconsistentCharacterError("indicator is not an integer")
     return val
@@ -197,26 +187,6 @@ def exterior_square(chi: Character) -> Character:
 
 def symmetric_square(chi: Character) -> Character:
     return _square(chi, 1)
-
-
-def eigenvalue_one_counts(chi: Character) -> tuple[int, ...]:
-    """Multiplicity of eigenvalue 1 per class, from character values alone.
-
-    For g of order o the multiplicity is the average of chi over the cyclic
-    group generated by g; each class among the powers of g is summed once,
-    weighted by how many powers it holds.
-    """
-    g = chi.group
-    m = _conductor((chi,))
-    lifted = _lift(chi, m)
-    counts = []
-    for o, cyclic in zip(g.class_orders, g.cyclic_classes):
-        val = _average(m, lifted, cyclic, o)
-        if val is None or val < 0:
-            raise InconsistentCharacterError(
-                "eigenvalue-1 multiplicity is not a non-negative integer")
-        counts.append(val)
-    return tuple(counts)
 
 
 def decompose(chi: Character, table: "CharacterTable") -> tuple[int, ...]:

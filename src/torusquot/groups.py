@@ -50,7 +50,6 @@ elements and their tree plus the point set itself.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from operator import methodcaller, mul, sub
 
 from . import linalg
@@ -372,7 +371,6 @@ class FiniteGroup:
         self._rep_orders = None
         self._power_maps = {}
         self._conjugations = None
-        self._cyclic_classes = None
         self._inverse_class = None
         self._lattice = None
         self._linear = None
@@ -548,17 +546,6 @@ class FiniteGroup:
             self._power_maps[k] = tuple(
                 self.class_of(self.power(r, k)) for r in self.class_representatives)
         return self._power_maps[k]
-
-    @property
-    def cyclic_classes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per class, the cyclic group generated by a member g of order o
-        counted by classes: the pairs (class d, number of t < o with g^t
-        in d)."""
-        if self._cyclic_classes is None:
-            self._cyclic_classes = tuple(
-                tuple(Counter(self.power_classes(t)[k] for t in range(o)).items())
-                for k, o in enumerate(self.class_orders))
-        return self._cyclic_classes
 
     # -- numeric invariants
 

@@ -10,8 +10,9 @@ sum of two conjugate irreducibles, and the conjugate-pair case carries a
 canonical pair of half-dimensional invariant subspaces on which the form
 vanishes (the fibers of a Lagrangian fibration).  This module computes all of
 that exactly, plus the smoothness obstructions: the eigenvalue-1 test per
-conjugacy class, which averages the character over the cyclic group ⟨g⟩ of
-a representative g, and the cyclic-Sylow primitivity criterion.
+conjugacy class and the cyclic-Sylow primitivity criterion.  Every count
+that is a function of the character is read off one decomposition into the
+table's irreducibles (:meth:`AnalyticRep.decomposition`).
 """
 
 from __future__ import annotations
@@ -21,21 +22,9 @@ from enum import Enum
 from fractions import Fraction
 
 from . import linalg
-from .chartab import (
-    Character,
-    CharacterTable,
-    decompose,
-    eigenvalue_one_counts,
-    inner_product,
-    trivial_character,
-)
+from .chartab import Character, CharacterTable, decompose, trivial_character
 from .cyclo import Cyclotomic, format_entry, one, prime_factors, rref, zero
-from .errors import (
-    InconsistentCharacterError,
-    InvalidInputError,
-    NotAHomomorphismError,
-    TorusQuotError,
-)
+from .errors import InvalidInputError, NotAHomomorphismError, TorusQuotError
 from .groups import Dense, FiniteGroup, Monomial
 
 
@@ -54,6 +43,7 @@ class AnalyticRep:
             raise InvalidInputError("need one matrix per group element")
         self._build = None
         self._character = None
+        self._decomposition = None
 
     @classmethod
     def _built_by(cls, group: FiniteGroup, build) -> "AnalyticRep":
@@ -87,13 +77,16 @@ class AnalyticRep:
                 tuple(self.matrix(r).trace() for r in self.group.class_representatives))
         return self._character
 
+    def decomposition(self, table: CharacterTable) -> tuple[int, ...]:
+        """The character's multiplicity in each irreducible of ``table``,
+        kept for the last table asked for."""
+        if self._decomposition is None or self._decomposition[0] is not table:
+            self._decomposition = table, decompose(self.character, table)
+        return self._decomposition[1]
+
     @property
     def faithful(self) -> bool:
         return self.character.is_faithful()
-
-    def is_trivial(self) -> bool:
-        d = Cyclotomic.from_value(self.degree)
-        return all(v == d for v in self.character.values)
 
     def __repr__(self):
         return f"AnalyticRep(order={self.group.order}, degree={self.degree})"
@@ -180,18 +173,13 @@ class SymplecticForm:
         return not any(self.support)
 
     def is_nondegenerate(self) -> bool:
-        """Full rank.  A zero row means rank below full.  One entry per row
-        (every wedge form) means a monomial matrix, of full rank: the entry
-        of row i at column j has its negative as the one entry of row j, so
-        the columns are distinct.  Any other form is decided by the one
-        exact row reduction."""
+        """Full rank.  One entry per row (every wedge form) means a
+        monomial matrix, of full rank: the entry of row i at column j has its
+        negative as the one entry of row j, so the columns are distinct.  Any
+        other form is decided by the one exact row reduction."""
         if self._nondegenerate is None:
-            if not all(self.support):
-                self._nondegenerate = False
-            elif all(len(row) == 1 for row in self.support):
-                self._nondegenerate = True
-            else:
-                self._nondegenerate = len(rref(self.matrix)[1]) == self.degree
+            self._nondegenerate = (all(len(row) == 1 for row in self.support)
+                                   or len(rref(self.matrix)[1]) == self.degree)
         return self._nondegenerate
 
     def evaluate(self, u, v) -> Cyclotomic:
@@ -252,26 +240,40 @@ class LatticeSpec:
 # -- reflexive form dimensions
 
 
-def _integer_inner(chi: Character, other: Character, what: str) -> int:
-    val = inner_product(chi, other).as_rational()
-    if val is None or val.denominator != 1 or val < 0:
-        raise InconsistentCharacterError(f"{what} is not a non-negative integer")
-    return int(val)
-
-
-def h0_reflexive_1forms(rep: AnalyticRep) -> int:
+def h0_reflexive_1forms(rep: AnalyticRep, table: CharacterTable) -> int:
     """Dimension of the invariant 1-forms: multiplicity of the trivial
     character in the representation."""
-    return _integer_inner(rep.character, trivial_character(rep.group),
-                          "invariant 1-form dimension")
+    return rep.decomposition(table)[table.index_of(trivial_character(rep.group))]
 
 
-def h0_reflexive_2forms(rep: AnalyticRep) -> int:
+def h0_reflexive_2forms(rep: AnalyticRep, table: CharacterTable) -> int:
     """Dimension of the invariant 2-forms: multiplicity of the trivial
-    character in the exterior square."""
-    from .chartab import exterior_square
-    return _integer_inner(exterior_square(rep.character), trivial_character(rep.group),
-                          "invariant 2-form dimension")
+    character in the exterior square, read off the decomposition
+    V = ⊕ m_i V_i.
+
+    Λ²(A ⊕ B) = Λ²A ⊕ Λ²B ⊕ A⊗B, so Λ²V is the sum of m_i Λ²V_i and
+    m_i(m_i − 1)/2 copies of V_i⊗V_i over i, and of m_i m_j copies of
+    V_i⊗V_j over i < j.  ⟨χ_i χ_j, 1⟩ = [χ_j = χ̄_i], so V_i⊗V_i holds the
+    trivial character once when χ_i is real (indicator ν_i = ±1), and
+    V_i⊗V_j with i ≠ j once when they are a complex pair.  Λ²χ_i =
+    (χ_i² − χ_i(g²))/2 holds it ([χ_i real] − ν_i)/2 times, once when
+    ν_i = −1.  So h2,0 = Σ_{ν_i=−1} m_i + Σ_{ν_i=±1} m_i(m_i − 1)/2 +
+    Σ_{pairs {i, ī}} m_i m_ī."""
+    mult = rep.decomposition(table)
+    total = 0
+    for i, m in enumerate(mult):
+        if not m:
+            continue
+        nu = table.indicator(i)
+        if nu == -1:
+            total += m
+        if nu:
+            total += m * (m - 1) // 2
+        else:
+            j = table.conjugate_index(i)
+            if i < j:
+                total += m * mult[j]
+    return total
 
 
 # -- symplectic classification
@@ -298,13 +300,10 @@ QUATERNIONIC = SymplecticClass(SymplecticKind.QUATERNIONIC_IRREDUCIBLE)
 NOT_UNI_SYMPLECTIC = SymplecticClass(SymplecticKind.NOT_UNI_SYMPLECTIC)
 
 
-def classify_symplectic(rep: AnalyticRep, table: CharacterTable, *,
-                        mult: tuple[int, ...] | None = None) -> SymplecticClass:
+def classify_symplectic(rep: AnalyticRep, table: CharacterTable) -> SymplecticClass:
     """Trichotomy for a unique symplectic structure: quaternionic irreducible,
-    or a sum of two conjugate irreducibles (real/complex/trivial), or neither.
-    ``mult`` is the decomposition of the character, if already known."""
-    if mult is None:
-        mult = decompose(rep.character, table)
+    or a sum of two conjugate irreducibles (real/complex/trivial), or neither."""
+    mult = rep.decomposition(table)
     support = [i for i, m in enumerate(mult) if m]
     if len(support) == 1:
         i = support[0]
@@ -325,13 +324,9 @@ def classify_symplectic(rep: AnalyticRep, table: CharacterTable, *,
     return NOT_UNI_SYMPLECTIC
 
 
-def homogeneous_decomplexification(rep: AnalyticRep, table: CharacterTable, *,
-                                   mult: tuple[int, ...] | None = None) -> bool:
-    """True when all constituents agree up to complex conjugation.  ``mult``
-    is the decomposition of the character, if already known."""
-    if mult is None:
-        mult = decompose(rep.character, table)
-    support = [i for i, m in enumerate(mult) if m]
+def homogeneous_decomplexification(rep: AnalyticRep, table: CharacterTable) -> bool:
+    """True when all constituents agree up to complex conjugation."""
+    support = [i for i, m in enumerate(rep.decomposition(table)) if m]
     if len(support) == 1:
         return True
     if len(support) == 2:
@@ -460,12 +455,23 @@ def preserves_lattice(rep: AnalyticRep, lattice: LatticeSpec) -> bool:
 # -- smoothness obstructions
 
 
-def eigenvalue_one_all(rep: AnalyticRep) -> tuple[bool, tuple[int, ...]]:
-    """Exact eigenvalue-1 test per class, read off the character: the
-    multiplicity of eigenvalue 1 of ρ(g) is the average of χ over ⟨g⟩
-    (Serre, *Linear Representations of Finite Groups*, §2.3).  Returns the
-    overall answer and the class indices where it is 0."""
-    failing = tuple(k for k, c in enumerate(eigenvalue_one_counts(rep.character)) if c == 0)
+def _eigenvalue_one_multiplicities(rep: AnalyticRep, table: CharacterTable) -> tuple[int, ...]:
+    """Multiplicity of eigenvalue 1 of ρ(g_k) per class k.  It adds over
+    constituents, so it is Σ_i m_i·e_i(k), with e_i(k) irreducible i's count
+    that the table's lift keeps (the average of χ_i over ⟨g_k⟩; Serre,
+    *Linear Representations of Finite Groups*, §2.3)."""
+    counts = [0] * rep.group.num_classes
+    for m, ones in zip(rep.decomposition(table), table.eigenvalue_one):
+        if m:
+            counts = [c + m * e for c, e in zip(counts, ones)]
+    return tuple(counts)
+
+
+def eigenvalue_one_all(rep: AnalyticRep, table: CharacterTable) -> tuple[bool, tuple[int, ...]]:
+    """Exact eigenvalue-1 test per class.  Returns the overall answer and
+    the class indices where the multiplicity of eigenvalue 1 is 0."""
+    failing = tuple(k for k, c in enumerate(_eigenvalue_one_multiplicities(rep, table))
+                    if c == 0)
     return (not failing, failing)
 
 
@@ -695,18 +701,15 @@ def _block_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...]
 
 
 def lagrangian_fibration_data(rep: AnalyticRep, form: SymplecticForm,
-                              table: CharacterTable, *, mult=None, cls=None,
-                              form_preserved: bool = False):
+                              table: CharacterTable, *, form_preserved: bool = False):
     """Bases of the two invariant half-dimensional subspaces on which the
     form vanishes; None for the quaternionic irreducible case, which has no
-    invariant subspace at all.  A caller that has the decomposition, the
-    class or a checked form passes ``mult``, ``cls`` or ``form_preserved``."""
+    invariant subspace at all.  A caller that has checked the form passes
+    ``form_preserved``."""
     if not form_preserved and not preserves_form(rep, form):
         raise InvalidInputError("form is not invariant under the representation")
-    if mult is None:
-        mult = decompose(rep.character, table)
-    if cls is None:
-        cls = classify_symplectic(rep, table, mult=mult)
+    mult = rep.decomposition(table)
+    cls = classify_symplectic(rep, table)
     if cls.kind is SymplecticKind.QUATERNIONIC_IRREDUCIBLE:
         return None
     if cls.kind is not SymplecticKind.CONJUGATE_PAIR:
@@ -832,14 +835,13 @@ def analyze(rep: AnalyticRep, table: CharacterTable,
     """Run the whole pipeline and collect one report."""
     if table.group is not rep.group:
         raise InvalidInputError("character table belongs to a different group")
-    h10 = h0_reflexive_1forms(rep)
-    h20 = h0_reflexive_2forms(rep)
-    mult = decompose(rep.character, table)
-    cls = classify_symplectic(rep, table, mult=mult)
-    homog = homogeneous_decomplexification(rep, table, mult=mult)
-    eig_all, eig_fail = eigenvalue_one_all(rep)
+    h10 = h0_reflexive_1forms(rep, table)
+    h20 = h0_reflexive_2forms(rep, table)
+    cls = classify_symplectic(rep, table)
+    homog = homogeneous_decomplexification(rep, table)
+    eig_all, eig_fail = eigenvalue_one_all(rep, table)
     prim = is_primitive(rep.group)
-    verdict = smoothness_verdict(cls, homog, rep.degree, rep.is_trivial())
+    verdict = smoothness_verdict(cls, homog, rep.degree, h10 == rep.degree)
 
     inv_form = invariant_form(rep) if h20 > 0 else None
 
@@ -860,7 +862,7 @@ def analyze(rep: AnalyticRep, table: CharacterTable,
         elif inv_form is not None and inv_form.is_nondegenerate():
             candidate = inv_form
         if candidate is not None:
-            fibration = lagrangian_fibration_data(rep, candidate, table, mult=mult, cls=cls,
+            fibration = lagrangian_fibration_data(rep, candidate, table,
                                                   form_preserved=candidate is form)
 
     return QuotientReport(

@@ -2,9 +2,10 @@
 
 The character sums are the earlier bodies of
 :func:`torusquot.chartab.inner_product`,
-:func:`~torusquot.chartab.frobenius_schur`,
-:func:`~torusquot.chartab.eigenvalue_one_counts` and
-:func:`~torusquot.chartab.decompose`: every class sum is a chain of exact
+:func:`~torusquot.chartab.frobenius_schur` and
+:func:`~torusquot.chartab.decompose`, and :func:`eigenvalue_one_counts`,
+the average of a character over each cyclic subgroup ⟨g⟩, which the package
+reads off the table instead: every class sum is a chain of exact
 `Cyclotomic` products and sums, canonicalised at each step.
 
 The table steps are the earlier :func:`_class_matrix`, which builds every
@@ -203,9 +204,9 @@ def sort_key(v: Cyclotomic):
 
 
 def check_table_reads(table):
-    """Each irreducible's stored eigenvalue-1 counts and indicator equal both
-    per-character sums, `chartab`'s and this module's."""
+    """Each irreducible's stored eigenvalue-1 counts equal this module's
+    average, and its indicator both per-character sums, `chartab`'s and this
+    module's."""
     for i, chi in enumerate(table):
-        assert table.eigenvalue_one[i] == chartab.eigenvalue_one_counts(chi) == \
-            eigenvalue_one_counts(chi)
+        assert table.eigenvalue_one[i] == eigenvalue_one_counts(chi)
         assert table.indicator(i) == chartab.frobenius_schur(chi) == frobenius_schur(chi)

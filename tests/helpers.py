@@ -94,6 +94,32 @@ def regular_rep(group: FiniteGroup) -> AnalyticRep:
               for g in range(group.order)))
 
 
+def scale(chi: Character, m: int) -> Character:
+    """m times the class function chi."""
+    c = Cyclotomic.from_value(m)
+    return Character(chi.group, tuple(c * v for v in chi.values))
+
+
+def with_character(chi: Character) -> AnalyticRep:
+    """A representation whose matrices are never built and whose character
+    is the class function chi, for the counts read off its decomposition."""
+    rep = AnalyticRep._built_by(chi.group, None)
+    rep._character = chi
+    return rep
+
+
+def direct_sum(*reps: AnalyticRep) -> AnalyticRep:
+    """The block sum of representations of one group, in the given order."""
+    group = reps[0].group
+
+    def build(i):
+        m = reps[0].matrix(i)
+        for rep in reps[1:]:
+            m = m.block_sum(rep.matrix(i))
+        return m
+    return AnalyticRep._built_by(group, build)
+
+
 def regular_character(group: FiniteGroup) -> Character:
     vals = [zero()] * group.num_classes
     vals[group.class_of(0)] = Cyclotomic.from_value(group.order)

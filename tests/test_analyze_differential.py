@@ -2,13 +2,14 @@
 
 The invariant form is walked as line orbits under the generator images,
 the halves of a complex pair are read off one class sum as column spaces,
-faithfulness and the eigenvalue-1 test off the character, and element
-matrices are built only when a stage reads them.  Each answer is checked
-against the body that summed over every element or looked at every class
-representative's matrix (`torusq_oracle`, `fibration_oracle`), and the
-halves also against the class sum's kernels, on random monomial subgroups
-of G(m,1,n) = mu_m wr S_n, the corpus, the paper examples and integer
-conjugates of them.
+faithfulness off the character, h1,0, h2,0 and the eigenvalue-1 test off
+its decomposition, and element matrices are built only when a stage reads
+them.  Each answer is checked against the body that summed over every
+element or looked at every class representative's matrix
+(`torusq_oracle`, `fibration_oracle`), the counts also against the
+character sums they replace (`chartab_oracle`), and the halves against the
+class sum's kernels, on random monomial subgroups of G(m,1,n) =
+mu_m wr S_n, the corpus, the paper examples and integer conjugates of them.
 """
 
 import random
@@ -18,12 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chartab_oracle
 from fibration_oracle import isotypic_projections, kernel_halves
 from helpers import (
     column_space_basis,
     conjugated,
     conjugated_elements,
+    direct_sum,
     one_dim_rep,
+    regular_rep,
     unimodular,
     wreath_generator_pairs,
     wreath_generators,
@@ -37,7 +41,13 @@ from torusq_oracle import (
 from torusq_oracle import eigenvalue_one_all as eigenvalue_one_by_matrices
 
 from torusquot import torusq
-from torusquot.chartab import character_table, decompose, trivial_character
+from torusquot.chartab import (
+    character_table,
+    decompose,
+    exterior_square,
+    inner_product,
+    trivial_character,
+)
 from torusquot.cyclo import Cyclotomic
 from torusquot.fixtures import FIXTURES
 from torusquot.groups import FiniteGroup, Monomial, close
@@ -51,6 +61,7 @@ from torusquot.torusq import (
     classify_symplectic,
     conjugate_pair_rep,
     eigenvalue_one_all,
+    h0_reflexive_1forms,
     h0_reflexive_2forms,
     invariant_form,
     lagrangian_fibration_data,
@@ -220,8 +231,9 @@ def test_trivial_plus_sign_is_not_faithful(s4_group, s4_table):
 
 
 def _check_eigenvalue_one(group):
+    table = character_table(group)
     for rep in _natural_and_pair(group):
-        assert eigenvalue_one_all(rep) == eigenvalue_one_by_matrices(rep)
+        assert eigenvalue_one_all(rep, table) == eigenvalue_one_by_matrices(rep)
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,9 +253,9 @@ def test_eigenvalue_one_on_the_paper_examples(name, request):
     _check_eigenvalue_one(request.getfixturevalue(f"{name}_group"))
 
 
-def test_eigenvalue_one_on_the_untwisted_s4(s4_untwisted):
+def test_eigenvalue_one_on_the_untwisted_s4(s4_untwisted, s4_table):
     for rep in (s4_untwisted, conjugate_pair_rep(s4_untwisted)):
-        ok, failing = eigenvalue_one_all(rep)
+        ok, failing = eigenvalue_one_all(rep, s4_table)
         assert (ok, failing) == eigenvalue_one_by_matrices(rep)
         assert not ok and failing
 
@@ -314,16 +326,71 @@ def _counting_calls(monkeypatch, name):
 @pytest.mark.parametrize("with_form", [True, False], ids=["wedge-form", "invariant-form"])
 def test_g216_pair_decomposes_and_checks_the_form_once(monkeypatch, g216_group, g216_table,
                                                         with_form):
+    # the decomposition is kept on the representation, so each run gets its own
     pair = conjugate_pair_rep(natural_rep(g216_group))
     form = SymplecticForm.wedge_pairs(pair.degree, FIXTURES["g216"].form_pairs) \
         if with_form else None
-    expected = analyze(pair, g216_table, form=form)
+    expected = analyze(conjugate_pair_rep(natural_rep(g216_group)), g216_table, form=form)
     decompositions = _counting_calls(monkeypatch, "decompose")
     form_checks = _counting_calls(monkeypatch, "preserves_form")
     report = analyze(pair, g216_table, form=form)
     assert str(report.symplectic_class) == "ConjugatePair(complex)"
     assert report.fibration is not None and report.to_dict() == expected.to_dict()
     assert len(decompositions) == 1 and len(form_checks) == 1
+
+
+# -- h1,0, h2,0 and the eigenvalue-1 counts off the decomposition
+
+
+def _check_counts(rep, table):
+    """The counts read off the decomposition against the character sums:
+    (χ|1), (Λ²χ|1) and the average of χ over each ⟨g⟩.  Returns h1,0 and
+    h2,0."""
+    chi, triv = rep.character, trivial_character(rep.group)
+    h10, h20 = h0_reflexive_1forms(rep, table), h0_reflexive_2forms(rep, table)
+    assert inner_product(chi, triv) == h10
+    assert inner_product(exterior_square(chi), triv) == h20
+    assert torusq._eigenvalue_one_multiplicities(rep, table) == \
+        chartab_oracle.eigenvalue_one_counts(chi)
+    return h10, h20
+
+
+@settings(max_examples=25, deadline=None)
+@given(wreath_generator_pairs())
+def test_counts_off_the_decomposition_on_wreath_pairs(gens):
+    group = close(gens)
+    table = character_table(group)
+    for rep in _natural_and_pair(group):
+        _check_counts(rep, table)
+
+
+@pytest.mark.parametrize("name", ["s4", "q8", "c6"])
+def test_counts_off_the_decomposition_of_the_regular_rep(name, request):
+    # each irreducible appears as often as its degree: s4's of degree 3
+    # three times, q8's quaternionic one twice, c6's complex pairs once each
+    _check_counts(regular_rep(request.getfixturevalue(f"{name}_group")),
+                  request.getfixturevalue(f"{name}_table"))
+
+
+def test_counts_off_a_complex_pair_and_a_repeated_real_constituent():
+    # G(3,1,2): χ + χ̄ + 3·sign + 2·1 with χ its complex natural character.
+    # h2,0 = 1 from the pair, 3 from the pairs of sign copies and 1 from the
+    # two trivial copies; neither sum term shows on an irreducible
+    group = close(wreath_generators(3, 2))
+    table = character_table(group)
+    triv = trivial_character(group)
+    sign = next(c for i, c in enumerate(table)
+                if c.degree == 1 and table.indicator(i) == 1 and c != triv)
+    s, t = one_dim_rep(group, sign), one_dim_rep(group, triv)
+    rep = direct_sum(conjugate_pair_rep(natural_rep(group)), s, s, s, t, t)
+    assert _check_counts(rep, table) == (2, 5)
+
+
+def test_counts_off_a_repeated_quaternionic_constituent(q8_group, q8_table):
+    # two copies of q8's quaternionic natural character: 1 + 1 from Λ² of
+    # each copy, 1 from the pair of copies
+    nat = natural_rep(q8_group)
+    assert _check_counts(direct_sum(nat, nat), q8_table) == (0, 3)
 
 
 # -- h2,0 a second way: orbits of signed coordinate lines
@@ -363,14 +430,15 @@ def _line_orbit_count(rep):
 def test_h20_counts_clean_line_orbits_on_the_corpus(corpus):
     for name, rep, table in corpus:
         assert all(isinstance(g, Monomial) for g in rep.generator_images()), name
-        assert h0_reflexive_2forms(rep) == _line_orbit_count(rep), name
+        assert h0_reflexive_2forms(rep, table) == _line_orbit_count(rep), name
 
 
 @pytest.mark.parametrize("name", ["s4", "g216", "g1280"])
 def test_h20_counts_clean_line_orbits_on_the_paper_examples(name, request):
     group = request.getfixturevalue(f"{name}_group")
+    table = request.getfixturevalue(f"{name}_table")
     for rep in _natural_and_pair(group):
-        assert h0_reflexive_2forms(rep) == _line_orbit_count(rep)
+        assert h0_reflexive_2forms(rep, table) == _line_orbit_count(rep)
 
 
 # -- the Lagrangian check

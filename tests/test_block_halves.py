@@ -50,7 +50,7 @@ def check_blocks(rep, table):
     """The block halves equal the earlier path's; the pair type, or None
     when the representation is no conjugate pair."""
     mult = decompose(rep.character, table)
-    cls = classify_symplectic(rep, table, mult=mult)
+    cls = classify_symplectic(rep, table)
     if cls.kind is not SymplecticKind.CONJUGATE_PAIR:
         return None
     halves = _block_halves(rep, table, mult, cls.pair_type)
@@ -60,7 +60,7 @@ def check_blocks(rep, table):
     else:
         assert halves == _spin_halves(rep)
     form = invariant_form(rep)
-    assert lagrangian_fibration_data(rep, form, table, mult=mult, cls=cls) == halves
+    assert lagrangian_fibration_data(rep, form, table) == halves
     return cls.pair_type
 
 

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclo_oracle import embed_float
-from helpers import is_real_valued, regular_character, value_at_element
+from helpers import is_real_valued, regular_character, scale, value_at_element
 
 from torusquot import chartab
 from torusquot.chartab import (
     Character,
     character_table,
     decompose,
-    eigenvalue_one_counts,
     exterior_square,
     frobenius_schur,
     inner_product,
@@ -26,6 +25,7 @@ from torusquot.chartab import (
 from torusquot.cyclo import Cyclotomic, one, zero
 from torusquot.errors import InconsistentCharacterError, TableComputationError
 from torusquot.groups import Dense, Monomial, close
+from torusquot.torusq import _eigenvalue_one_multiplicities, natural_rep
 
 
 def perm_monomial(images):
@@ -167,7 +167,7 @@ class TestDecompose:
         chi = None
         for m, irr in zip(mult, S4_TABLE):
             if m:
-                part = irr.scale(m)
+                part = scale(irr, m)
                 chi = part if chi is None else chi + part
         if chi is None:
             return
@@ -176,8 +176,7 @@ class TestDecompose:
 
 class TestEigenvalueOneCounts:
     def test_s4_natural(self):
-        nat = natural_character(S4)
-        counts = eigenvalue_one_counts(nat)
+        counts = _eigenvalue_one_multiplicities(natural_rep(S4), S4_TABLE)
         # fixed-point counts of the permutation classes
         by_order_size = {
             (S4.class_orders[k], S4.class_sizes[k]): counts[k]
@@ -189,9 +188,8 @@ class TestEigenvalueOneCounts:
         assert by_order_size[(4, 6)] == 1    # 4-cycles
 
     def test_matches_float_oracle(self):
-        for g in (S4, Q8):
-            nat = natural_character(g)
-            counts = eigenvalue_one_counts(nat)
+        for g, t in ((S4, S4_TABLE), (Q8, Q8_TABLE)):
+            counts = _eigenvalue_one_multiplicities(natural_rep(g), t)
             for k, rep in enumerate(g.class_representatives):
                 m = np.array([[embed_float(x) for x in row]
                               for row in g.element(rep).to_dense().rows])
@@ -302,7 +300,7 @@ class TestTableCheck:
         assert (sign.degree, triv.degree, chi2.degree) == (1, 1, 2)
         assert triv.values == trivial_character(group).values
         zero_fn = Character(group, (zero(),) * group.num_classes)
-        chars = [triv.scale(4), sign.scale(2), chi2, zero_fn, zero_fn]
+        chars = [scale(triv, 4), scale(sign, 2), chi2, zero_fn, zero_fn]
         assert sum(c.degree ** 2 for c in chars) == group.order
         assert all(inner_product(a, b) == 0
                    for i, a in enumerate(chars) for b in chars[i + 1:])

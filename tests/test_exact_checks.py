@@ -18,13 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chartab_oracle as oracle
+from helpers import with_character
 
 from torusquot import chartab, modp
 from torusquot.chartab import (
     Character,
     character_table,
     decompose,
-    eigenvalue_one_counts,
     frobenius_schur,
     natural_character,
 )
@@ -32,6 +32,7 @@ from torusquot.cyclo import Cyclotomic, normalize
 from torusquot.errors import GroupTooLargeError, InconsistentCharacterError
 from torusquot.groupfile import parse_group_text
 from torusquot.groups import close
+from torusquot.torusq import eigenvalue_one_all
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import inputs  # noqa: E402  (the benchmark's seeded inputs)
@@ -97,11 +98,13 @@ class TestInexactSums:
         assert _outcome(frobenius_schur, chi) == _outcome(oracle.frobenius_schur, chi) \
             == ("error", "indicator is not an integer")
 
-    def test_eigenvalue_one_counts(self, make, s4_group):
+    def test_eigenvalue_one_counts(self, make, s4_group, s4_table):
+        # the package reads the counts off the decomposition, which refuses it
         chi = make(s4_group)
-        assert _outcome(eigenvalue_one_counts, chi) == \
-            _outcome(oracle.eigenvalue_one_counts, chi) == \
+        assert _outcome(oracle.eigenvalue_one_counts, chi) == \
             ("error", "eigenvalue-1 multiplicity is not a non-negative integer")
+        assert _outcome(eigenvalue_one_all, with_character(chi), s4_table) == \
+            ("error", "inner product with an irreducible is not a non-negative integer")
 
     def test_decompose(self, make, s4_group, s4_table):
         chi = make(s4_group)
@@ -110,11 +113,12 @@ class TestInexactSums:
             ("error", "inner product with an irreducible is not a non-negative integer")
 
 
-def test_negative_eigenvalue_one_average_is_refused(s4_group):
-    # minus the trivial character averages to -1 over every cyclic subgroup
+def test_negative_eigenvalue_one_average_is_refused(s4_group, s4_table):
+    # minus the trivial character averages to -1 over every cyclic subgroup,
+    # and its decomposition has the multiplicity -1
     chi = Character(s4_group, (Cyclotomic.from_value(-1),) * s4_group.num_classes)
-    assert _outcome(eigenvalue_one_counts, chi) == _outcome(oracle.eigenvalue_one_counts, chi)
-    assert _outcome(eigenvalue_one_counts, chi)[0] == "error"
+    assert _outcome(oracle.eigenvalue_one_counts, chi)[0] == "error"
+    assert _outcome(eigenvalue_one_all, with_character(chi), s4_table)[0] == "error"
 
 
 # -- the tables of the benchmark's inputs
@@ -176,8 +180,7 @@ def test_benchmark_tables_match_the_earlier_steps(workload, seed):
             assert chi.degree == oracle.degree(chi), name
             assert table.indicator(i) == frobenius_schur(chi) == \
                 oracle.frobenius_schur(chi), name
-            assert table.eigenvalue_one[i] == eigenvalue_one_counts(chi) == \
-                oracle.eigenvalue_one_counts(chi), name
+            assert table.eigenvalue_one[i] == oracle.eigenvalue_one_counts(chi), name
         nat = natural_character(group)
         assert decompose(nat, table) == oracle.decompose(nat, table), name
         tabled += 1

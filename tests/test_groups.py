@@ -217,17 +217,19 @@ class TestConjugacy:
         assert g.class_sizes[target] == 3
 
     def test_cyclic_classes_count_the_powers(self):
-        # per class, the classes of g^0, ..., g^(o-1) counted from the elements
+        # per class, the classes of g^0, ..., g^(o-1), which the average over
+        # <g> reads off the power maps, against those of the elements
         g = s4_group()
-        for k, counted in enumerate(g.cyclic_classes):
+        for k, o in enumerate(g.class_orders):
             x = g.class_representatives[k]
-            tally = {}
-            for t in range(g.class_orders[k]):
-                d = g.class_of(g.power(x, t))
-                tally[d] = tally.get(d, 0) + 1
-            assert dict(counted) == tally
+            assert [g.power_classes(t)[k] for t in range(o)] == \
+                [g.class_of(g.power(x, t)) for t in range(o)]
         four_cycle = next(c for c in range(g.num_classes) if g.class_orders[c] == 4)
-        assert sorted(n for _, n in g.cyclic_classes[four_cycle]) == [1, 1, 2]
+        tally = {}
+        for t in range(4):
+            d = g.power_classes(t)[four_cycle]
+            tally[d] = tally.get(d, 0) + 1
+        assert sorted(tally.values()) == [1, 1, 2]
 
 
 class TestInvariants:

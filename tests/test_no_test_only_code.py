@@ -1,9 +1,11 @@
 """The package holds no code that only the tests use.
 
 Parses every module of the package and lists each module-level function
-and each method of a module-level class whose name is referenced nowhere
-else in the package, as a name or an attribute.  The public API, the names
-in ``torusquot.__all__``, and the console scripts of ``pyproject.toml`` are
+whose name is referenced nowhere else in the package, as a name or an
+attribute, and each method of a module-level class referenced nowhere else
+as an attribute (``.name``): a bare name of the same spelling is a local
+variable, not a use of the method.  The public API, the names in
+``torusquot.__all__``, and the console scripts of ``pyproject.toml`` are
 used from outside, and dunder methods by the language.  Code that only the
 tests need belongs in ``tests/`` as a helper or an oracle.
 """
@@ -32,21 +34,26 @@ def script_functions(text):
     return set(re.findall(r":(\w+)\"", section.group(1))) if section else set()
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def definitions(tree):
+    """(node, the references that use it): a function is used by its name
+    or as an attribute (module.f), a method only as an attribute."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+        if isinstance(node, FUNCTIONS):
+            yield node, (node.name, "." + node.name)
         elif isinstance(node, ast.ClassDef):
-            yield from (n for n in node.body
-                        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+            yield from ((n, ("." + n.name,)) for n in node.body if isinstance(n, FUNCTIONS))
 
 
 def references(tree):
+    """Each name as itself, each attribute as '.attr'."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield "." + node.attr
 
 
 def unreferenced(trees, exported):
@@ -54,11 +61,12 @@ def unreferenced(trees, exported):
     uses = Counter(name for tree in trees for name in references(tree))
     found = []
     for tree in trees:
-        for node in definitions(tree):
+        for node, keys in definitions(tree):
             name = node.name
             if (name.startswith("__") and name.endswith("__")) or name in exported:
                 continue
-            if uses[name] == Counter(references(node))[name]:
+            own = Counter(references(node))
+            if all(uses[k] == own[k] for k in keys):
                 found.append(name)
     return sorted(found)
 
@@ -79,3 +87,13 @@ def test_the_guard_sees_unreferenced_code():
     assert unreferenced([used, unused], {"exported"}) == ["lone", "method"]
     assert script_functions('[project.scripts]\ntool = "pkg.cli:main_entry"\n\n[tool.x]\n'
                             'y = "a:b"\n') == {"main_entry"}
+
+
+def test_a_local_name_is_no_use_of_a_method():
+    # a method is used only as an attribute; a function also by its name
+    tree = ast.parse("class A:\n    def scale(self):\n        return 1\n\n"
+                     "    def used(self):\n        return 2\n\n"
+                     "def form(a):\n    scale = a.used()\n    return scale\n\n"
+                     "def helper():\n    return 3\n\n"
+                     "def caller(m):\n    return helper() + m.helper\n")
+    assert unreferenced([tree], {"caller"}) == ["form", "scale"]

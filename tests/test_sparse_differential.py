@@ -21,6 +21,7 @@ from helpers import conjugated_elements, wreath_generator_pairs
 from torusq_oracle import preserves_form_all_entries
 
 from torusquot import linalg
+from torusquot.chartab import character_table
 from torusquot.cyclo import Cyclotomic, rref
 from torusquot.groups import Dense, Monomial, close
 from torusquot.torusq import (
@@ -142,7 +143,7 @@ def test_preserves_form_matches_all_entries(rep, data):
             moved[i][j], moved[j][i] = c, -c
             perturbed = SymplecticForm(moved)
             forms.append(perturbed)
-            if h0_reflexive_2forms(rep) == 1:
+            if h0_reflexive_2forms(rep, character_table(rep.group)) == 1:
                 assert not preserves_form(rep, perturbed)
     for form in forms:
         assert preserves_form(rep, form) == preserves_form_all_entries(rep, form)

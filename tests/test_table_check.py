@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chartab_oracle as oracle
+from helpers import scale
 
 from torusquot import chartab
 from torusquot.chartab import Character, character_table
@@ -87,7 +88,7 @@ def _duplicated_row(group, chars):
 
 def _negated_row(group, chars):
     """The last row times -1: every relation still holds."""
-    return list(chars[:-1]) + [chars[-1].scale(-1)]
+    return list(chars[:-1]) + [scale(chars[-1], -1)]
 
 
 _MUTATIONS = {
@@ -132,7 +133,7 @@ def test_rejects_rows_whose_only_fault_is_their_norm(s4_table):
     # 4|G| instead of |G|, rejects them
     sign, triv, chi2 = s4_table[0], s4_table[1], s4_table[2]
     assert (sign.degree, triv.degree, chi2.degree) == (1, 1, 2)
-    chars = [triv.scale(2), sign.scale(2), chi2.scale(2)]
+    chars = [scale(triv, 2), scale(sign, 2), scale(chi2, 2)]
     assert _verdict(oracle._verify_pairings, s4_table.group, chars) == "reject"
     with pytest.raises(TableComputationError, match="orthonormal"):
         chartab._verify_table(s4_table.group, chars)

@@ -14,8 +14,9 @@ must equal the oracle's matrix row, the split must return the same set of
 vectors (their order follows the split, and the table sorts its rows),
 the linear rows must be the lattice's characters, and the lifted values
 of the other rows must be equal.  The eigenvalue-1
-counts the table keeps and the indicators its check reads must equal
-both per-character sums, `chartab`'s and the oracle's.
+counts the table keeps must equal the oracle's averages over the cyclic
+subgroups, and the indicators its check reads both per-character sums,
+`chartab`'s and the oracle's.
 """
 
 from types import SimpleNamespace
@@ -164,7 +165,7 @@ def test_lift_of_sums_and_noise_matches_oracle(g216_lift, data):
         # a character of degree below p lifts exactly, and the counts it
         # keeps are its eigenvalue-1 multiplicities
         values, ones = chartab._lift_character(plan, p, xk, d)
-        assert ones == chartab.eigenvalue_one_counts(chartab.Character(group, values))
+        assert ones == oracle.eigenvalue_one_counts(chartab.Character(group, values))
 
 
 def test_inexact_class_matrix_entry_raises():

@@ -57,24 +57,24 @@ def _matrix_complex(m):
 
 def test_s4_pair_h10_h20(s4_natural, s4_table):
     pair = conjugate_pair_rep(s4_natural)
-    assert h0_reflexive_1forms(pair) == 0
-    assert h0_reflexive_2forms(pair) == 1
+    assert h0_reflexive_1forms(pair, s4_table) == 0
+    assert h0_reflexive_2forms(pair, s4_table) == 1
 
 
-def test_untwisted_standard_has_no_invariant_2form(s4_untwisted):
-    assert h0_reflexive_1forms(s4_untwisted) == 0
-    assert h0_reflexive_2forms(s4_untwisted) == 0
+def test_untwisted_standard_has_no_invariant_2form(s4_untwisted, s4_table):
+    assert h0_reflexive_1forms(s4_untwisted, s4_table) == 0
+    assert h0_reflexive_2forms(s4_untwisted, s4_table) == 0
 
 
 def test_trivial_rep_counts(s4_group, s4_table):
     triv = next(c for c in s4_table if all(v == 1 for v in c.values))
     rep = one_dim_rep(s4_group, triv)
-    assert h0_reflexive_1forms(rep) == 1
-    assert h0_reflexive_2forms(rep) == 0
+    assert h0_reflexive_1forms(rep, s4_table) == 1
+    assert h0_reflexive_2forms(rep, s4_table) == 0
 
 
-def test_regular_rep_has_one_invariant_1form(q8_group):
-    assert h0_reflexive_1forms(regular_rep(q8_group)) == 1
+def test_regular_rep_has_one_invariant_1form(q8_group, q8_table):
+    assert h0_reflexive_1forms(regular_rep(q8_group), q8_table) == 1
 
 
 def _random_unimodular(n, rng):
@@ -91,15 +91,15 @@ def _random_unimodular(n, rng):
 
 @settings(deadline=None, max_examples=8)
 @given(seed=st.integers(min_value=0, max_value=10**6))
-def test_h_counts_invariant_under_basis_change(s4_natural, seed):
+def test_h_counts_invariant_under_basis_change(s4_natural, s4_table, seed):
     import random
     rng = random.Random(seed)
     pair = conjugate_pair_rep(s4_natural)
     p = _random_unimodular(pair.degree, rng)
     pinv = p.inverse()
     conj = AnalyticRep(pair.group, tuple(pinv * (m * p) for m in pair.matrices))
-    assert h0_reflexive_1forms(conj) == h0_reflexive_1forms(pair)
-    assert h0_reflexive_2forms(conj) == h0_reflexive_2forms(pair)
+    assert h0_reflexive_1forms(conj, s4_table) == h0_reflexive_1forms(pair, s4_table)
+    assert h0_reflexive_2forms(conj, s4_table) == h0_reflexive_2forms(pair, s4_table)
 
 
 # -- the symplectic trichotomy over the corpus
@@ -109,7 +109,7 @@ def test_corpus_classify_iff_h20_and_form(corpus):
     assert len(corpus) >= 30
     for name, rep, table in corpus:
         cls = classify_symplectic(rep, table)
-        h20 = h0_reflexive_2forms(rep)
+        h20 = h0_reflexive_2forms(rep, table)
         form = invariant_form(rep)
         has_unique = cls.kind is not SymplecticKind.NOT_UNI_SYMPLECTIC
         rhs = h20 == 1 and form is not None and form.is_nondegenerate()
@@ -174,17 +174,17 @@ def _float_eig_one(m) -> bool:
     return bool(np.min(np.abs(eigs - 1.0)) < 1e-8)
 
 
-def test_eigenvalue_one_matches_float_oracle(s4_natural, s4_untwisted):
+def test_eigenvalue_one_matches_float_oracle(s4_natural, s4_untwisted, s4_table):
     for rep in (s4_natural, s4_untwisted):
-        ok, failures = eigenvalue_one_all(rep)
+        ok, failures = eigenvalue_one_all(rep, s4_table)
         for c, cls in enumerate(rep.group.conjugacy_classes):
             m = rep.matrix(cls[0])
             assert has_eigenvalue_one(m) == _float_eig_one(m)
         assert ok == (not failures)
 
 
-def test_untwisted_standard_fails_on_the_4cycle(s4_group, s4_untwisted):
-    ok, failures = eigenvalue_one_all(s4_untwisted)
+def test_untwisted_standard_fails_on_the_4cycle(s4_group, s4_untwisted, s4_table):
+    ok, failures = eigenvalue_one_all(s4_untwisted, s4_table)
     assert not ok
     orders = {s4_group.element_order(s4_group.conjugacy_classes[c][0])
               for c in failures}
@@ -476,8 +476,9 @@ def test_corpus_verdict_soundness(corpus):
     for name, rep, table in corpus:
         homogeneous = homogeneous_decomplexification(rep, table)
         cls = classify_symplectic(rep, table)
-        verdict = smoothness_verdict(cls, homogeneous, rep.degree, rep.is_trivial())
-        if homogeneous and not rep.is_trivial():
+        trivial = h0_reflexive_1forms(rep, table) == rep.degree
+        verdict = smoothness_verdict(cls, homogeneous, rep.degree, trivial)
+        if homogeneous and not trivial:
             assert verdict.singular_unless_torus, name
         # a uni-symplectic action of degree above 2 is flagged: neither the
         # torus nor the base can be smooth unless the torus is 2-dimensional
