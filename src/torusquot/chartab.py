@@ -292,18 +292,26 @@ def _class_matrix_rows(group: FiniteGroup, i: int, rows) -> list[list[int]]:
     """Rows j in ``rows`` of class matrix i, whose entry (j, k) is the
     coefficient of C_k in the product of class sums C_i * C_j.
 
-    The pairs (x, y) in C_i x C_j with x * y in C_k number |C_k| times that
-    coefficient, and also |C_i| times the number of y in C_j with g_i * y in
-    C_k, g_i the representative of class i, because conjugation permutes C_i
-    and C_j.  One left multiplication by g_i serves every row."""
+    Class sums are central, so C_i * C_j = C_j * C_i, and the pairs (y, x)
+    in C_j x C_i with y * x in C_k number |C_k| times that coefficient.
+    Conjugation permutes C_i and C_j, so every x in C_i pairs with as many
+    y as the representative g_i does: the entry is |C_i| times the number
+    of y in C_j with y * g_i in C_k, over |C_k|.  Only the members of the
+    classes j are multiplied, each folded through the right-multiplication
+    table along g_i's BFS word, which is short: g_i is its class's
+    smallest index, the first member BFS reached (Schneider, J. Symb.
+    Comp. 9, 1990)."""
     members = group.conjugacy_classes
     sizes = group.class_sizes
     class_of = group.class_map
-    left = group.left_multiply_all(group.class_representatives[i])
+    columns = [group.right_table[a] for a in group.word(group.class_representatives[i])]
     out = []
     for j in rows:
+        products = members[j]
+        for column in columns:
+            products = map(column.__getitem__, products)
         row = [0] * len(sizes)
-        for k, c in Counter(map(class_of.__getitem__, map(left.__getitem__, members[j]))).items():
+        for k, c in Counter(map(class_of.__getitem__, products)).items():
             row[k], rest = divmod(sizes[i] * c, sizes[k])
             if rest:
                 raise TableComputationError("class matrix entry is not an integer")

@@ -608,6 +608,27 @@ _ZERO = Cyclotomic(1, (0,), 1)
 _ONE = Cyclotomic(1, (1,), 1)
 
 
+def add_all(values) -> Cyclotomic:
+    """The sum of Cyclotomic values, canonicalised once: the numerators are
+    lifted to the lcm conductor over the lcm denominator, added in
+    integers, and reduced mod Phi_m once.  Lifting costs more than it saves
+    below three terms, so one term is returned as it is and two take one +."""
+    terms = list(values)
+    if len(terms) < 3:
+        if not terms:
+            return _ZERO
+        return terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    n = math.lcm(*(v.n for v in terms))
+    den = math.lcm(*(v.den for v in terms))
+    raw = [0] * n
+    for v in terms:
+        step, f = n // v.n, den // v.den
+        for i, c in enumerate(v.num):
+            if c:
+                raw[i * step] += c * f
+    return _canonical(_reduce(raw, n), den, n)
+
+
 def zero() -> Cyclotomic:
     return _ZERO
 

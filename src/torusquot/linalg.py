@@ -6,7 +6,7 @@ Everything here is exact; nothing falls back to floats.
 
 from __future__ import annotations
 
-from .cyclo import Cyclotomic, one, rref, zero
+from .cyclo import Cyclotomic, add_all, one, rref, zero
 from .errors import InvalidInputError
 
 Matrix = tuple  # tuple[tuple[Cyclotomic, ...], ...]
@@ -29,7 +29,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v) -> tuple:
     """The product a·v of a matrix and a column vector given as a tuple."""
-    return tuple(sum((x * y for x, y in zip(row, v) if x and y), zero()) for row in a)
+    return tuple(add_all([x * y for x, y in zip(row, v) if x and y]) for row in a)
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import linalg
 from .chartab import Character, CharacterTable, decompose, trivial_character
-from .cyclo import Cyclotomic, format_entry, one, prime_factors, rref, zero
+from .cyclo import Cyclotomic, add_all, format_entry, one, prime_factors, rref, zero
 from .errors import InvalidInputError, NotAHomomorphismError, TorusQuotError
 from .groups import Dense, FiniteGroup, Monomial
 
@@ -144,26 +144,41 @@ class SymplecticForm:
     checked at each of them, which covers every pair with a nonzero entry."""
 
     def __init__(self, matrix):
-        self.matrix = linalg.as_matrix(matrix)
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
+        matrix = linalg.as_matrix(matrix)
+        n = len(matrix)
+        if any(len(row) != n for row in matrix):
             raise InvalidInputError("form matrix must be square")
-        self.support = tuple(tuple((j, w) for j, w in enumerate(row) if w)
-                             for row in self.matrix)
-        if any(self.matrix[j][i] != -w for i, row in enumerate(self.support) for j, w in row):
+        self._set(matrix, tuple(tuple((j, w) for j, w in enumerate(row) if w) for row in matrix))
+
+    def _set(self, matrix, support):
+        if any(matrix[j][i] != -w for i, row in enumerate(support) for j, w in row):
             raise InvalidInputError("form matrix must be antisymmetric")
+        self.matrix = matrix
+        self.support = support
         self._nondegenerate = None
 
     @staticmethod
     def wedge_pairs(degree: int, pairs) -> "SymplecticForm":
-        """Sum of coordinate wedges dz_a ^ dz_b over 0-based index pairs."""
-        rows = [[zero()] * degree for _ in range(degree)]
+        """Sum of coordinate wedges dz_a ^ dz_b over 0-based index pairs.
+        The entries are counted in integers per row, and the matrix and the
+        support are built from the nonzero counts alone."""
+        counts = [{} for _ in range(degree)]
         for a, b in pairs:
             if not (0 <= a < degree and 0 <= b < degree) or a == b:
                 raise InvalidInputError(f"bad wedge pair ({a}, {b}) for degree {degree}")
-            rows[a][b] = rows[a][b] + one()
-            rows[b][a] = rows[b][a] - one()
-        return SymplecticForm(rows)
+            counts[a][b] = counts[a].get(b, 0) + 1
+            counts[b][a] = counts[b].get(a, 0) - 1
+        support = tuple(tuple((j, Cyclotomic.from_value(c)) for j, c in sorted(row.items()) if c)
+                        for row in counts)
+        matrix = []
+        for row in support:
+            entries = [zero()] * degree
+            for j, w in row:
+                entries[j] = w
+            matrix.append(tuple(entries))
+        form = object.__new__(SymplecticForm)
+        form._set(tuple(matrix), support)
+        return form
 
     @property
     def degree(self) -> int:
@@ -184,11 +199,9 @@ class SymplecticForm:
 
     def evaluate(self, u, v) -> Cyclotomic:
         """u^T * Omega * v, over the nonzero entries of each form row."""
-        return sum(
-            (ui * w * v[j]
-             for ui, row in zip(u, self.support) if ui
-             for j, w in row if v[j]),
-            zero())
+        return add_all([ui * w * v[j]
+                        for ui, row in zip(u, self.support) if ui
+                        for j, w in row if v[j]])
 
     def __eq__(self, other):
         if isinstance(other, SymplecticForm):
@@ -566,7 +579,7 @@ def _basis_is_lagrangian(basis, form: SymplecticForm) -> bool:
                 for j, w in row:
                     functional[j] = functional.get(j, zero()) + ui * w
         for v in basis[a + 1:]:
-            if not sum((f * v[j] for j, f in functional.items() if v[j]), zero()).is_zero():
+            if add_all([f * v[j] for j, f in functional.items() if v[j]]):
                 return False
     return True
 
@@ -689,9 +702,9 @@ def _block_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...]
         k = next(k for k, v in enumerate(chi.values) if v != v.conjugate())
         m = rep.matrix(rep.group.class_representatives[k])
         if isinstance(m, Monomial):
-            trace = sum((m.scalars[i] for i in first if m.perm[i] == i), zero())
+            trace = add_all([m.scalars[i] for i in first if m.perm[i] == i])
         else:
-            trace = sum((m.rows[i][i] for i in first), zero())
+            trace = add_all([m.rows[i][i] for i in first])
         if trace == chi.values[k].conjugate():
             first, second = second, first
         elif trace != chi.values[k]:

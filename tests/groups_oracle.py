@@ -5,15 +5,39 @@ which conjugates by each generator as two products of indices, each folded
 through a generator word; of :meth:`FiniteGroup.abelianization_order`,
 which closed the normal closure of the generators' commutators to the
 subgroup [G,G] (the package now reads |G/[G,G]| off the Hermite basis of
-the Schreier relations between the tree words' exponent sums); and of
+the Schreier relations between the tree words' exponent sums); of
 :func:`torusquot.chartab._class_matrix_rows`, which counts the class of
-x·g_j for each member x of class i, folding g_j's word once per member.
-The differential tests compare `groups` and `chartab` against them.
+x·g_j for each member x of class i, folding g_j's word once per member;
+and of the monomial point orbit of :func:`torusquot.groups.close`, which
+made one `Cyclotomic` product per point and generator.  The differential
+tests compare `groups` and `chartab` against them.
 """
 
 from __future__ import annotations
 
-from torusquot.errors import InvalidInputError, TableComputationError
+from torusquot.cyclo import one
+from torusquot.errors import GroupTooLargeError, InvalidInputError, TableComputationError
+
+
+def monomial_points(gens, limit: int):
+    """The points (coordinate, scalar) reached from e_1..e_n by BFS under
+    monomial generators, g sending c·e_i to c·s_i·e_perm[i], and each
+    generator's permutation of them.  Raises GroupTooLargeError(limit)
+    past ``limit * degree`` points."""
+    degree = gens[0].degree
+    points = [(j, one()) for j in range(degree)]
+    index = {x: i for i, x in enumerate(points)}
+    perms = [[] for _ in gens]
+    for i, c in points:  # the loop reaches the points appended while it runs
+        for g, perm in zip(gens, perms):
+            y = g.perm[i], c * g.scalars[i]
+            if y not in index:
+                if len(points) >= limit * degree:
+                    raise GroupTooLargeError(limit)
+                index[y] = len(points)
+                points.append(y)
+            perm.append(index[y])
+    return points, perms
 
 
 def compute_classes(group):

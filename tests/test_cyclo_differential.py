@@ -8,7 +8,10 @@ purpose, because they lie in a proper subfield and must descend.  The
 entry parser, which gathers integer numerators over one denominator, is
 compared with the earlier one, which summed `Fraction` terms, on
 well-formed sums and on random strings of the entry syntax's tokens: the
-same value, or the same error at the same column.
+same value, or the same error at the same column.  `add_all`, which
+canonicalises a sum once, is compared with the pairwise sum over mixed
+conductors up to 930 and their lcm, with denominators, on 0, 1, 2 and
+many terms.
 """
 
 import math
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 import cyclo_oracle as oracle
 from helpers import lift_coeffs
-from torusquot.cyclo import EntryParseError, format_entry, normalize, parse_entry
+from torusquot.cyclo import EntryParseError, add_all, format_entry, normalize, parse_entry, zero
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 21, 24, 30, 35, 36, 42, 60, 105]
 # the oracles invert by a rational solve of size phi(n), or by multiplying
@@ -120,6 +123,34 @@ def test_root_of_unity_order_matches_oracle(n, k, scale):
     a0 = oracle.normalize([scale if i == k % n else 0 for i in range(n)], n)
     assert a.root_of_unity_order() == a0.root_of_unity_order()
     assert (a + 1).root_of_unity_order() == (a0 + 1).root_of_unity_order()
+
+
+# the divisors of 930 = 2·3·5·31, where zeta_31 descends by regrouping,
+# and 4 and 12, which take the lcm to 1860
+SUM_CONDUCTORS = [1, 2, 3, 4, 5, 6, 10, 12, 15, 30, 31, 62, 93, 155, 186, 310, 465, 930]
+
+
+@st.composite
+def summands(draw):
+    """A value with up to three terms at one of SUM_CONDUCTORS, over a
+    denominator up to 6; a zero now and then."""
+    n = draw(st.sampled_from(SUM_CONDUCTORS))
+    raw = [0] * n
+    for _ in range(draw(st.integers(0, 3))):
+        raw[draw(st.integers(0, n - 1))] += Fraction(draw(st.integers(-9, 9)),
+                                                     draw(st.integers(1, 6)))
+    return normalize(raw, n)
+
+
+@given(st.one_of(st.lists(summands(), max_size=2), st.lists(summands(), max_size=12)))
+@settings(max_examples=150, deadline=None)
+def test_add_all_matches_pairwise_sum(terms):
+    total = add_all(terms)
+    pairwise = sum(terms, zero())
+    assert (total.n, total.num, total.den) == (pairwise.n, pairwise.num, pairwise.den)
+    assert add_all(iter(terms)) == pairwise
+    if len(terms) == 1:
+        assert total is terms[0]
 
 
 @st.composite

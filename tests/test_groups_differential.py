@@ -1,10 +1,15 @@
-"""Differential tests: conjugacy classes, the abelianization and the
-class-matrix rows built from left multiplication along the BFS tree,
-against the word-fold bodies kept in `groups_oracle`.
+"""Differential tests: conjugacy classes and the abelianization built from
+left multiplication along the BFS tree, and the class-matrix rows folded
+through the representative's word, against the word-fold bodies kept in
+`groups_oracle`; and the monomial point set with interned scalars against
+the orbit that made one product per point and generator.
 
 The groups are random two-generator subgroups of G(m,1,n), m, n <= 4, from
 monomial generators and from their dense conjugates (a point set of n·|G|
-vectors), the three paper fixtures, AGL(1,31) and an abelian group.
+vectors), the three paper fixtures, AGL(1,31) and an abelian group.  The
+point sets are compared on the subgroups, on their conjugates by
+diag(2, 1, ..., 1), whose scalars are not roots of unity, and on the
+infinite group of diag(2, 1).
 """
 
 import pytest
@@ -15,9 +20,10 @@ from helpers import affine_generators, conjugated_elements, wreath_generator_pai
 
 from torusquot.chartab import _class_matrix_rows
 from torusquot.cyclo import Cyclotomic
+from torusquot.errors import GroupTooLargeError
 from torusquot.fixtures import FIXTURES
 from torusquot.groupfile import parse_group_text
-from torusquot.groups import Monomial, close
+from torusquot.groups import DEFAULT_CLOSURE_LIMIT, Monomial, close
 
 
 def check_against_oracle(group):
@@ -64,3 +70,51 @@ def test_wreath_subgroups_match_word_folds(gens):
 @given(wreath_generator_pairs())
 def test_dense_conjugates_match_word_folds(gens):
     check_against_oracle(close(conjugated_elements(gens)))
+
+
+def check_points_against_oracle(gens):
+    group = close(gens)
+    points, perms = oracle.monomial_points(gens, DEFAULT_CLOSURE_LIMIT)
+    assert list(group._points) == points
+    assert list(map(list, group._gen_perms)) == perms
+
+
+def scaled_by_two(gens):
+    """Each generator conjugated by D = diag(2, 1, ..., 1), as D·g·D⁻¹."""
+    n = gens[0].degree
+    d = Monomial(range(n), (2,) + (1,) * (n - 1))
+    return [d * g * d.inverse() for g in gens]
+
+
+@settings(max_examples=40, deadline=None)
+@given(wreath_generator_pairs())
+def test_monomial_points_match_the_product_orbit(gens):
+    check_points_against_oracle(gens)
+    check_points_against_oracle(scaled_by_two(gens))
+
+
+def test_infinite_group_stops_where_the_product_orbit_does():
+    gens = [Monomial((0, 1), (2, 1))]
+    for limit in (1, 7, 50):
+        with pytest.raises(GroupTooLargeError) as new:
+            close(gens, limit=limit)
+        with pytest.raises(GroupTooLargeError) as old:
+            oracle.monomial_points(gens, limit)
+        assert new.value.limit == old.value.limit == limit
+
+
+def test_g1280_closure_makes_one_product_per_distinct_pair(monkeypatch):
+    # the points carry the scalars 1, -1, i, -i and so do the generators
+    fx = FIXTURES["g1280"]
+    gens = parse_group_text(fx.file_text, source="g1280").elements()
+    products = []
+    real = Cyclotomic.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting)
+    group = close(gens, limit=fx.closure_limit)
+    assert group.order == 1280
+    assert len(products) <= 16

@@ -9,10 +9,14 @@ nonzero entries, against the earlier bodies that read every entry.
   conjugates, under random, invariant and perturbed forms.
 - `conjugate()` and `block_sum()`, which build their results unchecked,
   against the validating constructors.
+- `SymplecticForm.wedge_pairs`, which builds the matrix and the support
+  from the pairs, against `SymplecticForm` of the dense rows, on pair
+  lists with repeated, reversed and cancelling pairs.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +27,7 @@ from torusq_oracle import preserves_form_all_entries
 from torusquot import linalg
 from torusquot.chartab import character_table
 from torusquot.cyclo import Cyclotomic, rref
+from torusquot.errors import InvalidInputError
 from torusquot.groups import Dense, Monomial, close
 from torusquot.torusq import (
     SymplecticForm,
@@ -194,3 +199,36 @@ def test_dense_pair_blocks_match_validated_constructor(pair):
     assert isinstance(x, Dense)
     assert_same_dense(x.conjugate(), Dense(linalg.conj_matrix(x.rows)))
     assert_same_dense(x.block_sum(y), Dense(linalg.block_diag(x.rows, y.rows)))
+
+
+@st.composite
+def wedge_pair_lists(draw):
+    """A degree and pairs over few coordinates, so that pairs repeat, come
+    reversed and cancel."""
+    degree = draw(st.integers(2, 6))
+    coordinate = st.integers(0, degree - 1)
+    pairs = draw(st.lists(st.tuples(coordinate, coordinate).filter(lambda p: p[0] != p[1]),
+                          max_size=10))
+    reversed_pairs = [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=4))] \
+        if pairs else []
+    return degree, draw(st.permutations(pairs + reversed_pairs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wedge_pair_lists())
+def test_wedge_pairs_match_the_dense_form(case):
+    degree, pairs = case
+    rows = [[0] * degree for _ in range(degree)]
+    for a, b in pairs:
+        rows[a][b] += 1
+        rows[b][a] -= 1
+    form, dense = SymplecticForm.wedge_pairs(degree, pairs), SymplecticForm(rows)
+    assert form.matrix == dense.matrix
+    assert form.support == dense.support
+    assert form == dense
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (-1, 1), (1, 3), (3, 0)])
+def test_wedge_pairs_refuse_a_bad_pair(pair):
+    with pytest.raises(InvalidInputError, match="bad wedge pair"):
+        SymplecticForm.wedge_pairs(3, [(0, 1), pair])

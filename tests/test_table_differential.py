@@ -169,16 +169,30 @@ def test_lift_of_sums_and_noise_matches_oracle(g216_lift, data):
 
 
 def test_inexact_class_matrix_entry_raises():
-    # a stand-in in which the representative of class 0 times the members
-    # 1, 2, 3 of class 1 gives 0, 2, 3, so two of them seem to land in
-    # class 1 = {1, 2, 3}: the entry |C_0| * 2 / |C_1| = 2/3 of row 1 is
-    # not an integer
+    # a stand-in in which the members 1, 2, 3 of class 1 times the
+    # representative of class 0, folded along its one-letter word through
+    # the right-multiplication table, give 0, 2, 3, so two of them seem to
+    # land in class 1 = {1, 2, 3}: the entry |C_0| * 2 / |C_1| = 2/3 of
+    # row 1 is not an integer
     fake = SimpleNamespace(
         num_classes=2, conjugacy_classes=((0,), (1, 2, 3)), class_representatives=(0, 1),
         class_sizes=(1, 3), class_map=(0, 1, 1, 1),
-        left_multiply_all=lambda h: [0, 0, 2, 3])
+        word=lambda i: (0,), right_table=([0, 0, 2, 3],))
     with pytest.raises(TableComputationError, match="not an integer"):
         chartab._class_matrix_rows(fake, 0, [1])
+
+
+def test_g1280_table_never_left_multiplies_the_whole_group(monkeypatch):
+    # the classes left-multiply to conjugate by the generators; once they
+    # exist, the class-matrix rows fold only class members
+    fx = FIXTURES["g1280"]
+    group = close(parse_group_text(fx.file_text, source="g1280").elements(),
+                  limit=fx.closure_limit)
+    group.conjugacy_classes
+    calls = []
+    monkeypatch.setattr(FiniteGroup, "left_multiply_all", lambda self, h: calls.append(h))
+    chartab.character_table(group)
+    assert calls == []
 
 
 def test_g1280_table_computes_few_inverses(monkeypatch):
