@@ -3,7 +3,8 @@
 Two element kinds are supported.  Monomial elements are scaled permutation
 matrices stored as (permutation, scalar vector) pairs so that products,
 inverses, and traces cost O(degree); dense elements hold full cyclotomic
-matrices.  A mixed generating set is promoted to dense.
+matrices.  Other modules read either kind's nonzero entries as (row, column,
+value) from ``entries()``; :func:`one_kind` promotes a mixed set to dense.
 
 A finite matrix group acts faithfully on the union of the orbits of the
 basis vectors e_1..e_n, because those points span the space: the "action on
@@ -11,11 +12,11 @@ an orbit of vectors" of Holt, Eick and O'Brien, *Handbook of Computational
 Group Theory* (2005).  :func:`close` finds that point set by BFS under the
 generators.  A point is a pair (coordinate, scalar) for a monomial generating
 set and a vector for a dense one; building the point set is the only exact
-arithmetic in closure.  For a monomial set it holds each scalar by its
-index in a list of the distinct scalars seen, so it computes each distinct
-product of a point's scalar and a generator's scalar once (g1280: 16
-products for 80 points).  Each generator then becomes a permutation of the
-points, a tuple of point indices.
+arithmetic in closure.  It holds each scalar or vector entry by its index
+in a list of the distinct values seen, keyed by their canonical fields, so
+a monomial set computes each distinct product of a point's scalar and a
+generator's scalar once (g1280: 16 products for 80 points).  Each generator
+then becomes a permutation of the points, a tuple of point indices.
 
 A linear map is fixed by the images of a basis, so element x is stored by
 its base images: the indices of the points x⁻¹(e_1)..x⁻¹(e_n), n ints per
@@ -109,6 +110,10 @@ class Monomial:
         m._hash = None
         return m
 
+    def entries(self):
+        """Each nonzero entry as (row, column, value): one per column."""
+        return zip(self.perm, range(len(self.perm)), self.scalars)
+
     def row_entries(self) -> tuple[list[int], list[Cyclotomic]]:
         """Per-row view (cols, scalars): row i holds scalars[i] at column cols[i]."""
         d = self.degree
@@ -194,19 +199,12 @@ class Dense:
         if isinstance(other, Dense):
             return Dense(linalg.mat_mul(self.rows, other.rows))
         if isinstance(other, Monomial):
-            # right-multiplying by a monomial scales and permutes columns
-            q, t = other.perm, other.scalars
-            return Dense(tuple(tuple(row[q[j]] * t[j] for j in range(len(q))) for row in self.rows))
+            return self * other.to_dense()
         return NotImplemented
 
-    @staticmethod
-    def basis_points(degree: int) -> list:
-        """e_1..e_n as points of :meth:`act`: column vectors."""
-        return list(linalg.identity_matrix(degree))
-
-    def act(self, v):
-        """The matrix-vector product M·v."""
-        return linalg.mat_vec(self.rows, v)
+    def entries(self):
+        """Each nonzero entry as (row, column, value), row by row."""
+        return ((i, j, x) for i, row in enumerate(self.rows) for j, x in enumerate(row) if x)
 
     @classmethod
     def _from_columns(cls, columns) -> "Dense":
@@ -232,7 +230,7 @@ class Dense:
         return self
 
     def is_identity(self) -> bool:
-        return linalg.mat_eq(self.rows, linalg.identity_matrix(self.degree))
+        return self.rows == linalg.identity_matrix(self.degree)
 
     def block_sum(self, other) -> "Dense":
         return Dense._from_columns(zip(*linalg.block_diag(self.rows, other.to_dense().rows)))
@@ -289,26 +287,30 @@ def _orbit(start, steps, cap: int, limit: int):
     return items, index, table, (parent, letter)
 
 
-def _monomial_points(gens, degree: int, limit: int):
-    """The point set of monomial generators and their permutations of it.
-
-    A point c·e_i is held as (i, index of c in a list of distinct
-    scalars), and g sends it to (perm[i], c·s_i): the scalars of the
-    points and of the generators are interned in one list, so each
-    distinct product of two of them is computed once.  The points come
-    back as (coordinate, scalar) pairs, in BFS order.
-
-    A value is keyed by its canonical fields, which compare as its
-    equality does: rationals hash as Fractions do, so the powers of 2 of
-    an infinite group collide every 61 steps, and tuples compare those
-    collisions without a call to `Cyclotomic.__eq__`."""
-    scalars, position, products = [], {}, {}
+def _interner():
+    """A list of distinct values, and the function that gives a value's
+    index in it, appending a new one.  A value is keyed by its canonical
+    fields, which compare as its equality does: rationals hash as Fractions
+    do, so the powers of 2 of an infinite group collide every 61 steps, and
+    tuples compare those collisions without a call to `Cyclotomic.__eq__`."""
+    values, position = [], {}
 
     def intern(c):
-        k = position.setdefault((c.n, c.num, c.den), len(scalars))
-        if k == len(scalars):
-            scalars.append(c)
+        k = position.setdefault((c.n, c.num, c.den), len(values))
+        if k == len(values):
+            values.append(c)
         return k
+    return values, intern
+
+
+def _monomial_points(gens, degree: int, limit: int):
+    """The point set of monomial generators and their permutations of it.
+    A point c·e_i is held as (i, interned index of c), and g sends it to
+    (perm[i], c·s_i): the scalars of the points and of the generators are
+    interned together, so each distinct product of two is computed once.
+    The points come back as (coordinate, scalar) pairs, in BFS order."""
+    scalars, intern = _interner()
+    products = {}
 
     def step(perm, factors):
         def act(point):
@@ -325,6 +327,30 @@ def _monomial_points(gens, degree: int, limit: int):
     steps = [step(g.perm, tuple(map(intern, g.scalars))) for g in gens]
     items, _, gen_perms, _ = _orbit(start, steps, limit * degree, limit)
     return [(i, scalars[k]) for i, k in items], gen_perms
+
+
+def _dense_points(gens, degree: int, limit: int):
+    """The point set of dense generators and their permutations of it.  A
+    vector is held as the interned indices of its entries, and g sends it
+    to those of g·v.  The points come back as vectors, in BFS order."""
+    values, intern = _interner()
+
+    def step(rows):
+        def act(point):
+            return tuple(map(intern, linalg.mat_vec(rows, tuple(map(values.__getitem__, point)))))
+        return act
+
+    start = [tuple(map(intern, e)) for e in linalg.identity_matrix(degree)]
+    items, _, gen_perms, _ = _orbit(start, [step(g.rows) for g in gens], limit * degree, limit)
+    return [tuple(map(values.__getitem__, point)) for point in items], gen_perms
+
+
+def one_kind(elements) -> list:
+    """The elements as one kind: a set with a dense member is promoted to dense."""
+    elements = list(elements)
+    if any(isinstance(m, Dense) for m in elements):
+        return [m.to_dense() for m in elements]
+    return elements
 
 
 def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
@@ -348,19 +374,13 @@ def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
         raise InvalidInputError("generators must share one degree")
     for g in gens:
         _validate_generator(g)
-    if any(isinstance(g, Dense) for g in gens):
-        kind = Dense
-        gens = [g.to_dense() for g in gens]
-    else:
-        kind = Monomial
+    gens = one_kind(gens)
+    kind = type(gens[0])
     if limit < 1:
         raise InvalidInputError("closure limit must be positive")
 
-    if kind is Monomial:
-        points, gen_perms = _monomial_points(gens, degree, limit)
-    else:
-        points, _, gen_perms, _ = _orbit(Dense.basis_points(degree), [g.act for g in gens],
-                                         limit * degree, limit)
+    points_of = _monomial_points if kind is Monomial else _dense_points
+    points, gen_perms = points_of(gens, degree, limit)
     inverse_perms = [_inverse_perm(g) for g in gen_perms]
     if len(points) <= 256:
         encode = bytes

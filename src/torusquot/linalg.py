@@ -68,10 +68,6 @@ def kernel_basis(a: Matrix) -> tuple[tuple[Cyclotomic, ...], ...]:
     return tuple(basis)
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     na, nb = len(a), len(b)
     z = zero()

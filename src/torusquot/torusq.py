@@ -25,7 +25,7 @@ from . import linalg
 from .chartab import Character, CharacterTable, decompose, trivial_character
 from .cyclo import Cyclotomic, add_all, format_entry, one, prime_factors, rref, zero
 from .errors import InvalidInputError, NotAHomomorphismError, TorusQuotError
-from .groups import Dense, FiniteGroup, Monomial
+from .groups import FiniteGroup, Monomial, one_kind
 
 
 class AnalyticRep:
@@ -98,7 +98,7 @@ def assemble(group: FiniteGroup, images) -> AnalyticRep:
     Every product relation M(x·g) = M(x)·M(g) is checked afterwards, so an
     inconsistent assignment cannot slip through on a subset of relations.
     """
-    images = list(images)
+    images = one_kind(images)
     if len(images) != len(group.generator_indices):
         raise InvalidInputError(
             f"expected {len(group.generator_indices)} generator images, got {len(images)}")
@@ -107,13 +107,8 @@ def assemble(group: FiniteGroup, images) -> AnalyticRep:
     deg = images[0].degree
     if any(m.degree != deg for m in images):
         raise InvalidInputError("generator images must share one degree")
-    if any(isinstance(m, Dense) for m in images):
-        images = [m.to_dense() for m in images]
-        ident = Dense.identity(deg)
-    else:
-        ident = Monomial.identity(deg)
 
-    mats = [ident]
+    mats = [type(images[0]).identity(deg)]
     for parent, a in zip(group.parents[1:], group.letters[1:]):
         mats.append(mats[parent] * images[a])
 
@@ -385,13 +380,16 @@ def invariant_form(rep: AnalyticRep) -> SymplecticForm | None:
 
     On monomial generators the average of a seed is read off its line orbit
     (:func:`_line_orbit`).  A line reached from a dead seed lies in its
-    orbit, so its own average is 0 too, and it is skipped."""
+    orbit, so its own average is 0 too, and it is skipped.  Otherwise the
+    average is summed over the nonzero entries of rows a and b."""
     n = rep.degree
     gens = rep.generator_images()
     mono = all(isinstance(m, Monomial) for m in gens)
     if mono:
         gens = [m.row_entries() for m in gens]
         dead = set()
+    else:
+        matrices = [_sparse_rows(m) for m in rep.matrices]
     for a in range(n):
         for b in range(a + 1, n):
             if mono and (a, b) in dead:
@@ -406,62 +404,60 @@ def invariant_form(rep: AnalyticRep) -> SymplecticForm | None:
                     acc[i][j] = c
                     acc[j][i] = -c
             else:
-                for m in rep.matrices:
-                    ra, rb = m.rows[a], m.rows[b]
-                    for i in range(n):
-                        if ra[i] or rb[i]:
-                            for j in range(n):
-                                acc[i][j] = acc[i][j] + ra[i] * rb[j] - rb[i] * ra[j]
-            scale = None
-            for row in acc:
-                for x in row:
-                    if x:
-                        scale = x.inverse()
-                        break
-                if scale is not None:
-                    break
-            if scale is not None:
+                for rows in matrices:
+                    for i, x in rows[a]:
+                        for j, y in rows[b]:
+                            v = x * y
+                            acc[i][j] = acc[i][j] + v
+                            acc[j][i] = acc[j][i] - v
+            first = next((x for row in acc for x in row if x), None)
+            if first is not None:
+                scale = first.inverse()
                 return SymplecticForm([[scale * x if x else x for x in row] for row in acc])
     return None
+
+
+def _sparse_rows(m) -> list[list]:
+    """Row i of m as the list of its nonzero entries (column, value)."""
+    rows = [[] for _ in range(m.degree)]
+    for i, j, x in m.entries():
+        rows[i].append((j, x))
+    return rows
 
 
 def preserves_form(rep: AnalyticRep, form: SymplecticForm) -> bool:
     """Exact congruence check M^T * Omega * M = Omega on generators; the
     homomorphism property extends it to the whole group.
 
-    A monomial M (column j is s_j * e_perm[j]) has (M^T Omega M)[j][k] =
-    s_j * s_k * Omega[perm[j]][perm[k]].  Only the form's nonzero entries
-    w = Omega[j][k] are read, each checked to have Omega[perm[j]][perm[k]]
-    != 0 and s_j * s_k * Omega[perm[j]][perm[k]] == w.  This is exact: the
-    map (j, k) -> (perm[j], perm[k]) is a bijection of index pairs sending
-    the support into itself, hence onto it, so every zero of Omega maps to
-    a zero."""
+    Row a of Omega * M sums Omega[a][b] * (row b of M) over the nonzero
+    Omega[a][b], and row j of M^T * Omega * M sums M[a][j] * (row a of
+    Omega * M) over the nonzero M[a][j]; the nonzero entries of that image
+    must be the form's support with its values."""
     if form.degree != rep.degree:
         raise InvalidInputError("form degree does not match the representation")
-    omega = form.matrix
-    support = [(j, k, w) for j, row in enumerate(form.support) for k, w in row]
+    target = {(j, k): w for j, row in enumerate(form.support) for k, w in row}
     for m in rep.generator_images():
-        if isinstance(m, Monomial):
-            perm, s = m.perm, m.scalars
-            for j, k, w in support:
-                lhs = omega[perm[j]][perm[k]]
-                if not lhs or s[j] * s[k] * lhs != w:
-                    return False
-        else:
-            congr = linalg.mat_mul(linalg.transpose(m.rows),
-                                   linalg.mat_mul(omega, m.rows))
-            if not linalg.mat_eq(congr, omega):
-                return False
+        rows = _sparse_rows(m)
+        image = {}
+        for row_a, row in zip(rows, form.support):
+            product = {}  # row a of Omega * M
+            for b, w in row:
+                for k, y in rows[b]:
+                    old = product.get(k)
+                    product[k] = w * y if old is None else old + w * y
+            for j, x in row_a:
+                for k, v in product.items():
+                    old = image.get((j, k))
+                    image[j, k] = x * v if old is None else old + x * v
+        if {key: v for key, v in image.items() if v} != target:
+            return False
     return True
 
 
 def preserves_lattice(rep: AnalyticRep, lattice: LatticeSpec) -> bool:
     """True iff every generator entry lies in Z + wZ, each distinct entry
     tested once."""
-    entries = set()
-    for m in rep.generator_images():
-        entries.update(m.scalars if isinstance(m, Monomial) else
-                       (x for row in m.rows for x in row if x))
+    entries = {x for m in rep.generator_images() for _, _, x in m.entries()}
     return all(lattice.contains(x) for x in entries)
 
 
@@ -546,15 +542,8 @@ def _complex_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ..
     k = next(k for k, v in enumerate(chi.values) if v != v.conjugate())
     acc = [[zero()] * n for _ in range(n)]  # the transpose of S_k
     for g in group.conjugacy_classes[k]:
-        m = rep.matrix(g)
-        if isinstance(m, Monomial):
-            for j, (pj, sj) in enumerate(zip(m.perm, m.scalars)):
-                acc[j][pj] = acc[j][pj] + sj
-        else:
-            for i, row in enumerate(m.rows):
-                for j, x in enumerate(row):
-                    if x:
-                        acc[j][i] = acc[j][i] + x
+        for i, j, x in rep.matrix(g).entries():
+            acc[j][i] = acc[j][i] + x
     omega = Cyclotomic.from_value(Fraction(group.class_sizes[k], chi.degree)) * chi.values[k]
     halves = []
     for w in (omega.conjugate(), omega):
@@ -685,11 +674,7 @@ def _block_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...]
         return i
 
     for m in rep.generator_images():
-        if isinstance(m, Monomial):
-            edges = enumerate(m.perm)
-        else:
-            edges = ((i, j) for i, row in enumerate(m.rows) for j, x in enumerate(row) if x)
-        for i, j in edges:
+        for i, j, _ in m.entries():
             root[find(i)] = find(j)
     blocks = {}
     for i in range(n):
@@ -701,10 +686,7 @@ def _block_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...]
         chi = table[mult.index(1)]
         k = next(k for k, v in enumerate(chi.values) if v != v.conjugate())
         m = rep.matrix(rep.group.class_representatives[k])
-        if isinstance(m, Monomial):
-            trace = add_all([m.scalars[i] for i in first if m.perm[i] == i])
-        else:
-            trace = add_all([m.rows[i][i] for i in first])
+        trace = add_all([x for i, j, x in m.entries() if i == j and i in first])
         if trace == chi.values[k].conjugate():
             first, second = second, first
         elif trace != chi.values[k]:

@@ -8,8 +8,9 @@ subgroup [G,G] (the package now reads |G/[G,G]| off the Hermite basis of
 the Schreier relations between the tree words' exponent sums); of
 :func:`torusquot.chartab._class_matrix_rows`, which counts the class of
 x·g_j for each member x of class i, folding g_j's word once per member;
-and of the monomial point orbit of :func:`torusquot.groups.close`, which
-made one `Cyclotomic` product per point and generator.  The differential
+and of the point orbits of :func:`torusquot.groups.close`: the monomial
+one made one `Cyclotomic` product per point and generator, and the dense
+one keyed its vectors by their `Cyclotomic` entries.  The differential
 tests compare `groups` and `chartab` against them.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from torusquot.cyclo import one
 from torusquot.errors import GroupTooLargeError, InvalidInputError, TableComputationError
+from torusquot.linalg import identity_matrix, mat_vec
 
 
 def monomial_points(gens, limit: int):
@@ -31,6 +33,26 @@ def monomial_points(gens, limit: int):
     for i, c in points:  # the loop reaches the points appended while it runs
         for g, perm in zip(gens, perms):
             y = g.perm[i], c * g.scalars[i]
+            if y not in index:
+                if len(points) >= limit * degree:
+                    raise GroupTooLargeError(limit)
+                index[y] = len(points)
+                points.append(y)
+            perm.append(index[y])
+    return points, perms
+
+
+def dense_points(gens, limit: int):
+    """The vectors reached from e_1..e_n by BFS under dense generators,
+    g sending v to g·v, and each generator's permutation of them.  Raises
+    GroupTooLargeError(limit) past ``limit * degree`` points."""
+    degree = gens[0].degree
+    points = list(identity_matrix(degree))
+    index = {x: i for i, x in enumerate(points)}
+    perms = [[] for _ in gens]
+    for v in points:  # the loop reaches the points appended while it runs
+        for g, perm in zip(gens, perms):
+            y = mat_vec(g.rows, v)
             if y not in index:
                 if len(points) >= limit * degree:
                     raise GroupTooLargeError(limit)

@@ -1,15 +1,18 @@
 """Differential tests: conjugacy classes and the abelianization built from
 left multiplication along the BFS tree, and the class-matrix rows folded
 through the representative's word, against the word-fold bodies kept in
-`groups_oracle`; and the monomial point set with interned scalars against
-the orbit that made one product per point and generator.
+`groups_oracle`; the monomial point set with interned scalars against
+the orbit that made one product per point and generator; and the dense
+point set held as interned entry indices against the orbit keyed by
+`Cyclotomic` vectors.
 
 The groups are random two-generator subgroups of G(m,1,n), m, n <= 4, from
 monomial generators and from their dense conjugates (a point set of n·|G|
 vectors), the three paper fixtures, AGL(1,31) and an abelian group.  The
-point sets are compared on the subgroups, on their conjugates by
-diag(2, 1, ..., 1), whose scalars are not roots of unity, and on the
-infinite group of diag(2, 1).
+monomial point sets are compared on the subgroups and on their conjugates
+by diag(2, 1, ..., 1), whose scalars are not roots of unity, the dense
+ones on the dense conjugates, and both on the infinite group of
+diag(2, 1).
 """
 
 import pytest
@@ -23,7 +26,7 @@ from torusquot.cyclo import Cyclotomic
 from torusquot.errors import GroupTooLargeError
 from torusquot.fixtures import FIXTURES
 from torusquot.groupfile import parse_group_text
-from torusquot.groups import DEFAULT_CLOSURE_LIMIT, Monomial, close
+from torusquot.groups import DEFAULT_CLOSURE_LIMIT, Dense, Monomial, close
 
 
 def check_against_oracle(group):
@@ -72,11 +75,12 @@ def test_dense_conjugates_match_word_folds(gens):
     check_against_oracle(close(conjugated_elements(gens)))
 
 
-def check_points_against_oracle(gens):
+def check_points_against_oracle(gens, points_of=oracle.monomial_points):
     group = close(gens)
-    points, perms = oracle.monomial_points(gens, DEFAULT_CLOSURE_LIMIT)
+    points, perms = points_of(gens, DEFAULT_CLOSURE_LIMIT)
     assert list(group._points) == points
     assert list(map(list, group._gen_perms)) == perms
+    return group
 
 
 def scaled_by_two(gens):
@@ -93,14 +97,44 @@ def test_monomial_points_match_the_product_orbit(gens):
     check_points_against_oracle(scaled_by_two(gens))
 
 
-def test_infinite_group_stops_where_the_product_orbit_does():
-    gens = [Monomial((0, 1), (2, 1))]
+@settings(max_examples=15, deadline=None)
+@given(wreath_generator_pairs())
+def test_dense_points_match_the_vector_orbit(gens):
+    group = check_points_against_oracle(conjugated_elements(gens), oracle.dense_points)
+    assert group.order == close(gens).order
+
+
+def check_stops_with_oracle(gens, points_of):
     for limit in (1, 7, 50):
         with pytest.raises(GroupTooLargeError) as new:
             close(gens, limit=limit)
         with pytest.raises(GroupTooLargeError) as old:
-            oracle.monomial_points(gens, limit)
+            points_of(gens, limit)
         assert new.value.limit == old.value.limit == limit
+
+
+def test_infinite_group_stops_where_the_product_orbit_does():
+    check_stops_with_oracle([Monomial((0, 1), (2, 1))], oracle.monomial_points)
+
+
+def test_infinite_dense_group_stops_where_the_vector_orbit_does():
+    check_stops_with_oracle([Dense([[2, 0], [0, 1]])], oracle.dense_points)
+
+
+def test_dense_closure_compares_no_values(monkeypatch):
+    # the powers of 2 collide in hash every 61 steps; interned entries are
+    # compared as tuples of ints, never through Cyclotomic.__eq__
+    calls = []
+    real = Cyclotomic.__eq__
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Cyclotomic, "__eq__", counting)
+    with pytest.raises(GroupTooLargeError):
+        close([Dense([[2, 0], [0, 1]])], limit=200)
+    assert calls == []
 
 
 def test_g1280_closure_makes_one_product_per_distinct_pair(monkeypatch):

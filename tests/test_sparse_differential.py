@@ -9,6 +9,8 @@ nonzero entries, against the earlier bodies that read every entry.
   conjugates, under random, invariant and perturbed forms.
 - `conjugate()` and `block_sum()`, which build their results unchecked,
   against the validating constructors.
+- `entries()`, the nonzero-entry view that `torusq` reads, against the
+  nonzero entries of the dense rows.
 - `SymplecticForm.wedge_pairs`, which builds the matrix and the support
   from the pairs, against `SymplecticForm` of the dense rows, on pair
   lists with repeated, reversed and cancelling pairs.
@@ -154,18 +156,35 @@ def test_preserves_form_matches_all_entries(rep, data):
         assert preserves_form(rep, form) == preserves_form_all_entries(rep, form)
 
 
-def test_perturbed_invariant_form_is_not_preserved(g216_group):
-    rep = conjugate_pair_rep(natural_rep(g216_group))
-    form = invariant_form(rep)
-    assert preserves_form(rep, form)
-    n = rep.degree
-    for i, j in [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if not form.matrix[i][j]][:6]:
-        moved = [list(row) for row in form.matrix]
-        moved[i][j], moved[j][i] = Cyclotomic.from_value(1), Cyclotomic.from_value(-1)
-        perturbed = SymplecticForm(moved)
-        assert not preserves_form(rep, perturbed)
-        assert not preserves_form_all_entries(rep, perturbed)
+def test_perturbed_invariant_form_is_not_preserved(g216_group, s4_group):
+    # also s4's pair on dense generators, where the perturbed wedge's image
+    # fills entries off the perturbed form's support (g216's dense average
+    # is slow)
+    s4_dense = close(conjugated_elements([s4_group.element(g)
+                                          for g in s4_group.generator_indices]))
+    for group in (g216_group, s4_dense):
+        rep = conjugate_pair_rep(natural_rep(group))
+        form = invariant_form(rep)
+        assert preserves_form(rep, form)
+        n = rep.degree
+        holes = [(i, j) for i in range(n) for j in range(i + 1, n) if not form.matrix[i][j]]
+        assert holes
+        for i, j in holes[:6]:
+            moved = [list(row) for row in form.matrix]
+            moved[i][j], moved[j][i] = Cyclotomic.from_value(1), Cyclotomic.from_value(-1)
+            perturbed = SymplecticForm(moved)
+            assert not preserves_form(rep, perturbed)
+            assert not preserves_form_all_entries(rep, perturbed)
+
+
+def test_image_off_the_form_support_is_not_preserved():
+    # M = [[1, 0, 1], [0, 1, 0], [0, 0, -1]] has order 2, and M^T (E_01 - E_10) M
+    # keeps the entry 1 at (0, 1) but gains -1 at (1, 2), off the support
+    group = close([Dense([[1, 0, 1], [0, 1, 0], [0, 0, -1]])])
+    rep = natural_rep(group)
+    form = SymplecticForm.wedge_pairs(3, [(0, 1)])
+    assert not preserves_form(rep, form)
+    assert not preserves_form_all_entries(rep, form)
 
 
 # -- pair blocks
@@ -199,6 +218,18 @@ def test_dense_pair_blocks_match_validated_constructor(pair):
     assert isinstance(x, Dense)
     assert_same_dense(x.conjugate(), Dense(linalg.conj_matrix(x.rows)))
     assert_same_dense(x.block_sum(y), Dense(linalg.block_diag(x.rows, y.rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wreath_generator_pairs())
+def test_entries_are_the_nonzero_dense_entries(pair):
+    for m in (*pair, *conjugated_elements(pair)):
+        nonzero = {(i, j, x) for i, row in enumerate(m.to_dense().rows)
+                   for j, x in enumerate(row) if x}
+        entries = list(m.entries())
+        assert set(entries) == nonzero and len(entries) == len(nonzero)
+    for m in pair:  # a monomial element has one entry per column
+        assert sorted(j for _, j, _ in m.entries()) == list(range(m.degree))
 
 
 @st.composite

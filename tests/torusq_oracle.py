@@ -21,7 +21,7 @@ from helpers import lift_coeffs
 from torusquot.cyclo import one, rref, zero
 from torusquot.errors import InvalidInputError
 from torusquot.groups import Monomial
-from torusquot.linalg import identity_matrix, mat_eq, mat_mul, transpose
+from torusquot.linalg import identity_matrix, mat_mul, transpose
 from torusquot.torusq import AnalyticRep, LatticeSpec, SymplecticForm
 
 
@@ -91,7 +91,7 @@ def preserves_form_all_entries(rep: AnalyticRep, form: SymplecticForm) -> bool:
                         lhs = sj * sk * lhs
                     if lhs != omega[j][k]:
                         return False
-        elif not mat_eq(mat_mul(transpose(m.rows), mat_mul(omega, m.rows)), omega):
+        elif mat_mul(transpose(m.rows), mat_mul(omega, m.rows)) != omega:
             return False
     return True
 
