@@ -90,7 +90,7 @@ def trivial_character(group: FiniteGroup) -> Character:
 
 def natural_character(group: FiniteGroup) -> Character:
     """Trace of a class representative, per class."""
-    return Character(group, tuple(group.element(r).trace() for r in group.class_representatives))
+    return Character(group, group.class_traces)
 
 
 def _conductor(functions) -> int:
@@ -351,13 +351,19 @@ def _split_eigenspaces(group: FiniteGroup, p: int):
     and at the rows P this reads R = M[P, :] * B, built from the rows of M
     at the pivots of the spaces still to split.  One Hessenberg reduction
     H = S^-1 * R * S gives every eigenspace, as S * ker(H - lam), brought
-    to the identity at its new pivots by `rref_mod`."""
+    to the identity at its new pivots by `rref_mod`.
+
+    A class with |G| = r1 |C_k| is skipped before its rows are built: the
+    r1 linear characters use up the column orthogonality sum
+    sum_chi |chi(g_k)|^2 = |C_G(g_k)| = r1, so every other chi vanishes
+    there and the class matrix acts as 0 on the complement."""
     r = group.num_classes
     sizes, inv_class = group.class_sizes, group.inverse_class
     e = group.exponent()
     w = modp.element_of_order(e, p)
     vectors = [[h * pow(w, t, p) % p for h, t in zip(sizes, ts)]
                for ts in group.linear_characters(e)]
+    r1 = len(vectors)
     weights = [modp.inv_mod(h % p, p) for h in sizes]
     system, others = modp.rref_mod(
         [[v[inv_class[k]] * weights[k] % p for k in range(r)] for v in vectors], p)
@@ -371,6 +377,8 @@ def _split_eigenspaces(group: FiniteGroup, p: int):
     for ci in range(1, r):
         if all(len(pivots) == 1 for pivots, _, _ in spaces):
             break
+        if group.order == r1 * sizes[ci]:
+            continue
         needed = sorted(j for pivots, _, _ in spaces if len(pivots) > 1 for j in pivots)
         rows = dict(zip(needed, _class_matrix_rows(group, ci, needed)))
         refined = []

@@ -44,7 +44,8 @@ Schreier relations c(x) + e_a - c(x·g_a).  Its Hermite normal form gives
 |G/[G,G]| and the linear characters x -> zeta_e^(a·c(x)), L·a = 0 mod e.
 
 Matrices are built only on demand, without arithmetic: e_1..e_n are the
-first n points, and column j of x's matrix is the point x(e_j).
+first n points, and column j of x's matrix is the point x(e_j).  A class
+representative's trace is read off those points without a matrix.
 
 The closure limit bounds the number of elements and, through them, the point
 set: an orbit is never larger than |G|, so more than ``limit * degree``
@@ -131,11 +132,13 @@ class Monomial:
     def conjugate(self) -> "Monomial":
         return Monomial._from_columns([(p, s.conjugate()) for p, s in zip(self.perm, self.scalars)])
 
-    def transpose(self) -> "Monomial":
-        return Monomial(*self.row_entries())
+    @staticmethod
+    def _trace_of_columns(columns) -> Cyclotomic:
+        """The trace of the element whose column j is the point columns[j]."""
+        return add_all([c for j, (i, c) in enumerate(columns) if i == j])
 
     def trace(self) -> Cyclotomic:
-        return add_all([s for j, (p, s) in enumerate(zip(self.perm, self.scalars)) if p == j])
+        return self._trace_of_columns(zip(self.perm, self.scalars))
 
     def to_dense(self) -> "Dense":
         d = self.degree
@@ -220,11 +223,13 @@ class Dense:
     def conjugate(self) -> "Dense":
         return Dense._from_columns(zip(*linalg.conj_matrix(self.rows)))
 
-    def transpose(self) -> "Dense":
-        return Dense(linalg.transpose(self.rows))
+    @staticmethod
+    def _trace_of_columns(columns) -> Cyclotomic:
+        """The trace of the matrix whose column j is the vector columns[j]."""
+        return add_all([v[j] for j, v in enumerate(columns) if v[j]])
 
     def trace(self) -> Cyclotomic:
-        return add_all([row[i] for i, row in enumerate(self.rows) if row[i]])
+        return self._trace_of_columns(self.rows)  # a matrix and its transpose share a diagonal
 
     def to_dense(self) -> "Dense":
         return self
@@ -425,6 +430,7 @@ class FiniteGroup:
         self._class_of = None
         self._class_sizes = None
         self._rep_orders = None
+        self._class_traces = None
         self._power_maps = {}
         self._conjugations = None
         self._inverse_class = None
@@ -588,6 +594,17 @@ class FiniteGroup:
         if self._rep_orders is None:
             self._rep_orders = tuple(self.element_order(r) for r in self.class_representatives)
         return self._rep_orders
+
+    @property
+    def class_traces(self) -> tuple[Cyclotomic, ...]:
+        """Trace of each class representative x, read off the points x(e_j)
+        without building a matrix: diagonal entry j is coordinate j of x(e_j)."""
+        if self._class_traces is None:
+            points = self._points
+            self._class_traces = tuple(
+                self._kind._trace_of_columns(map(points.__getitem__, self._keys[self.inv(r)]))
+                for r in self.class_representatives)
+        return self._class_traces
 
     @property
     def inverse_class(self) -> tuple[int, ...]:

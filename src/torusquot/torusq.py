@@ -34,6 +34,8 @@ class AnalyticRep:
     The matrices may be given, or built one at a time on first use and kept
     (:func:`natural_rep`, :func:`conjugate_pair_rep`), so a stage that reads
     only the generators and the class representatives builds only those.
+    A built representation may also know its character without a matrix;
+    otherwise the character traces the class representatives' matrices.
     """
 
     def __init__(self, group: FiniteGroup, matrices):
@@ -42,14 +44,17 @@ class AnalyticRep:
         if len(self._cache) != group.order:
             raise InvalidInputError("need one matrix per group element")
         self._build = None
+        self._traces = None
         self._character = None
         self._decomposition = None
 
     @classmethod
-    def _built_by(cls, group: FiniteGroup, build) -> "AnalyticRep":
-        """The representation whose element i has the matrix build(i)."""
+    def _built_by(cls, group: FiniteGroup, build, traces=None) -> "AnalyticRep":
+        """The representation whose element i has the matrix build(i) and,
+        when ``traces`` is given, whose character values traces() returns."""
         rep = cls(group, [None] * group.order)
         rep._build = build
+        rep._traces = traces
         return rep
 
     @property
@@ -72,9 +77,11 @@ class AnalyticRep:
     @property
     def character(self) -> Character:
         if self._character is None:
-            self._character = Character(
-                self.group,
-                tuple(self.matrix(r).trace() for r in self.group.class_representatives))
+            if self._traces is None:
+                values = tuple(self.matrix(r).trace() for r in self.group.class_representatives)
+            else:
+                values = self._traces()
+            self._character = Character(self.group, values)
         return self._character
 
     def decomposition(self, table: CharacterTable) -> tuple[int, ...]:
@@ -121,16 +128,21 @@ def assemble(group: FiniteGroup, images) -> AnalyticRep:
 
 
 def natural_rep(group: FiniteGroup) -> AnalyticRep:
-    """The group acting by its own matrices."""
-    return AnalyticRep._built_by(group, group.element)
+    """The group acting by its own matrices; its character is the group's
+    class traces."""
+    return AnalyticRep._built_by(group, group.element, lambda: group.class_traces)
 
 
 def conjugate_pair_rep(rep: AnalyticRep) -> AnalyticRep:
-    """Block sum of a representation with its entrywise conjugate."""
+    """Block sum of a representation with its entrywise conjugate, whose
+    character is χ + χ̄: tr(M ⊕ M̄) = tr M + conj(tr M)."""
     def build(i):
         m = rep.matrix(i)
         return m.block_sum(m.conjugate())
-    return AnalyticRep._built_by(rep.group, build)
+
+    def traces():
+        return tuple(v + v.conjugate() for v in rep.character.values)
+    return AnalyticRep._built_by(rep.group, build, traces)
 
 
 class SymplecticForm:
@@ -223,22 +235,23 @@ class LatticeSpec:
                 raise InvalidInputError("lattice generator -1 does not span a lattice")
         self.omega = omega
         self.order = order
+        self._scale = None if order == 1 else (omega - omega.conjugate()).inverse()
 
     def contains(self, x: Cyclotomic) -> bool:
         """Exact membership in Z + wZ.
 
         A w other than 1 is not real, so x = a + b*w with rational a and b
         exactly when b = (x - conj(x)) / (w - conj(w)) and a = x - b*w are
-        both rational; then a and b must be integers.
+        both rational; then a and b must be integers.  1 / (w - conj(w)) is
+        computed once, with the lattice.
         """
         if self.order == 1:
             r = x.as_rational()
             return r is not None and r.denominator == 1
-        w = self.omega
-        b = ((x - x.conjugate()) / (w - w.conjugate())).as_rational()
+        b = ((x - x.conjugate()) * self._scale).as_rational()
         if b is None or b.denominator != 1:
             return False
-        a = (x - b * w).as_rational()
+        a = (x - b * self.omega).as_rational()
         return a is not None and a.denominator == 1
 
     def __repr__(self):

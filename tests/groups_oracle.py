@@ -10,13 +10,16 @@ the Schreier relations between the tree words' exponent sums); of
 x·g_j for each member x of class i, folding g_j's word once per member;
 and of the point orbits of :func:`torusquot.groups.close`: the monomial
 one made one `Cyclotomic` product per point and generator, and the dense
-one keyed its vectors by their `Cyclotomic` entries.  The differential
-tests compare `groups` and `chartab` against them.
+one keyed its vectors by their `Cyclotomic` entries.  And the earlier
+natural character, which built each class representative's matrix and
+summed its diagonal, where :attr:`FiniteGroup.class_traces` reads the
+diagonal off the points.  The differential tests compare `groups` and
+`chartab` against them.
 """
 
 from __future__ import annotations
 
-from torusquot.cyclo import one
+from torusquot.cyclo import one, zero
 from torusquot.errors import GroupTooLargeError, InvalidInputError, TableComputationError
 from torusquot.linalg import identity_matrix, mat_vec
 
@@ -146,3 +149,15 @@ def class_matrix_rows(group, i: int, rows) -> list[list[int]]:
             row.append(entry)
         out.append(row)
     return out
+
+
+def class_traces(group) -> tuple:
+    """The trace of each class representative, summed down the diagonal of
+    its dense matrix."""
+    traces = []
+    for r in group.class_representatives:
+        total = zero()
+        for i, row in enumerate(group.element(r).to_dense().rows):
+            total = total + row[i]
+        traces.append(total)
+    return tuple(traces)

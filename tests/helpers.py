@@ -9,7 +9,7 @@ from torusquot.chartab import Character
 from torusquot.cyclo import Cyclotomic, one, rref, zero
 from torusquot.errors import InvalidInputError
 from torusquot.groups import Dense, FiniteGroup, Monomial
-from torusquot.linalg import mat_inverse, mat_mul
+from torusquot.linalg import mat_inverse, mat_mul, transpose as transpose_rows
 from torusquot.torusq import AnalyticRep
 
 
@@ -132,6 +132,13 @@ def order_histogram(group: FiniteGroup) -> dict[int, int]:
     for o, size in zip(group.class_orders, group.class_sizes):
         hist[o] = hist.get(o, 0) + size
     return hist
+
+
+def transpose(m):
+    """The transpose of a Monomial or Dense element, of the same kind."""
+    if isinstance(m, Monomial):
+        return Monomial(*m.row_entries())
+    return Dense(transpose_rows(m.rows))
 
 
 def mat_add(a, b):

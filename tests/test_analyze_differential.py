@@ -3,8 +3,9 @@
 The invariant form is walked as line orbits under the generator images,
 the halves of a complex pair are read off one class sum as column spaces,
 faithfulness off the character, h1,0, h2,0 and the eigenvalue-1 test off
-its decomposition, and element matrices are built only when a stage reads
-them.  Each answer is checked against the body that summed over every
+its decomposition, the character itself off the group's class traces (a
+conjugate pair's as chi + conj(chi)), and element matrices are built only
+when a stage reads them.  Each answer is checked against the body that summed over every
 element or looked at every class representative's matrix
 (`torusq_oracle`, `fibration_oracle`), the counts also against the
 character sums they replace (`chartab_oracle`), and the halves against the
@@ -34,6 +35,7 @@ from helpers import (
 )
 from torusq_oracle import (
     basis_is_lagrangian_all_pairs,
+    character_by_matrices,
     evaluate_all_entries,
     faithful_by_matrices,
     group_average_form,
@@ -46,6 +48,7 @@ from torusquot.chartab import (
     decompose,
     exterior_square,
     inner_product,
+    natural_character,
     trivial_character,
 )
 from torusquot.cyclo import Cyclotomic
@@ -225,6 +228,39 @@ def test_trivial_plus_sign_is_not_faithful(s4_group, s4_table):
                                       if c.degree == 1 and c != trivial_character(s4_group)))
     rep = AnalyticRep(s4_group, [a.block_sum(b) for a, b in zip(triv.matrices, sign.matrices)])
     assert rep.faithful is faithful_by_matrices(rep) is False
+
+
+# -- the character without matrices
+
+
+def _check_characters(group):
+    for rep in _natural_and_pair(group):
+        assert rep.character.values == character_by_matrices(rep)
+
+
+@settings(max_examples=30, deadline=None)
+@given(wreath_generator_pairs())
+def test_characters_match_the_traces_of_matrices(gens):
+    _check_characters(close(gens))
+
+
+@settings(max_examples=10, deadline=None)
+@given(wreath_generator_pairs())
+def test_characters_match_the_traces_of_matrices_on_dense_conjugates(gens):
+    _check_characters(close(conjugated_elements(gens)))
+
+
+@pytest.mark.parametrize("name", ["s4", "g216", "g1280"])
+def test_characters_match_the_traces_of_matrices_on_the_paper_examples(name, request):
+    _check_characters(request.getfixturevalue(f"{name}_group"))
+
+
+@pytest.mark.parametrize("name", ["s4", "g216", "g1280"])
+def test_natural_character_is_the_class_traces_after_analyze(name, request):
+    group = request.getfixturevalue(f"{name}_group")
+    _analyze_fixture(name, group, request.getfixturevalue(f"{name}_table"))
+    assert natural_character(group).values is group.class_traces
+    assert natural_rep(group).character.values is group.class_traces
 
 
 # -- eigenvalue 1 from the character

@@ -4,7 +4,8 @@ through the representative's word, against the word-fold bodies kept in
 `groups_oracle`; the monomial point set with interned scalars against
 the orbit that made one product per point and generator; and the dense
 point set held as interned entry indices against the orbit keyed by
-`Cyclotomic` vectors.
+`Cyclotomic` vectors; and the class representatives' traces read off the
+points against the diagonals of their matrices.
 
 The groups are random two-generator subgroups of G(m,1,n), m, n <= 4, from
 monomial generators and from their dense conjugates (a point set of n·|G|
@@ -38,6 +39,9 @@ def check_against_oracle(group):
     rows = range(group.num_classes)
     for i in rows:
         assert _class_matrix_rows(group, i, rows) == oracle.class_matrix_rows(group, i, rows)
+    traces = oracle.class_traces(group)
+    assert group.class_traces == traces
+    assert traces == tuple(group.element(r).trace() for r in group.class_representatives)
 
 
 def test_left_multiply_all_matches_mult(g216_group):

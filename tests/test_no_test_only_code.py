@@ -4,10 +4,13 @@ Parses every module of the package and lists each module-level function
 whose name is referenced nowhere else in the package, as a name or an
 attribute, and each method of a module-level class referenced nowhere else
 as an attribute (``.name``): a bare name of the same spelling is a local
-variable, not a use of the method.  The public API, the names in
-``torusquot.__all__``, and the console scripts of ``pyproject.toml`` are
-used from outside, and dunder methods by the language.  Code that only the
-tests need belongs in ``tests/`` as a helper or an oracle.
+variable, not a use of the method.  An attribute ``m.f`` whose base ``m``
+is a name bound by importing a package module (``from . import linalg``)
+is a use of that module's function ``f`` and of no method.  The public
+API, the names in ``torusquot.__all__``, and the console scripts of
+``pyproject.toml`` are used from outside, and dunder methods by the
+language.  Code that only the tests need belongs in ``tests/`` as a
+helper or an oracle.
 """
 
 import ast
@@ -37,35 +40,53 @@ def script_functions(text):
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def definitions(tree):
+def definitions(module, tree):
     """(node, the references that use it): a function is used by its name
-    or as an attribute (module.f), a method only as an attribute."""
+    or as an attribute (module.f, or .f on a base that is no module), a
+    method only as an attribute on a base that is no module."""
     for node in tree.body:
         if isinstance(node, FUNCTIONS):
-            yield node, (node.name, "." + node.name)
+            yield node, (node.name, "." + node.name, f"{module}.{node.name}")
         elif isinstance(node, ast.ClassDef):
             yield from ((n, ("." + n.name,)) for n in node.body if isinstance(n, FUNCTIONS))
 
 
-def references(tree):
-    """Each name as itself, each attribute as '.attr'."""
+def module_names(tree, modules):
+    """The names the tree's imports bind to package modules, mapped to the
+    module: ``from . import m`` binds m, ``from . import m as x`` binds x."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+            bound.update((a.asname or a.name, a.name) for a in node.names if a.name in modules)
+    return bound
+
+
+def references(tree, bound):
+    """Each name as itself; an attribute as 'module.attr' when its base is a
+    name in ``bound``, else as '.attr'."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
-            yield "." + node.attr
+            base = node.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                yield f"{bound[base.id]}.{node.attr}"
+            else:
+                yield "." + node.attr
 
 
 def unreferenced(trees, exported):
-    """Names defined in the trees and referenced only inside their own body."""
-    uses = Counter(name for tree in trees for name in references(tree))
+    """Names defined in the trees, a dict from module name to tree, and
+    referenced only inside their own body."""
+    bound = {m: module_names(tree, trees) for m, tree in trees.items()}
+    uses = Counter(name for m, tree in trees.items() for name in references(tree, bound[m]))
     found = []
-    for tree in trees:
-        for node, keys in definitions(tree):
+    for m, tree in trees.items():
+        for node, keys in definitions(m, tree):
             name = node.name
             if (name.startswith("__") and name.endswith("__")) or name in exported:
                 continue
-            own = Counter(references(node))
+            own = Counter(references(node, bound[m]))
             if all(uses[k] == own[k] for k in keys):
                 found.append(name)
     return sorted(found)
@@ -74,7 +95,7 @@ def unreferenced(trees, exported):
 def test_no_test_only_code_in_the_package():
     assert {p.name for p in SOURCES} >= {"chartab.py", "modp.py", "cli.py"}
     exported = set(torusquot.__all__) | script_functions(PYPROJECT.read_text()) | ALLOWED
-    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     assert unreferenced(trees, exported) == []
 
 
@@ -84,7 +105,7 @@ def test_the_guard_sees_unreferenced_code():
                        "    def __len__(self):\n        return 0\n\n"
                        "def lone(n):\n    return lone(n - 1)\n\n"
                        "def exported():\n    pass\n")
-    assert unreferenced([used, unused], {"exported"}) == ["lone", "method"]
+    assert unreferenced({"used": used, "unused": unused}, {"exported"}) == ["lone", "method"]
     assert script_functions('[project.scripts]\ntool = "pkg.cli:main_entry"\n\n[tool.x]\n'
                             'y = "a:b"\n') == {"main_entry"}
 
@@ -96,4 +117,15 @@ def test_a_local_name_is_no_use_of_a_method():
                      "def form(a):\n    scale = a.used()\n    return scale\n\n"
                      "def helper():\n    return 3\n\n"
                      "def caller(m):\n    return helper() + m.helper\n")
-    assert unreferenced([tree], {"caller"}) == ["form", "scale"]
+    assert unreferenced({"a": tree}, {"caller"}) == ["form", "scale"]
+
+
+def test_a_module_attribute_is_no_use_of_a_method():
+    # linalg.transpose uses the function transpose of linalg, not a method
+    # of that name, nor a function of that name in another module
+    linalg = ast.parse("def transpose(m):\n    return m\n")
+    groups = ast.parse("from . import linalg as la\n\n"
+                       "class Dense:\n    def transpose(self):\n        return la.transpose(self)\n\n"
+                       "def transpose(m):\n    return m\n")
+    assert unreferenced({"linalg": linalg, "groups": groups}, set()) == ["transpose", "transpose"]
+    assert module_names(groups, {"linalg": linalg}) == {"la": "linalg"}

@@ -16,7 +16,9 @@ the linear rows must be the lattice's characters, and the lifted values
 of the other rows must be equal.  The eigenvalue-1
 counts the table keeps must equal the oracle's averages over the cyclic
 subgroups, and the indicators its check reads both per-character sums,
-`chartab`'s and the oracle's.
+`chartab`'s and the oracle's.  No rows are built for a class with
+|G| = r1 |C_k|, and every nonlinear character of the finished table must
+vanish there.
 """
 
 from types import SimpleNamespace
@@ -90,6 +92,21 @@ def check_table_steps(group):
     for (_, _, xk, d), (values, _) in lifts:
         assert values == oracle._lift_character(group, xk, d, p, omega)
     oracle.check_table_reads(chars)
+    idle = idle_classes(chars)
+    assert not idle & {i for (_, i, _), _ in rows}
+
+
+def idle_classes(table):
+    """The classes with |G| = r1 |C_k|, r1 the finished table's count of
+    linear characters, after checking that every other character vanishes
+    on each of them: the split skips their class matrices."""
+    group = table.group
+    r1 = sum(chi.degree == 1 for chi in table)
+    idle = {k for k, h in enumerate(group.class_sizes) if group.order == r1 * h}
+    for chi in table:
+        if chi.degree > 1:
+            assert all(chi.values[k].is_zero() for k in idle)
+    return idle
 
 
 def _lifted_values(plan, p, xk, d):
@@ -193,6 +210,15 @@ def test_g1280_table_never_left_multiplies_the_whole_group(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "left_multiply_all", lambda self, h: calls.append(h))
     chartab.character_table(group)
     assert calls == []
+
+
+def test_g1280_split_builds_rows_for_three_classes(monkeypatch, g1280_group):
+    # classes 1, 3, 5 and 6 have |G| / |C_k| = 5 = r1, so every nonlinear
+    # character vanishes there and the split skips them
+    calls = _recording(monkeypatch, "_class_matrix_rows")
+    table = chartab.character_table(g1280_group)
+    assert [i for (_, i, _), _ in calls] == [2, 4, 7]
+    assert idle_classes(table) == {1, 3, 5, 6}
 
 
 def test_g1280_table_computes_few_inverses(monkeypatch):

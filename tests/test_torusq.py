@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cyclo_oracle import embed_float
 from fibration_oracle import isotypic_projections
-from helpers import one_dim_rep, regular_rep
+from helpers import one_dim_rep, regular_rep, transpose
 from torusq_oracle import bareiss_det, has_eigenvalue_one, lattice_contains
 
 from torusquot.chartab import character_table
@@ -432,7 +432,7 @@ def test_real_pair_fibration_survives_scrambling(s4_natural, s4_table):
     pinv = p.inverse()
     scrambled = AnalyticRep(pair.group, tuple(pinv * (m * p) for m in pair.matrices))
     moved = SymplecticForm(
-        (p.transpose() * Dense(form.matrix) * p).rows)
+        (transpose(p) * Dense(form.matrix) * p).rows)
     assert preserves_form(scrambled, moved)
     fib = lagrangian_fibration_data(scrambled, moved, s4_table)
     assert fib is not None

@@ -13,6 +13,9 @@ which compares every entry of M^T * Omega * M with Omega, where the
 library reads only the form's nonzero entries.  And the earlier lattice
 membership test, which solves a + b*w = x over Q by a row reduction of
 coefficient vectors, where the library reads b off the imaginary parts.
+And the earlier character, the traces of the class representatives'
+matrices, where the library reads a natural representation's off the
+group and a conjugate pair's as chi + conj(chi).
 """
 
 from __future__ import annotations
@@ -94,6 +97,11 @@ def preserves_form_all_entries(rep: AnalyticRep, form: SymplecticForm) -> bool:
         elif mat_mul(transpose(m.rows), mat_mul(omega, m.rows)) != omega:
             return False
     return True
+
+
+def character_by_matrices(rep: AnalyticRep) -> tuple:
+    """The trace of each class representative's matrix."""
+    return tuple(rep.matrix(r).trace() for r in rep.group.class_representatives)
 
 
 def faithful_by_matrices(rep: AnalyticRep) -> bool:
