@@ -27,7 +27,7 @@ from .errors import (
     TableComputationError,
     TorusQuotError,
 )
-from .groups import Dense, FiniteGroup, Monomial, close
+from .groups import Dense, Element, FiniteGroup, Monomial, close
 from .chartab import (
     Character,
     CharacterTable,
@@ -76,6 +76,7 @@ __all__ = [
     "TableComputationError",
     "TorusQuotError",
     "Dense",
+    "Element",
     "FiniteGroup",
     "Monomial",
     "close",

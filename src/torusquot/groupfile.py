@@ -14,6 +14,9 @@ generator.  Three generator styles exist:
     generator perm            permutation matrix, row style as above
     map 2 3 1
 
+The style only spells the matrix: a scaled permutation matrix written
+`dense` is the same element as written `monomial`, and closes as one.
+
 Optionally a file carries an antisymmetric form and a lattice generator:
 
     form wedge 1:4 2:5 3:6    sum of dz_a ^ dz_b, 1-based coordinates
@@ -30,7 +33,7 @@ from __future__ import annotations
 from .cyclo import Cyclotomic, EntryParseError, one, parse_entry
 from .cyclo import format_entry
 from .errors import GroupFileError
-from .groups import Dense, Monomial
+from .groups import Dense, Element, Monomial
 from .torusq import LatticeSpec, SymplecticForm
 
 
@@ -39,7 +42,7 @@ class GeneratorSpec:
 
     def __init__(self, kind: str, element):
         self.kind = kind  # "monomial" | "dense" | "perm"
-        self.element = element  # Monomial or Dense
+        self.element = element
 
 
 class GroupFile:
@@ -136,7 +139,7 @@ def _parse_entry_list(rest: str, rest_offset: int, conductor: int,
     return entries
 
 
-def _row_style_monomial(maps, scalars, degree: int, lineno: int) -> Monomial:
+def _row_style_monomial(maps, scalars, degree: int, lineno: int) -> Element:
     """Build the element whose row r has scalars[r] in column maps[r]."""
     if sorted(maps) != list(range(1, degree + 1)):
         raise GroupFileError("map indices must form a permutation", lineno)
@@ -267,17 +270,24 @@ def _parse_generator(lines: _Lines, header: str, lineno: int, gf: GroupFile) -> 
         element = _row_style_monomial(maps, scalars, n, lineno)
         return GeneratorSpec("monomial", element)
 
+    rows = _parse_rows(lines, lineno, gf, "matrix", "row", "dense generator")
+    return GeneratorSpec("dense", Dense(rows))
+
+
+def _parse_rows(lines: _Lines, lineno: int, gf: GroupFile, what: str, row: str, block: str):
+    """The `row` lines of a dense block, degree many of degree many entries:
+    ``what`` names a bad entry, ``row`` a short or long row and ``block``
+    the block with too few or too many rows."""
+    n = gf.degree
     rows = []
     for blineno, _, rest, off in _block_lines(lines, ("row",)):
-        entries = _parse_entry_list(rest, off, gf.conductor, blineno, "matrix")
+        entries = _parse_entry_list(rest, off, gf.conductor, blineno, what)
         if len(entries) != n:
-            raise GroupFileError(
-                f"row has {len(entries)} entries, degree is {n}", blineno)
+            raise GroupFileError(f"{row} has {len(entries)} entries, degree is {n}", blineno)
         rows.append(entries)
     if len(rows) != n:
-        raise GroupFileError(
-            f"dense generator has {len(rows)} rows, degree is {n}", lineno)
-    return GeneratorSpec("dense", Dense(rows))
+        raise GroupFileError(f"{block} has {len(rows)} rows, degree is {n}", lineno)
+    return rows
 
 
 def _parse_form(lines: _Lines, header: str, lineno: int, gf: GroupFile):
@@ -286,16 +296,7 @@ def _parse_form(lines: _Lines, header: str, lineno: int, gf: GroupFile):
         pairs = parse_wedge_pairs(" ".join(parts[2:]), gf.degree, lineno)
         return SymplecticForm.wedge_pairs(gf.degree, pairs), pairs
     if parts[1:] == ["dense"]:
-        n = gf.degree
-        rows = []
-        for blineno, _, rest, off in _block_lines(lines, ("row",)):
-            entries = _parse_entry_list(rest, off, gf.conductor, blineno, "form")
-            if len(entries) != n:
-                raise GroupFileError(
-                    f"form row has {len(entries)} entries, degree is {n}", blineno)
-            rows.append(entries)
-        if len(rows) != n:
-            raise GroupFileError(f"form has {len(rows)} rows, degree is {n}", lineno)
+        rows = _parse_rows(lines, lineno, gf, "form", "form row", "form")
         try:
             return SymplecticForm(rows), None
         except Exception as exc:
@@ -350,12 +351,7 @@ def parse_lattice_token(token: str, conductor: int, lineno: int | None = None):
 
 def parse_form_file(path, conductor: int, degree: int) -> SymplecticForm:
     """A standalone form file: optional `conductor N`, then one form block."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise GroupFileError(f"cannot read {path}: {exc.strerror or exc}", None)
-    lines = _Lines(text)
+    lines = _Lines(_read(path))
     item = lines.peek()
     if item is not None and _keyword(item[1]) == "conductor":
         lineno, body = lines.take()
@@ -375,12 +371,15 @@ def parse_form_file(path, conductor: int, degree: int) -> SymplecticForm:
 
 
 def parse_group(path) -> GroupFile:
+    return parse_group_text(_read(path), source=str(path))
+
+
+def _read(path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise GroupFileError(f"cannot read {path}: {exc.strerror or exc}", None)
-    return parse_group_text(text, source=str(path))
 
 
 # -- serialization

@@ -1,22 +1,25 @@
-"""Finite matrix groups: element types, closure on a point set, conjugacy structure.
+"""Finite matrix groups: one element class, closure on a point set, conjugacy structure.
 
-Two element kinds are supported.  Monomial elements are scaled permutation
-matrices stored as (permutation, scalar vector) pairs so that products,
-inverses, and traces cost O(degree); dense elements hold full cyclotomic
-matrices.  Other modules read either kind's nonzero entries as (row, column,
-value) from ``entries()``; :func:`one_kind` promotes a mixed set to dense.
+An :class:`Element` holds a square matrix as its columns, each the tuple of
+its nonzero entries (row, value) in row order.  The encoding is canonical,
+so equal matrices compare and hash equal.  A scaled permutation matrix has
+one entry per column and costs O(degree) to multiply, invert and trace;
+other modules read any element's nonzero entries as (row, column, value)
+from ``entries()``.  :func:`Monomial` and :func:`Dense` are the two
+validating constructors.
 
 A finite matrix group acts faithfully on the union of the orbits of the
 basis vectors e_1..e_n, because those points span the space: the "action on
 an orbit of vectors" of Holt, Eick and O'Brien, *Handbook of Computational
 Group Theory* (2005).  :func:`close` finds that point set by BFS under the
-generators.  A point is a pair (coordinate, scalar) for a monomial generating
-set and a vector for a dense one; building the point set is the only exact
-arithmetic in closure.  It holds each scalar or vector entry by its index
-in a list of the distinct values seen, keyed by their canonical fields, so
-a monomial set computes each distinct product of a point's scalar and a
-generator's scalar once (g1280: 16 products for 80 points).  Each generator
-then becomes a permutation of the points, a tuple of point indices.
+generators.  When every generator is monomial a point is a pair
+(coordinate, scalar), and otherwise a vector; building the point set is the
+only exact arithmetic in closure.  It holds each scalar or vector entry by
+its index in a list of the distinct values seen, keyed by their canonical
+fields, so a monomial set computes each distinct product of a point's
+scalar and a generator's scalar once (g1280: 16 products for 80 points).
+Each generator then becomes a permutation of the points, a tuple of point
+indices, and each point is kept as a sparse column.
 
 A linear map is fixed by the images of a basis, so element x is stored by
 its base images: the indices of the points x⁻¹(e_1)..x⁻¹(e_n), n ints per
@@ -65,110 +68,130 @@ from .errors import GroupTooLargeError, InvalidInputError
 DEFAULT_CLOSURE_LIMIT = 20000
 
 
-class Monomial:
-    """Scaled permutation matrix: column j carries scalars[j] at row perm[j]."""
+class Element:
+    """A square matrix held as its columns: ``columns[j]`` is the tuple of
+    column j's nonzero entries (row, value), in row order.  Unchecked: the
+    caller vouches for that form, which :func:`Monomial` and :func:`Dense`
+    build from checked input."""
 
-    __slots__ = ("perm", "scalars", "_hash")
+    __slots__ = ("columns", "_hash")
 
-    def __init__(self, perm, scalars):
-        self.perm = tuple(perm)
-        self.scalars = tuple(Cyclotomic.from_value(s) for s in scalars)
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise InvalidInputError("monomial permutation is not a bijection")
-        if len(self.scalars) != len(self.perm):
-            raise InvalidInputError("monomial scalar count does not match the degree")
-        if any(s.is_zero() for s in self.scalars):
-            raise InvalidInputError("monomial scalars must be nonzero")
+    def __init__(self, columns):
+        self.columns = columns
         self._hash = None
 
     @staticmethod
-    def identity(degree: int) -> "Monomial":
-        return Monomial(range(degree), (one(),) * degree)
+    def identity(degree: int) -> "Element":
+        return Element(tuple(((j, one()),) for j in range(degree)))
 
     @property
     def degree(self) -> int:
-        return len(self.perm)
+        return len(self.columns)
 
-    def __mul__(self, other):
-        if isinstance(other, Monomial):
-            p, s = self.perm, self.scalars
-            q, t = other.perm, other.scalars
-            return Monomial(
-                tuple(p[qj] for qj in q),
-                tuple(tj * s[qj] for qj, tj in zip(q, t)),
-            )
-        if isinstance(other, Dense):
-            return self.to_dense() * other
-        return NotImplemented
+    @property
+    def rows(self) -> tuple:
+        """The matrix as row-major tuples, zeros included."""
+        rows = [[zero()] * self.degree for _ in self.columns]
+        for j, column in enumerate(self.columns):
+            for i, x in column:
+                rows[i][j] = x
+        return tuple(map(tuple, rows))
 
-    @classmethod
-    def _from_columns(cls, columns) -> "Monomial":
-        """The element whose column j is the point columns[j], unchecked:
-        the caller vouches for a bijection and nonzero canonical scalars."""
-        m = object.__new__(cls)
-        m.perm = tuple(i for i, _ in columns)
-        m.scalars = tuple(c for _, c in columns)
-        m._hash = None
-        return m
+    def is_monomial(self) -> bool:
+        """One entry per column, in distinct rows: a scaled permutation matrix."""
+        return len({column[0][0] for column in self.columns if len(column) == 1}) == self.degree
 
     def entries(self):
-        """Each nonzero entry as (row, column, value): one per column."""
-        return zip(self.perm, range(len(self.perm)), self.scalars)
+        """Each nonzero entry as (row, column, value), column by column."""
+        return [(i, j, x) for j, column in enumerate(self.columns) for i, x in column]
 
     def row_entries(self) -> tuple[list[int], list[Cyclotomic]]:
-        """Per-row view (cols, scalars): row i holds scalars[i] at column cols[i]."""
-        d = self.degree
-        cols = [0] * d
-        scalars = [None] * d
-        for j, (pj, sj) in enumerate(zip(self.perm, self.scalars)):
-            cols[pj] = j
-            scalars[pj] = sj
+        """Per-row view (cols, scalars) of a monomial element: row i holds
+        scalars[i] at column cols[i]."""
+        cols = [0] * self.degree
+        scalars = [None] * self.degree
+        for j, ((i, x),) in enumerate(self.columns):
+            cols[i] = j
+            scalars[i] = x
         return cols, scalars
 
-    def inverse(self) -> "Monomial":
-        cols, scalars = self.row_entries()
-        return Monomial(cols, [s.inverse() for s in scalars])
+    def __mul__(self, other):
+        """Column j of a·b sums b[k][j]·(column k of a) over the nonzero
+        b[k][j], one ``add_all`` per entry."""
+        if not isinstance(other, Element):
+            return NotImplemented
+        a = self.columns
+        out = []
+        for column in other.columns:
+            terms = {}
+            for k, y in column:
+                for i, x in a[k]:
+                    terms.setdefault(i, []).append(x * y)
+            sums = ((i, add_all(terms[i])) for i in sorted(terms))
+            out.append(tuple((i, s) for i, s in sums if s))
+        return Element(tuple(out))
 
-    def conjugate(self) -> "Monomial":
-        return Monomial._from_columns([(p, s.conjugate()) for p, s in zip(self.perm, self.scalars)])
+    def inverse(self) -> "Element":
+        if self.is_monomial():
+            return Element(tuple(((j, s.inverse()),) for j, s in zip(*self.row_entries())))
+        return Dense(linalg.mat_inverse(self.rows))
 
-    @staticmethod
-    def _trace_of_columns(columns) -> Cyclotomic:
-        """The trace of the element whose column j is the point columns[j]."""
-        return add_all([c for j, (i, c) in enumerate(columns) if i == j])
+    def conjugate(self) -> "Element":
+        return Element(tuple(tuple((i, x.conjugate()) for i, x in column)
+                             for column in self.columns))
 
     def trace(self) -> Cyclotomic:
-        return self._trace_of_columns(zip(self.perm, self.scalars))
-
-    def to_dense(self) -> "Dense":
-        d = self.degree
-        rows = [[zero()] * d for _ in range(d)]
-        for j, (pj, sj) in enumerate(zip(self.perm, self.scalars)):
-            rows[pj][j] = sj
-        return Dense(rows)
+        return _trace(self.columns)
 
     def is_identity(self) -> bool:
-        return all(p == j for j, p in enumerate(self.perm)) and all(s == 1 for s in self.scalars)
+        return self == Element.identity(self.degree)
 
-    def block_sum(self, other: "Monomial") -> "Monomial":
+    def block_sum(self, other: "Element") -> "Element":
         d = self.degree
-        return Monomial._from_columns(
-            [*zip(self.perm, self.scalars), *zip((p + d for p in other.perm), other.scalars)])
+        return Element(self.columns + tuple(tuple((i + d, x) for i, x in column)
+                                            for column in other.columns))
 
     def __eq__(self, other):
-        if isinstance(other, Monomial):
-            return self.perm == other.perm and self.scalars == other.scalars
-        if isinstance(other, Dense):
-            return self.to_dense() == other
-        return NotImplemented
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self.columns == other.columns
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.perm, self.scalars))
+            self._hash = hash(self.columns)
         return self._hash
 
     def __repr__(self):
-        return f"Monomial(perm={self.perm}, scalars=({', '.join(map(str, self.scalars))}))"
+        return "Element(" + ", ".join(
+            "{" + ", ".join(f"{i}: {x}" for i, x in column) + "}" for column in self.columns) + ")"
+
+
+def _trace(columns) -> Cyclotomic:
+    """The trace of the matrix whose column j is the sparse column columns[j]."""
+    return add_all([x for j, column in enumerate(columns) for i, x in column if i == j])
+
+
+def Monomial(perm, scalars) -> Element:
+    """The scaled permutation matrix whose column j carries scalars[j] at
+    row perm[j], checked."""
+    perm = tuple(perm)
+    scalars = tuple(Cyclotomic.from_value(s) for s in scalars)
+    if sorted(perm) != list(range(len(perm))):
+        raise InvalidInputError("monomial permutation is not a bijection")
+    if len(scalars) != len(perm):
+        raise InvalidInputError("monomial scalar count does not match the degree")
+    if any(s.is_zero() for s in scalars):
+        raise InvalidInputError("monomial scalars must be nonzero")
+    return Element(tuple(zip(zip(perm, scalars))))  # column j is ((perm[j], scalars[j]),)
+
+
+def Dense(rows) -> Element:
+    """The square matrix with the given rows of cyclotomic entries, checked."""
+    rows = linalg.as_matrix(rows)
+    if any(len(r) != len(rows) for r in rows):
+        raise InvalidInputError("dense element must be square")
+    return Element(tuple(tuple((i, x) for i, x in enumerate(column) if x)
+                         for column in zip(*rows)))
 
 
 def _inverse_perm(perm) -> tuple[int, ...]:
@@ -178,92 +201,11 @@ def _inverse_perm(perm) -> tuple[int, ...]:
     return tuple(inverse)
 
 
-class Dense:
-    """Dense square matrix over cyclotomic entries."""
-
-    __slots__ = ("rows", "_hash")
-
-    def __init__(self, rows):
-        self.rows = linalg.as_matrix(rows)
-        d = len(self.rows)
-        if any(len(r) != d for r in self.rows):
-            raise InvalidInputError("dense element must be square")
-        self._hash = None
-
-    @staticmethod
-    def identity(degree: int) -> "Dense":
-        return Dense(linalg.identity_matrix(degree))
-
-    @property
-    def degree(self) -> int:
-        return len(self.rows)
-
-    def __mul__(self, other):
-        if isinstance(other, Dense):
-            return Dense(linalg.mat_mul(self.rows, other.rows))
-        if isinstance(other, Monomial):
-            return self * other.to_dense()
-        return NotImplemented
-
-    def entries(self):
-        """Each nonzero entry as (row, column, value), row by row."""
-        return ((i, j, x) for i, row in enumerate(self.rows) for j, x in enumerate(row) if x)
-
-    @classmethod
-    def _from_columns(cls, columns) -> "Dense":
-        """The matrix with column j the vector columns[j], unchecked."""
-        m = object.__new__(cls)
-        m.rows = tuple(zip(*columns))
-        m._hash = None
-        return m
-
-    def inverse(self) -> "Dense":
-        return Dense(linalg.mat_inverse(self.rows))
-
-    def conjugate(self) -> "Dense":
-        return Dense._from_columns(zip(*linalg.conj_matrix(self.rows)))
-
-    @staticmethod
-    def _trace_of_columns(columns) -> Cyclotomic:
-        """The trace of the matrix whose column j is the vector columns[j]."""
-        return add_all([v[j] for j, v in enumerate(columns) if v[j]])
-
-    def trace(self) -> Cyclotomic:
-        return self._trace_of_columns(self.rows)  # a matrix and its transpose share a diagonal
-
-    def to_dense(self) -> "Dense":
-        return self
-
-    def is_identity(self) -> bool:
-        return self.rows == linalg.identity_matrix(self.degree)
-
-    def block_sum(self, other) -> "Dense":
-        return Dense._from_columns(zip(*linalg.block_diag(self.rows, other.to_dense().rows)))
-
-    def __eq__(self, other):
-        if isinstance(other, Dense):
-            return self.rows == other.rows
-        if isinstance(other, Monomial):
-            return self.rows == other.to_dense().rows
-        return NotImplemented
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.rows)
-        return self._hash
-
-    def __repr__(self):
-        return f"Dense({self.degree}x{self.degree})"
-
-
 def _validate_generator(g):
-    if isinstance(g, Monomial):
-        return  # constructor already rejected zero scalars
-    if isinstance(g, Dense):
-        if len(rref(g.rows)[1]) < g.degree:
-            raise InvalidInputError("dense generator is not invertible")
-        return
-    raise InvalidInputError(f"unsupported generator type {type(g).__name__}")
+    if not isinstance(g, Element):
+        raise InvalidInputError(f"unsupported generator type {type(g).__name__}")
+    if not g.is_monomial() and len(rref(g.rows)[1]) < g.degree:
+        raise InvalidInputError("dense generator is not invertible")
 
 
 def _orbit(start, steps, cap: int, limit: int):
@@ -310,34 +252,36 @@ def _interner():
 
 def _monomial_points(gens, degree: int, limit: int):
     """The point set of monomial generators and their permutations of it.
-    A point c·e_i is held as (i, interned index of c), and g sends it to
-    (perm[i], c·s_i): the scalars of the points and of the generators are
-    interned together, so each distinct product of two is computed once.
-    The points come back as (coordinate, scalar) pairs, in BFS order."""
+    A point c·e_j is held as (j, interned index of c), and g, whose column
+    j is s·e_i, sends it to (i, c·s): the scalars of the points and of the
+    generators are interned together, so each distinct product of two is
+    computed once.  The points come back as sparse columns, in BFS order."""
     scalars, intern = _interner()
     products = {}
 
-    def step(perm, factors):
+    def step(columns):
+        images = [(i, intern(s)) for ((i, s),) in columns]
+
         def act(point):
-            i, a = point
-            b = factors[i]
+            j, a = point
+            i, b = images[j]
             k = products.get((a, b))
             if k is None:
                 k = products[a, b] = intern(scalars[a] * scalars[b])
-            return perm[i], k
+            return i, k
         return act
 
     unit = intern(one())
     start = [(j, unit) for j in range(degree)]
-    steps = [step(g.perm, tuple(map(intern, g.scalars))) for g in gens]
+    steps = [step(g.columns) for g in gens]
     items, _, gen_perms, _ = _orbit(start, steps, limit * degree, limit)
-    return [(i, scalars[k]) for i, k in items], gen_perms
+    return [((i, scalars[k]),) for i, k in items], gen_perms
 
 
 def _dense_points(gens, degree: int, limit: int):
     """The point set of dense generators and their permutations of it.  A
     vector is held as the interned indices of its entries, and g sends it
-    to those of g·v.  The points come back as vectors, in BFS order."""
+    to those of g·v.  The points come back as sparse columns, in BFS order."""
     values, intern = _interner()
 
     def step(rows):
@@ -347,15 +291,8 @@ def _dense_points(gens, degree: int, limit: int):
 
     start = [tuple(map(intern, e)) for e in linalg.identity_matrix(degree)]
     items, _, gen_perms, _ = _orbit(start, [step(g.rows) for g in gens], limit * degree, limit)
-    return [tuple(map(values.__getitem__, point)) for point in items], gen_perms
-
-
-def one_kind(elements) -> list:
-    """The elements as one kind: a set with a dense member is promoted to dense."""
-    elements = list(elements)
-    if any(isinstance(m, Dense) for m in elements):
-        return [m.to_dense() for m in elements]
-    return elements
+    columns = [tuple((i, values[k]) for i, k in enumerate(point) if values[k]) for point in items]
+    return columns, gen_perms
 
 
 def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
@@ -379,12 +316,10 @@ def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
         raise InvalidInputError("generators must share one degree")
     for g in gens:
         _validate_generator(g)
-    gens = one_kind(gens)
-    kind = type(gens[0])
     if limit < 1:
         raise InvalidInputError("closure limit must be positive")
 
-    points_of = _monomial_points if kind is Monomial else _dense_points
+    points_of = _monomial_points if all(g.is_monomial() for g in gens) else _dense_points
     points, gen_perms = points_of(gens, degree, limit)
     inverse_perms = [_inverse_perm(g) for g in gen_perms]
     if len(points) <= 256:
@@ -397,7 +332,7 @@ def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
     keys, index, right_table, (parents, letters) = _orbit(
         [encode(range(degree))], steps, limit, limit)
     gen_indices = tuple(index[encode(g[:degree])] for g in inverse_perms)
-    return FiniteGroup(kind, degree, tuple(points), gen_perms, keys, index, encode, gen_indices,
+    return FiniteGroup(degree, tuple(points), gen_perms, keys, index, encode, gen_indices,
                        right_table, (tuple(parents), tuple(letters)))
 
 
@@ -411,9 +346,8 @@ class FiniteGroup:
     ``right_table[a][x]`` is the index of x times generator a.
     """
 
-    def __init__(self, kind, degree, points, gen_perms, keys, index, encode, generator_indices,
+    def __init__(self, degree, points, gen_perms, keys, index, encode, generator_indices,
                  right_table, tree):
-        self._kind = kind
         self._degree = degree
         self._points = points
         self._gen_perms = gen_perms
@@ -457,7 +391,7 @@ class FiniteGroup:
     def element(self, i: int):
         """The matrix of element i: column j is the point that it sends e_j to,
         which is base image j of its inverse."""
-        return self._kind._from_columns([self._points[p] for p in self._keys[self.inv(i)]])
+        return Element(tuple(map(self._points.__getitem__, self._keys[self.inv(i)])))
 
     @property
     def elements(self) -> tuple:
@@ -602,7 +536,7 @@ class FiniteGroup:
         if self._class_traces is None:
             points = self._points
             self._class_traces = tuple(
-                self._kind._trace_of_columns(map(points.__getitem__, self._keys[self.inv(r)]))
+                _trace(map(points.__getitem__, self._keys[self.inv(r)]))
                 for r in self.class_representatives)
         return self._class_traces
 

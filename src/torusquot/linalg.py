@@ -20,13 +20,6 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(one() if i == j else zero() for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise InvalidInputError("matrix dimensions do not match")
-    bt = list(zip(*b))
-    return tuple(mat_vec(bt, row) for row in a)
-
-
 def mat_vec(a: Matrix, v) -> tuple:
     """The product a·v of a matrix and a column vector given as a tuple."""
     return tuple(add_all([x * y for x, y in zip(row, v) if x and y]) for row in a)
@@ -34,10 +27,6 @@ def mat_vec(a: Matrix, v) -> tuple:
 
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
-
-
-def conj_matrix(a: Matrix) -> Matrix:
-    return tuple(tuple(x.conjugate() for x in row) for row in a)
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -66,11 +55,3 @@ def kernel_basis(a: Matrix) -> tuple[tuple[Cyclotomic, ...], ...]:
                 v[pc] = -red[r][free]
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    na, nb = len(a), len(b)
-    z = zero()
-    top = tuple(tuple(a[i]) + (z,) * nb for i in range(na))
-    bottom = tuple((z,) * na + tuple(b[i]) for i in range(nb))
-    return top + bottom

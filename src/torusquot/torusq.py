@@ -25,7 +25,7 @@ from . import linalg
 from .chartab import Character, CharacterTable, decompose, trivial_character
 from .cyclo import Cyclotomic, add_all, format_entry, one, prime_factors, rref, zero
 from .errors import InvalidInputError, NotAHomomorphismError, TorusQuotError
-from .groups import FiniteGroup, Monomial, one_kind
+from .groups import Element, FiniteGroup
 
 
 class AnalyticRep:
@@ -105,7 +105,7 @@ def assemble(group: FiniteGroup, images) -> AnalyticRep:
     Every product relation M(x·g) = M(x)·M(g) is checked afterwards, so an
     inconsistent assignment cannot slip through on a subset of relations.
     """
-    images = one_kind(images)
+    images = list(images)
     if len(images) != len(group.generator_indices):
         raise InvalidInputError(
             f"expected {len(group.generator_indices)} generator images, got {len(images)}")
@@ -115,7 +115,7 @@ def assemble(group: FiniteGroup, images) -> AnalyticRep:
     if any(m.degree != deg for m in images):
         raise InvalidInputError("generator images must share one degree")
 
-    mats = [type(images[0]).identity(deg)]
+    mats = [Element.identity(deg)]
     for parent, a in zip(group.parents[1:], group.letters[1:]):
         mats.append(mats[parent] * images[a])
 
@@ -397,7 +397,7 @@ def invariant_form(rep: AnalyticRep) -> SymplecticForm | None:
     average is summed over the nonzero entries of rows a and b."""
     n = rep.degree
     gens = rep.generator_images()
-    mono = all(isinstance(m, Monomial) for m in gens)
+    mono = all(m.is_monomial() for m in gens)
     if mono:
         gens = [m.row_entries() for m in gens]
         dead = set()
@@ -629,7 +629,7 @@ def _spin_halves(rep: AnalyticRep):
     for x in range(1, group.order):
         if len(basis) <= 2:
             break
-        rows = rep.matrix(x).to_dense().rows
+        rows = rep.matrix(x).rows
         images = [linalg.mat_vec(rows, v) for v in basis]
         o = group.element_order(x)
         for lam in sorted((Cyclotomic.zeta(o, j) for j in range(o)), key=lambda z: z.conductor):
@@ -640,7 +640,7 @@ def _spin_halves(rep: AnalyticRep):
                 columns = linalg.transpose(basis)
                 basis = [linalg.mat_vec(columns, k) for k in kernel]
                 break
-    gens = [m.to_dense().rows for m in rep.generator_images()]
+    gens = [m.rows for m in rep.generator_images()]
     halves = []
     for v in basis:
         span = _spin(gens, v, n // 2)

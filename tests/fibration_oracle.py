@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from helpers import mat_mul, perm_and_scalars
+
 from torusquot import linalg
 from torusquot.chartab import CharacterTable, decompose
 from torusquot.cyclo import Cyclotomic, divisors, rref, zero
 from torusquot.errors import TorusQuotError
-from torusquot.groups import Monomial
 from torusquot.torusq import AnalyticRep
 
 
@@ -34,7 +35,7 @@ def min_poly(t, cap: int = 8):
     n = len(t)
     powers = [linalg.identity_matrix(n)]
     for _ in range(cap):
-        powers.append(linalg.mat_mul(powers[-1], t))
+        powers.append(mat_mul(powers[-1], t))
         cols = [[p[i][j] for p in powers] for i in range(n) for j in range(n)]
         dep = linalg.kernel_basis(linalg.as_matrix(cols))
         if dep:
@@ -88,7 +89,9 @@ def commutant_split(rep: AnalyticRep, half: int):
     """
     group, n = rep.group, rep.degree
     inv_of = [group.inv(i) for i in range(group.order)]
-    mono = all(isinstance(m, Monomial) for m in rep.matrices)
+    mono = all(m.is_monomial() for m in rep.matrices)
+    if mono:
+        views = [perm_and_scalars(m) for m in rep.matrices]
     for a in range(n):
         for b in range(n):
             acc = [[zero()] * n for _ in range(n)]
@@ -97,8 +100,9 @@ def commutant_split(rep: AnalyticRep, half: int):
                 minv = rep.matrices[inv_of[gi]]
                 if mono:
                     # M·E_ab·M⁻¹ = (s_a/s_b)·E_{p(a),p(b)}; minv holds 1/s_b at column p(b)
-                    i, j = m.perm[a], m.perm[b]
-                    acc[i][j] = acc[i][j] + m.scalars[a] * minv.scalars[j]
+                    (perm, scalars), (_, inv_scalars) = views[gi], views[inv_of[gi]]
+                    i, j = perm[a], perm[b]
+                    acc[i][j] = acc[i][j] + scalars[a] * inv_scalars[j]
                 else:
                     cola = [m.rows[r][a] for r in range(n)]
                     rowb = minv.rows[b]
@@ -150,17 +154,8 @@ def isotypic_projections(rep: AnalyticRep, table: CharacterTable):
             c = coeff[group.class_of(gi)]
             if c.is_zero():
                 continue
-            mat = rep.matrix(gi)
-            if isinstance(mat, Monomial):
-                for j, pj in enumerate(mat.perm):
-                    acc[pj][j] = acc[pj][j] + c * mat.scalars[j]
-            else:
-                for r in range(n):
-                    row = mat.rows[r]
-                    arow = acc[r]
-                    for s in range(n):
-                        if row[s]:
-                            arow[s] = arow[s] + c * row[s]
+            for r, s, x in rep.matrix(gi).entries():
+                acc[r][s] = acc[r][s] + c * x
         out.append((irr, linalg.as_matrix(acc)))
     return out
 
@@ -173,15 +168,8 @@ def kernel_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...]
     k = next(k for k, v in enumerate(chi.values) if v != v.conjugate())
     acc = [[zero()] * n for _ in range(n)]
     for g in group.conjugacy_classes[k]:
-        m = rep.matrix(g)
-        if isinstance(m, Monomial):
-            for j, (pj, sj) in enumerate(zip(m.perm, m.scalars)):
-                acc[pj][j] = acc[pj][j] + sj
-        else:
-            for row, arow in zip(m.rows, acc):
-                for j, x in enumerate(row):
-                    if x:
-                        arow[j] = arow[j] + x
+        for i, j, x in rep.matrix(g).entries():
+            acc[i][j] = acc[i][j] + x
     omega = Cyclotomic.from_value(Fraction(group.class_sizes[k], chi.degree)) * chi.values[k]
     halves = []
     for w in (omega, omega.conjugate()):

@@ -19,6 +19,8 @@ diagonal off the points.  The differential tests compare `groups` and
 
 from __future__ import annotations
 
+from helpers import perm_and_scalars
+
 from torusquot.cyclo import one, zero
 from torusquot.errors import GroupTooLargeError, InvalidInputError, TableComputationError
 from torusquot.linalg import identity_matrix, mat_vec
@@ -27,28 +29,31 @@ from torusquot.linalg import identity_matrix, mat_vec
 def monomial_points(gens, limit: int):
     """The points (coordinate, scalar) reached from e_1..e_n by BFS under
     monomial generators, g sending c·e_i to c·s_i·e_perm[i], and each
-    generator's permutation of them.  Raises GroupTooLargeError(limit)
-    past ``limit * degree`` points."""
+    generator's permutation of them, each point as the sparse column
+    ((coordinate, scalar),).  Raises GroupTooLargeError(limit) past
+    ``limit * degree`` points."""
     degree = gens[0].degree
     points = [(j, one()) for j in range(degree)]
     index = {x: i for i, x in enumerate(points)}
     perms = [[] for _ in gens]
+    gens = [perm_and_scalars(g) for g in gens]
     for i, c in points:  # the loop reaches the points appended while it runs
-        for g, perm in zip(gens, perms):
-            y = g.perm[i], c * g.scalars[i]
+        for (g_perm, g_scalars), perm in zip(gens, perms):
+            y = g_perm[i], c * g_scalars[i]
             if y not in index:
                 if len(points) >= limit * degree:
                     raise GroupTooLargeError(limit)
                 index[y] = len(points)
                 points.append(y)
             perm.append(index[y])
-    return points, perms
+    return [(point,) for point in points], perms
 
 
 def dense_points(gens, limit: int):
     """The vectors reached from e_1..e_n by BFS under dense generators,
-    g sending v to g·v, and each generator's permutation of them.  Raises
-    GroupTooLargeError(limit) past ``limit * degree`` points."""
+    g sending v to g·v, and each generator's permutation of them, each
+    point as the sparse column of its nonzero entries (coordinate, value).
+    Raises GroupTooLargeError(limit) past ``limit * degree`` points."""
     degree = gens[0].degree
     points = list(identity_matrix(degree))
     index = {x: i for i, x in enumerate(points)}
@@ -62,7 +67,7 @@ def dense_points(gens, limit: int):
                 index[y] = len(points)
                 points.append(y)
             perm.append(index[y])
-    return points, perms
+    return [tuple((i, x) for i, x in enumerate(v) if x) for v in points], perms
 
 
 def compute_classes(group):
@@ -157,7 +162,7 @@ def class_traces(group) -> tuple:
     traces = []
     for r in group.class_representatives:
         total = zero()
-        for i, row in enumerate(group.element(r).to_dense().rows):
+        for i, row in enumerate(group.element(r).rows):
             total = total + row[i]
         traces.append(total)
     return tuple(traces)

@@ -9,7 +9,7 @@ from torusquot.chartab import Character
 from torusquot.cyclo import Cyclotomic, one, rref, zero
 from torusquot.errors import InvalidInputError
 from torusquot.groups import Dense, FiniteGroup, Monomial
-from torusquot.linalg import mat_inverse, mat_mul, transpose as transpose_rows
+from torusquot.linalg import mat_inverse, mat_vec, transpose as transpose_rows
 from torusquot.torusq import AnalyticRep
 
 
@@ -64,7 +64,7 @@ def conjugated_elements(elements):
     n = elements[0].degree
     p = Dense([[(i + 1) ** (j + 1) for j in range(n)] for i in range(n)]).rows
     p_inv = mat_inverse(p)
-    return [Dense(mat_mul(mat_mul(p_inv, x.to_dense().rows), p)) for x in elements]
+    return [Dense(mat_mul(mat_mul(p_inv, x.rows), p)) for x in elements]
 
 
 def one_dim_rep(group: FiniteGroup, chi: Character) -> AnalyticRep:
@@ -135,10 +135,39 @@ def order_histogram(group: FiniteGroup) -> dict[int, int]:
 
 
 def transpose(m):
-    """The transpose of a Monomial or Dense element, of the same kind."""
-    if isinstance(m, Monomial):
+    """The transpose of an element: a monomial one from its row view."""
+    if m.is_monomial():
         return Monomial(*m.row_entries())
     return Dense(transpose_rows(m.rows))
+
+
+def perm_and_scalars(m):
+    """A monomial element's column j as (perm[j], scalars[j]), the pair of
+    tuples that a Monomial(perm, scalars) call takes."""
+    return tuple(i for ((i, _),) in m.columns), tuple(s for ((_, s),) in m.columns)
+
+
+# -- dense row-major matrix helpers, the references for the element
+# product, conjugate and block sum
+
+
+def mat_mul(a, b):
+    if len(a[0]) != len(b):
+        raise InvalidInputError("matrix dimensions do not match")
+    bt = list(zip(*b))
+    return tuple(mat_vec(bt, row) for row in a)
+
+
+def conj_matrix(a):
+    return tuple(tuple(x.conjugate() for x in row) for row in a)
+
+
+def block_diag(a, b):
+    na, nb = len(a), len(b)
+    z = zero()
+    top = tuple(tuple(a[i]) + (z,) * nb for i in range(na))
+    bottom = tuple((z,) * na + tuple(b[i]) for i in range(nb))
+    return top + bottom
 
 
 def mat_add(a, b):
@@ -173,7 +202,7 @@ def unimodular(n, ops):
 def conjugated(rep, p):
     """The representation P^-1 rho P, with nothing left of its block shape."""
     pinv = p.inverse()
-    return AnalyticRep(rep.group, tuple(pinv * (m.to_dense() * p) for m in rep.matrices))
+    return AnalyticRep(rep.group, tuple(pinv * (m * p) for m in rep.matrices))
 
 
 def mat_mul_mod(a, b, p):

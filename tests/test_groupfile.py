@@ -40,7 +40,7 @@ def test_monomial_block_semantics():
         "conductor 4\ndegree 2\ngenerator monomial\nmap 2 1\nscalars z^1; -1\n")
     el = gf.generators[0].element
     # row 1 reads i times coordinate 2, row 2 reads -1 times coordinate 1
-    rows = el.to_dense().rows
+    rows = el.rows
     assert rows[0][1] == Cyclotomic.zeta(4, 1)
     assert rows[1][0] == -1
     assert rows[0][0].is_zero() and rows[1][1].is_zero()
@@ -60,7 +60,7 @@ def test_dense_block_and_form_dense():
 def test_perm_block():
     gf = parse_group_text("conductor 1\ndegree 3\ngenerator perm\nmap 2 3 1\n")
     el = gf.generators[0].element
-    assert el.to_dense().rows[0][1] == 1
+    assert el.rows[0][1] == 1
 
 
 def test_comments_and_blank_lines_ignored():

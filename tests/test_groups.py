@@ -2,9 +2,10 @@
 
 The S4 reference values (class sizes, order histogram, abelianization) were
 frozen from a brute-force oracle over permutations of 4 points, independent of
-this package's element types.  ``matrix_bfs`` is the closure by products of
-Monomial or Dense matrices that preceded the point-set encoding; it is kept
-here as the oracle for random subgroups of G(m,1,n).
+this package's elements.  ``matrix_bfs`` is the closure by products of
+matrices that preceded the point-set encoding; it is kept here as the
+oracle for random subgroups of G(m,1,n).  The element operations are
+checked against the dense row helpers of ``helpers``.
 """
 
 import math
@@ -18,14 +19,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclo_oracle import embed_float
-from helpers import conjugated_elements, order_histogram, transpose, wreath_generator_pairs
-from torusq_oracle import has_eigenvalue_one
+from helpers import (
+    block_diag,
+    conj_matrix,
+    conjugated_elements,
+    mat_mul,
+    order_histogram,
+    transpose,
+    wreath_generator_pairs,
+)
+from torusq_oracle import eigenvalue_one_by_det, has_eigenvalue_one
 
 from torusquot import groups
 from torusquot.chartab import character_table
 from torusquot.cyclo import Cyclotomic, one, zero
 from torusquot.errors import GroupTooLargeError, InvalidInputError
-from torusquot.groups import Dense, Monomial, close
+from torusquot.groups import Dense, Element, Monomial, close
+from torusquot.linalg import mat_inverse, transpose as transpose_rows
 
 
 def perm_monomial(images):
@@ -65,7 +75,7 @@ class TestClosure:
         assert q8_group().order == 8
 
     def test_trivial_group(self):
-        g = close([Monomial.identity(2)])
+        g = close([Element.identity(2)])
         assert g.order == 1
         assert g.conjugacy_classes == ((0,),)
         g = close([Monomial((), ()), Monomial((), ())])
@@ -92,7 +102,7 @@ class TestClosure:
 
     def test_degree_mismatch(self):
         with pytest.raises(InvalidInputError):
-            close([Monomial.identity(2), Monomial.identity(3)])
+            close([Element.identity(2), Element.identity(3)])
 
     def test_singular_dense_generator(self):
         with pytest.raises(InvalidInputError):
@@ -109,11 +119,23 @@ class TestClosure:
         assert close([Dense([[0, 0, 1], [1, 0, 0], [0, 1, 0]])]).order == 3
         assert close([Dense([[zero(), i], [i, zero()]])]).order == 4
 
-    def test_mixed_kinds_promote_to_dense(self):
+    def test_mixed_constructors_close_to_one_group(self):
         i = Cyclotomic.zeta(4)
         g = close([Monomial((0,), (-one(),)), Dense([[i]])])
         assert g.order == 4
-        assert all(isinstance(x, Dense) for x in g.elements)
+        assert g.elements == close([Monomial((0,), (-one(),)), Monomial((0,), (i,))]).elements
+
+    def test_monomial_written_dense_is_the_same_element(self):
+        # one encoding, so equal matrices hash equal whichever constructor
+        # built them
+        i = Cyclotomic.zeta(4)
+        pairs = [(Monomial((1, 0), (1, 1)), Dense([[0, 1], [1, 0]])),
+                 (Monomial((1, 0), (i, 2)), Dense([[0, 2], [i, 0]]))]
+        for mono, dense in pairs:
+            assert mono == dense and dense == mono
+            assert hash(mono) == hash(dense)
+            assert dense in {mono} and mono in {dense}
+            assert len({mono, dense}) == 1
 
     def test_deterministic(self):
         g1, g2 = s4_group(), s4_group()
@@ -286,32 +308,39 @@ def monomials(draw, degree=4):
     return Monomial(perm, scalars)
 
 
+def diagonal_sum(rows):
+    total = zero()
+    for i, row in enumerate(rows):
+        total = total + row[i]
+    return total
+
+
 class TestMonomialAlgebra:
     @settings(max_examples=40, deadline=None)
     @given(monomials(), monomials())
     def test_product_matches_dense(self, a, b):
-        assert (a * b).to_dense() == a.to_dense() * b.to_dense()
+        assert (a * b).rows == mat_mul(a.rows, b.rows)
 
     @settings(max_examples=30, deadline=None)
     @given(monomials())
     def test_inverse(self, a):
         assert (a * a.inverse()).is_identity()
-        assert a.inverse().to_dense() == a.to_dense().inverse()
+        assert a.inverse().rows == mat_inverse(a.rows)
 
     @settings(max_examples=30, deadline=None)
     @given(monomials())
     def test_transpose_trace_det(self, a):
-        assert transpose(a).to_dense() == transpose(a.to_dense())
-        assert a.trace() == a.to_dense().trace()
-        assert a.conjugate().to_dense() == a.to_dense().conjugate()
+        assert transpose(a).rows == transpose_rows(a.rows)
+        assert a.trace() == diagonal_sum(a.rows)
+        assert a.conjugate().rows == conj_matrix(a.rows)
 
     @settings(max_examples=40, deadline=None)
     @given(monomials())
     def test_eigenvalue_one_matches_dense_and_float(self, a):
         exact = has_eigenvalue_one(a)
-        assert exact == has_eigenvalue_one(a.to_dense())
+        assert exact == eigenvalue_one_by_det(a)
         eigs = np.linalg.eigvals(
-            np.array([[embed_float(x) for x in row] for row in a.to_dense().rows]))
+            np.array([[embed_float(x) for x in row] for row in a.rows]))
         assert exact == bool(np.min(np.abs(eigs - 1.0)) < 1e-8)
 
     def test_block_sum(self):
@@ -319,7 +348,18 @@ class TestMonomialAlgebra:
         b = Monomial((0,), (-one(),))
         s = a.block_sum(b)
         assert s.degree == 3
-        assert s.to_dense().rows == a.to_dense().block_sum(b).rows
+        assert s.rows == block_diag(a.rows, b.rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(wreath_generator_pairs())
+    def test_dense_algebra_matches_the_row_helpers(self, pair):
+        # the same operations on elements with several entries per column
+        x, y = conjugated_elements(pair)
+        assert (x * y).rows == mat_mul(x.rows, y.rows)
+        assert x.inverse().rows == mat_inverse(x.rows)
+        assert (x * x.inverse()).is_identity()
+        assert x.trace() == diagonal_sum(x.rows)
+        assert Dense(x.rows) == x
 
     def test_zero_scalar_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -334,9 +374,9 @@ class TestPointSet:
     def test_scalars_off_the_unit_circle(self):
         g = close([Monomial((1, 0), (2, Fraction(1, 2)))])
         assert g.order == 2
-        assert g.elements == (Monomial.identity(2), Monomial((1, 0), (2, Fraction(1, 2))))
-        assert set(g._points) == {(0, one()), (1, one()), (1, Cyclotomic.from_value(2)),
-                                 (0, Cyclotomic.from_value(Fraction(1, 2)))}
+        assert g.elements == (Element.identity(2), Monomial((1, 0), (2, Fraction(1, 2))))
+        assert set(g._points) == {((0, one()),), ((1, one()),), ((1, Cyclotomic.from_value(2)),),
+                                 ((0, Cyclotomic.from_value(Fraction(1, 2))),)}
 
     @pytest.mark.parametrize("generator", [
         Monomial((0,), (2,)),
@@ -378,11 +418,7 @@ class TestPointSet:
 
 def matrix_bfs(gens, limit):
     """Elements, their index and BFS words by products of matrices."""
-    if any(isinstance(g, Dense) for g in gens):
-        gens = [g.to_dense() for g in gens]
-        identity = Dense.identity(gens[0].degree)
-    else:
-        identity = Monomial.identity(gens[0].degree)
+    identity = Element.identity(gens[0].degree)
     elements, index, words = [identity], {identity: 0}, [()]
     for x, word in zip(elements, words):  # both lists grow while the loop runs
         for a, g in enumerate(gens):
@@ -420,7 +456,7 @@ def oracle_classes(elements, index, gens):
 
 def oracle_powers(x):
     """x^0, x^1, ... up to the last power before the identity recurs."""
-    powers = [Monomial.identity(x.degree)]
+    powers = [Element.identity(x.degree)]
     while not (powers[-1] * x).is_identity():
         powers.append(powers[-1] * x)
     return powers
@@ -466,7 +502,7 @@ class TestAgainstMatrixClosure:
     @settings(max_examples=40, deadline=None)
     @given(wreath_generator_pairs())
     def test_monomial_and_dense_match_matrix_bfs(self, gens):
-        check_against_oracle(gens, lambda xs: [x.to_dense() for x in xs], limit=400)
+        check_against_oracle(gens, lambda xs: [Dense(x.rows) for x in xs], limit=400)
 
     # the conjugated points are generic vectors, each one exact products
     # away, and their orbits reach n·|G| points: a lower limit keeps it quick

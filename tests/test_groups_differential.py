@@ -12,8 +12,8 @@ monomial generators and from their dense conjugates (a point set of n·|G|
 vectors), the three paper fixtures, AGL(1,31) and an abelian group.  The
 monomial point sets are compared on the subgroups and on their conjugates
 by diag(2, 1, ..., 1), whose scalars are not roots of unity, the dense
-ones on the dense conjugates, and both on the infinite group of
-diag(2, 1).
+ones on the dense conjugates, and each on an infinite group: the monomial
+one on that of diag(2, 1), the dense one on that of [[2, 1], [0, 1]].
 """
 
 import pytest
@@ -122,12 +122,13 @@ def test_infinite_group_stops_where_the_product_orbit_does():
 
 
 def test_infinite_dense_group_stops_where_the_vector_orbit_does():
-    check_stops_with_oracle([Dense([[2, 0], [0, 1]])], oracle.dense_points)
+    check_stops_with_oracle([Dense([[2, 1], [0, 1]])], oracle.dense_points)
 
 
 def test_dense_closure_compares_no_values(monkeypatch):
     # the powers of 2 collide in hash every 61 steps; interned entries are
-    # compared as tuples of ints, never through Cyclotomic.__eq__
+    # compared as tuples of ints, never through Cyclotomic.__eq__.  The
+    # matrix is not monomial, so its points are vectors
     calls = []
     real = Cyclotomic.__eq__
 
@@ -137,7 +138,7 @@ def test_dense_closure_compares_no_values(monkeypatch):
 
     monkeypatch.setattr(Cyclotomic, "__eq__", counting)
     with pytest.raises(GroupTooLargeError):
-        close([Dense([[2, 0], [0, 1]])], limit=200)
+        close([Dense([[2, 1], [0, 1]])], limit=200)
     assert calls == []
 
 

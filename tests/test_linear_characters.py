@@ -25,7 +25,7 @@ from torusquot import chartab, groups
 from torusquot.chartab import character_table
 from torusquot.cyclo import Cyclotomic
 from torusquot.errors import GroupTooLargeError
-from torusquot.groups import Monomial, close
+from torusquot.groups import Element, Monomial, close
 
 
 def _cyclic():
@@ -42,7 +42,7 @@ def _abelian():
 def _repeated_and_identity(s4_group):
     # the s4 fixture's generators with the first repeated and the identity added
     a, b = (s4_group.element(i) for i in s4_group.generator_indices)
-    return close([a, Monomial.identity(3), b, a])
+    return close([a, Element.identity(3), b, a])
 
 
 def _affine():

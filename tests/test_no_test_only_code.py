@@ -25,8 +25,8 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 
 ALLOWED = {
-    # the element API of the exported Monomial and Dense classes, next to
-    # their identity() constructors
+    # the element API of the exported Element class, next to its
+    # identity() constructor
     "is_identity",
 }
 

@@ -23,10 +23,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclo_oracle as oracle
-from helpers import conjugated_elements, wreath_generator_pairs
+from helpers import (
+    block_diag,
+    conj_matrix,
+    conjugated_elements,
+    perm_and_scalars,
+    wreath_generator_pairs,
+)
 from torusq_oracle import preserves_form_all_entries
 
-from torusquot import linalg
 from torusquot.chartab import character_table
 from torusquot.cyclo import Cyclotomic, rref
 from torusquot.errors import InvalidInputError
@@ -190,41 +195,35 @@ def test_image_off_the_form_support_is_not_preserved():
 # -- pair blocks
 
 
-def assert_same_monomial(built, checked):
-    assert (built.perm, built.scalars) == (checked.perm, checked.scalars)
-    assert type(built.perm) is tuple and type(built.scalars) is tuple
-
-
-def assert_same_dense(built, checked):
-    assert built.rows == checked.rows
-    assert type(built.rows) is tuple and all(type(row) is tuple for row in built.rows)
+def assert_same_columns(built, checked):
+    assert built.columns == checked.columns
+    assert type(built.columns) is tuple and all(type(c) is tuple for c in built.columns)
 
 
 @settings(max_examples=100, deadline=None)
 @given(wreath_generator_pairs())
 def test_monomial_pair_blocks_match_validated_constructor(pair):
-    x, y = pair
-    d = x.degree
-    assert_same_monomial(x.conjugate(),
-                         Monomial(x.perm, [s.conjugate() for s in x.scalars]))
-    assert_same_monomial(x.block_sum(y),
-                         Monomial(x.perm + tuple(p + d for p in y.perm), x.scalars + y.scalars))
+    (x_perm, x_scalars), (y_perm, y_scalars) = map(perm_and_scalars, pair)
+    d = pair[0].degree
+    assert_same_columns(pair[0].conjugate(),
+                        Monomial(x_perm, [s.conjugate() for s in x_scalars]))
+    assert_same_columns(pair[0].block_sum(pair[1]),
+                        Monomial(x_perm + tuple(p + d for p in y_perm), x_scalars + y_scalars))
 
 
 @settings(max_examples=60, deadline=None)
 @given(wreath_generator_pairs())
 def test_dense_pair_blocks_match_validated_constructor(pair):
     x, y = conjugated_elements(pair)
-    assert isinstance(x, Dense)
-    assert_same_dense(x.conjugate(), Dense(linalg.conj_matrix(x.rows)))
-    assert_same_dense(x.block_sum(y), Dense(linalg.block_diag(x.rows, y.rows)))
+    assert_same_columns(x.conjugate(), Dense(conj_matrix(x.rows)))
+    assert_same_columns(x.block_sum(y), Dense(block_diag(x.rows, y.rows)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(wreath_generator_pairs())
 def test_entries_are_the_nonzero_dense_entries(pair):
     for m in (*pair, *conjugated_elements(pair)):
-        nonzero = {(i, j, x) for i, row in enumerate(m.to_dense().rows)
+        nonzero = {(i, j, x) for i, row in enumerate(m.rows)
                    for j, x in enumerate(row) if x}
         entries = list(m.entries())
         assert set(entries) == nonzero and len(entries) == len(nonzero)

@@ -35,7 +35,7 @@ from torusquot.cyclo import Cyclotomic
 from torusquot.errors import GroupTooLargeError, TableComputationError
 from torusquot.fixtures import FIXTURES
 from torusquot.groupfile import parse_group_text
-from torusquot.groups import FiniteGroup, Monomial, close
+from torusquot.groups import Element, FiniteGroup, close
 
 
 def _recording(mp, name):
@@ -145,7 +145,7 @@ def test_corpus_and_paper_groups(name, request):
 
 def test_trivial_group():
     # one class: character_table answers without a split or a prime
-    check_table_steps(close([Monomial.identity(1)]))
+    check_table_steps(close([Element.identity(1)]))
 
 
 @pytest.fixture(scope="module")

@@ -20,11 +20,10 @@ group and a conjugate pair's as chi + conj(chi).
 
 from __future__ import annotations
 
-from helpers import lift_coeffs
+from helpers import lift_coeffs, mat_mul, perm_and_scalars
 from torusquot.cyclo import one, rref, zero
 from torusquot.errors import InvalidInputError
-from torusquot.groups import Monomial
-from torusquot.linalg import identity_matrix, mat_mul, transpose
+from torusquot.linalg import identity_matrix, transpose
 from torusquot.torusq import AnalyticRep, LatticeSpec, SymplecticForm
 
 
@@ -49,7 +48,7 @@ def group_average_form(rep: AnalyticRep) -> SymplecticForm | None:
     """Group-average antisymmetric coordinate seeds; first nonzero average,
     rescaled so its first nonzero entry is 1."""
     n = rep.degree
-    mono = all(isinstance(m, Monomial) for m in rep.matrices)
+    mono = all(m.is_monomial() for m in rep.matrices)
     if mono:
         support = [m.row_entries() for m in rep.matrices]
     for a in range(n):
@@ -85,8 +84,8 @@ def preserves_form_all_entries(rep: AnalyticRep, form: SymplecticForm) -> bool:
     """M^T * Omega * M == Omega for every generator M, entry by entry."""
     omega = form.matrix
     for m in rep.generator_images():
-        if isinstance(m, Monomial):
-            columns = tuple(zip(m.perm, m.scalars))
+        if m.is_monomial():
+            columns = tuple(zip(*perm_and_scalars(m)))
             for j, (pj, sj) in enumerate(columns):
                 for k, (pk, sk) in enumerate(columns):
                     lhs = omega[pj][pk]
@@ -151,11 +150,17 @@ def bareiss_det(a):
     return -d if sign < 0 else d
 
 
+def eigenvalue_one_by_det(m) -> bool:
+    """Exact: det(M - I) = 0 for the matrix of any element."""
+    return bareiss_det(mat_sub(m.rows, identity_matrix(m.degree))).is_zero()
+
+
 def has_eigenvalue_one(m) -> bool:
     """Exact: a monomial matrix has eigenvalue 1 when some permutation cycle
-    has scalar product 1; a dense one when det(M - I) = 0."""
-    if not isinstance(m, Monomial):
-        return bareiss_det(mat_sub(m.rows, identity_matrix(m.degree))).is_zero()
+    has scalar product 1; another one when det(M - I) = 0."""
+    if not m.is_monomial():
+        return eigenvalue_one_by_det(m)
+    perm, scalars = perm_and_scalars(m)
     seen = [False] * m.degree
     for start in range(m.degree):
         if seen[start]:
@@ -164,8 +169,8 @@ def has_eigenvalue_one(m) -> bool:
         j = start
         while not seen[j]:
             seen[j] = True
-            prod = prod * m.scalars[j]
-            j = m.perm[j]
+            prod = prod * scalars[j]
+            j = perm[j]
         if prod == 1:
             return True
     return False
