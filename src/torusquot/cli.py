@@ -139,15 +139,14 @@ def _show(value) -> str:
 
 
 def cmd_search(args) -> int:
-    for flag, value in (("--max-order", args.max_order), ("--limit", args.limit)):
-        if value is not None and value < 1:
-            return _fail(f"{flag} must be at least 1, got {value}", 2)
+    limit = args.max_order
+    if limit < 1:
+        return _fail(f"--max-order must be at least 1, got {limit}", 2)
     catalog = Path(args.catalog)
     if not catalog.is_dir():
         return _fail(f"catalog {args.catalog!r} is not a directory", 2)
     files = sorted(catalog.glob("*.group"))
     # a closure limit of max_order raises past it, so no larger group is reported
-    limit = args.limit if args.max_order is None else args.max_order
     processed = 0
     for path in files:
         try:
@@ -215,9 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("search", help="scan a catalog directory of group files")
     ps.add_argument("--catalog", required=True, help="directory with *.group files")
-    ps.add_argument("--max-order", type=int, default=None,
+    ps.add_argument("--max-order", type=int, default=DEFAULT_CLOSURE_LIMIT,
                     help="skip groups larger than this order")
-    ps.add_argument("--limit", type=int, default=DEFAULT_CLOSURE_LIMIT)
     ps.set_defaults(func=cmd_search)
 
     return parser

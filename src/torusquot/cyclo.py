@@ -198,6 +198,26 @@ def rref(a) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
+def kernel_basis(a) -> tuple[tuple[Cyclotomic, ...], ...]:
+    """Basis of the right kernel of a matrix of Cyclotomic rows, one vector
+    per free column; only the nonzero entries of the reduced form are
+    negated into it."""
+    red, pivots = rref(a)
+    ncols = len(a[0])
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [zero()] * ncols
+        v[free] = one()
+        for r, pc in enumerate(pivots):
+            if red[r][free]:
+                v[pc] = -red[r][free]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
 # ---------------------------------------------------------------------------
 # canonicalization, on integer numerators
 

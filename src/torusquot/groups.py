@@ -3,9 +3,10 @@
 An :class:`Element` holds a square matrix as its columns, each the tuple of
 its nonzero entries (row, value) in row order.  The encoding is canonical,
 so equal matrices compare and hash equal.  A scaled permutation matrix has
-one entry per column and costs O(degree) to multiply, invert and trace;
-other modules read any element's nonzero entries as (row, column, value)
-from ``entries()``.  :func:`Monomial` and :func:`Dense` are the two
+one entry per column and costs O(degree) to multiply and trace.  Products,
+transposes and matrix-vector products all run on the columns; other modules
+read any element's nonzero entries as (row, column, value) from
+``entries()``.  :func:`Monomial` and :func:`Dense` are the two
 validating constructors.
 
 A finite matrix group acts faithfully on the union of the orbits of the
@@ -61,7 +62,6 @@ from __future__ import annotations
 import math
 from operator import methodcaller, mul, sub
 
-from . import linalg
 from .cyclo import Cyclotomic, add_all, is_prime, one, rref, zero
 from .errors import GroupTooLargeError, InvalidInputError
 
@@ -115,14 +115,37 @@ class Element:
             scalars[i] = x
         return cols, scalars
 
+    def transpose(self) -> "Element":
+        """The transpose, whose column i is row i of this matrix."""
+        rows = [[] for _ in self.columns]
+        for j, column in enumerate(self.columns):
+            for i, x in column:
+                rows[i].append((j, x))
+        return Element(tuple(map(tuple, rows)))
+
+    def apply(self, v) -> tuple:
+        """The product M·v with a vector given as a tuple, zeros included:
+        the sum of v[j]·(column j) over the nonzero v[j]."""
+        terms = [[] for _ in self.columns]
+        for y, column in zip(v, self.columns):
+            if y:
+                for i, x in column:
+                    terms[i].append(x * y)
+        return tuple(map(add_all, terms))
+
     def __mul__(self, other):
         """Column j of a·b sums b[k][j]·(column k of a) over the nonzero
-        b[k][j], one ``add_all`` per entry."""
+        b[k][j], one ``add_all`` per entry; a column of b with one entry
+        (k, y) gives y·(column k of a)."""
         if not isinstance(other, Element):
             return NotImplemented
         a = self.columns
         out = []
         for column in other.columns:
+            if len(column) == 1:
+                ((k, y),) = column
+                out.append(tuple((i, x * y) for i, x in a[k]))
+                continue
             terms = {}
             for k, y in column:
                 for i, x in a[k]:
@@ -130,11 +153,6 @@ class Element:
             sums = ((i, add_all(terms[i])) for i in sorted(terms))
             out.append(tuple((i, s) for i, s in sums if s))
         return Element(tuple(out))
-
-    def inverse(self) -> "Element":
-        if self.is_monomial():
-            return Element(tuple(((j, s.inverse()),) for j, s in zip(*self.row_entries())))
-        return Dense(linalg.mat_inverse(self.rows))
 
     def conjugate(self) -> "Element":
         return Element(tuple(tuple((i, x.conjugate()) for i, x in column)
@@ -187,7 +205,7 @@ def Monomial(perm, scalars) -> Element:
 
 def Dense(rows) -> Element:
     """The square matrix with the given rows of cyclotomic entries, checked."""
-    rows = linalg.as_matrix(rows)
+    rows = tuple(tuple(Cyclotomic.from_value(v) for v in row) for row in rows)
     if any(len(r) != len(rows) for r in rows):
         raise InvalidInputError("dense element must be square")
     return Element(tuple(tuple((i, x) for i, x in enumerate(column) if x)
@@ -284,13 +302,13 @@ def _dense_points(gens, degree: int, limit: int):
     to those of g·v.  The points come back as sparse columns, in BFS order."""
     values, intern = _interner()
 
-    def step(rows):
+    def step(g):
         def act(point):
-            return tuple(map(intern, linalg.mat_vec(rows, tuple(map(values.__getitem__, point)))))
+            return tuple(map(intern, g.apply(tuple(map(values.__getitem__, point)))))
         return act
 
-    start = [tuple(map(intern, e)) for e in linalg.identity_matrix(degree)]
-    items, _, gen_perms, _ = _orbit(start, [step(g.rows) for g in gens], limit * degree, limit)
+    start = [tuple(map(intern, e)) for e in Element.identity(degree).rows]
+    items, _, gen_perms, _ = _orbit(start, [step(g) for g in gens], limit * degree, limit)
     columns = [tuple((i, values[k]) for i, k in enumerate(point) if values[k]) for point in items]
     return columns, gen_perms
 
@@ -357,7 +375,6 @@ class FiniteGroup:
         self.generator_indices = generator_indices
         self.right_table = right_table
         self.parents, self.letters = tree
-        self._elements = None
         self._inv = {}
         self._powers = {}
         self._classes = None
@@ -392,13 +409,6 @@ class FiniteGroup:
         """The matrix of element i: column j is the point that it sends e_j to,
         which is base image j of its inverse."""
         return Element(tuple(map(self._points.__getitem__, self._keys[self.inv(i)])))
-
-    @property
-    def elements(self) -> tuple:
-        """Every element's matrix in BFS order, built on first use."""
-        if self._elements is None:
-            self._elements = tuple(self.element(i) for i in range(self.order))
-        return self._elements
 
     def word(self, i: int) -> tuple[int, ...]:
         """Generator word that reaches element i from the identity, read up the

@@ -21,11 +21,10 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-from . import linalg
 from .chartab import Character, CharacterTable, decompose, trivial_character
-from .cyclo import Cyclotomic, add_all, format_entry, one, prime_factors, rref, zero
+from .cyclo import Cyclotomic, add_all, format_entry, kernel_basis, one, prime_factors, rref, zero
 from .errors import InvalidInputError, NotAHomomorphismError, TorusQuotError
-from .groups import Element, FiniteGroup
+from .groups import Dense, Element, FiniteGroup
 
 
 class AnalyticRep:
@@ -146,73 +145,70 @@ def conjugate_pair_rep(rep: AnalyticRep) -> AnalyticRep:
 
 
 class SymplecticForm:
-    """An antisymmetric bilinear form in coordinates.  ``support[i]`` lists
-    row i's nonzero entries as (column, value) pairs; antisymmetry is
-    checked at each of them, which covers every pair with a nonzero entry."""
+    """An antisymmetric bilinear form in coordinates, held as ``element``,
+    the element whose columns are those of the form's matrix Omega."""
 
-    def __init__(self, matrix):
-        matrix = linalg.as_matrix(matrix)
-        n = len(matrix)
-        if any(len(row) != n for row in matrix):
+    def __init__(self, rows):
+        rows = tuple(map(tuple, rows))
+        if any(len(row) != len(rows) for row in rows):
             raise InvalidInputError("form matrix must be square")
-        self._set(matrix, tuple(tuple((j, w) for j, w in enumerate(row) if w) for row in matrix))
-
-    def _set(self, matrix, support):
-        if any(matrix[j][i] != -w for i, row in enumerate(support) for j, w in row):
+        element = Dense(rows)
+        negated = tuple(tuple((i, -w) for i, w in column) for column in element.columns)
+        if element.transpose().columns != negated:
             raise InvalidInputError("form matrix must be antisymmetric")
-        self.matrix = matrix
-        self.support = support
-        self._nondegenerate = None
+        self.element = element
+
+    @staticmethod
+    def _from_upper(degree: int, upper) -> "SymplecticForm":
+        """The form with the nonzero entries {(i, j): c} above the diagonal,
+        c at (i, j) and -c at (j, i).  Taken in sorted order, the pairs put
+        each column's entries in row order: those above the diagonal come
+        from earlier first coordinates."""
+        columns = [[] for _ in range(degree)]
+        for (i, j), c in sorted(upper.items()):
+            columns[j].append((i, c))
+            columns[i].append((j, -c))
+        form = object.__new__(SymplecticForm)
+        form.element = Element(tuple(map(tuple, columns)))
+        return form
 
     @staticmethod
     def wedge_pairs(degree: int, pairs) -> "SymplecticForm":
-        """Sum of coordinate wedges dz_a ^ dz_b over 0-based index pairs.
-        The entries are counted in integers per row, and the matrix and the
-        support are built from the nonzero counts alone."""
-        counts = [{} for _ in range(degree)]
+        """Sum of coordinate wedges dz_a ^ dz_b over 0-based index pairs,
+        counted in integers above the diagonal."""
+        counts = {}
         for a, b in pairs:
             if not (0 <= a < degree and 0 <= b < degree) or a == b:
                 raise InvalidInputError(f"bad wedge pair ({a}, {b}) for degree {degree}")
-            counts[a][b] = counts[a].get(b, 0) + 1
-            counts[b][a] = counts[b].get(a, 0) - 1
-        support = tuple(tuple((j, Cyclotomic.from_value(c)) for j, c in sorted(row.items()) if c)
-                        for row in counts)
-        matrix = []
-        for row in support:
-            entries = [zero()] * degree
-            for j, w in row:
-                entries[j] = w
-            matrix.append(tuple(entries))
-        form = object.__new__(SymplecticForm)
-        form._set(tuple(matrix), support)
-        return form
+            key, sign = ((a, b), 1) if a < b else ((b, a), -1)
+            counts[key] = counts.get(key, 0) + sign
+        return SymplecticForm._from_upper(
+            degree, {key: Cyclotomic.from_value(c) for key, c in counts.items() if c})
 
     @property
     def degree(self) -> int:
-        return len(self.matrix)
+        return self.element.degree
 
-    def is_zero(self) -> bool:
-        return not any(self.support)
+    @property
+    def matrix(self) -> tuple:
+        """Omega as row-major tuples, zeros included."""
+        return self.element.rows
 
     def is_nondegenerate(self) -> bool:
-        """Full rank.  One entry per row (every wedge form) means a
-        monomial matrix, of full rank: the entry of row i at column j has its
-        negative as the one entry of row j, so the columns are distinct.  Any
-        other form is decided by the one exact row reduction."""
-        if self._nondegenerate is None:
-            self._nondegenerate = (all(len(row) == 1 for row in self.support)
-                                   or len(rref(self.matrix)[1]) == self.degree)
-        return self._nondegenerate
+        """Full rank.  A monomial Omega (every wedge form) has full rank;
+        any other form is decided by the one exact row reduction."""
+        return self.element.is_monomial() or len(rref(self.matrix)[1]) == self.degree
 
     def evaluate(self, u, v) -> Cyclotomic:
-        """u^T * Omega * v, over the nonzero entries of each form row."""
-        return add_all([ui * w * v[j]
-                        for ui, row in zip(u, self.support) if ui
-                        for j, w in row if v[j]])
+        """u^T * Omega * v: v[j]·u[i]·Omega[i][j] over the nonzero entries
+        (i, Omega[i][j]) of each column j with v[j] nonzero."""
+        return add_all([u[i] * w * y
+                        for y, column in zip(v, self.element.columns) if y
+                        for i, w in column if u[i]])
 
     def __eq__(self, other):
         if isinstance(other, SymplecticForm):
-            return self.matrix == other.matrix
+            return self.element == other.element
         return NotImplemented
 
     def __repr__(self):
@@ -389,12 +385,16 @@ def _line_orbit(gens, a: int, b: int):
 def invariant_form(rep: AnalyticRep) -> SymplecticForm | None:
     """Group-average antisymmetric coordinate seeds; first nonzero average,
     rescaled so its first nonzero entry is 1.  None when every seed dies,
-    which happens exactly when there is no invariant 2-form.
+    which happens exactly when there is no invariant 2-form.  An average is
+    kept as its nonzero entries {(i, j): c} above the diagonal; the form is
+    antisymmetric, so the first nonzero entry in row order is the one at
+    the least (i, j).
 
     On monomial generators the average of a seed is read off its line orbit
     (:func:`_line_orbit`).  A line reached from a dead seed lies in its
     orbit, so its own average is 0 too, and it is skipped.  Otherwise the
-    average is summed over the nonzero entries of rows a and b."""
+    average sums the wedges of rows a and b of every matrix, the columns a
+    and b of its transpose."""
     n = rep.degree
     gens = rep.generator_images()
     mono = all(m.is_monomial() for m in gens)
@@ -402,69 +402,41 @@ def invariant_form(rep: AnalyticRep) -> SymplecticForm | None:
         gens = [m.row_entries() for m in gens]
         dead = set()
     else:
-        matrices = [_sparse_rows(m) for m in rep.matrices]
+        matrices = [m.transpose().columns for m in rep.matrices]
     for a in range(n):
         for b in range(a + 1, n):
             if mono and (a, b) in dead:
                 continue
-            acc = [[zero()] * n for _ in range(n)]
             if mono:
-                orbit, alive = _line_orbit(gens, a, b)
+                upper, alive = _line_orbit(gens, a, b)
                 if not alive:
-                    dead.update(orbit)
+                    dead.update(upper)
                     continue
-                for (i, j), c in orbit.items():
-                    acc[i][j] = c
-                    acc[j][i] = -c
             else:
+                terms = {}
                 for rows in matrices:
                     for i, x in rows[a]:
                         for j, y in rows[b]:
-                            v = x * y
-                            acc[i][j] = acc[i][j] + v
-                            acc[j][i] = acc[j][i] - v
-            first = next((x for row in acc for x in row if x), None)
-            if first is not None:
-                scale = first.inverse()
-                return SymplecticForm([[scale * x if x else x for x in row] for row in acc])
+                            if i < j:
+                                terms.setdefault((i, j), []).append(x * y)
+                            elif i > j:
+                                terms.setdefault((j, i), []).append(-(x * y))
+                sums = ((key, add_all(values)) for key, values in terms.items())
+                upper = {key: c for key, c in sums if c}
+            if upper:
+                scale = upper[min(upper)].inverse()
+                return SymplecticForm._from_upper(
+                    n, {key: scale * c for key, c in upper.items()})
     return None
-
-
-def _sparse_rows(m) -> list[list]:
-    """Row i of m as the list of its nonzero entries (column, value)."""
-    rows = [[] for _ in range(m.degree)]
-    for i, j, x in m.entries():
-        rows[i].append((j, x))
-    return rows
 
 
 def preserves_form(rep: AnalyticRep, form: SymplecticForm) -> bool:
     """Exact congruence check M^T * Omega * M = Omega on generators; the
-    homomorphism property extends it to the whole group.
-
-    Row a of Omega * M sums Omega[a][b] * (row b of M) over the nonzero
-    Omega[a][b], and row j of M^T * Omega * M sums M[a][j] * (row a of
-    Omega * M) over the nonzero M[a][j]; the nonzero entries of that image
-    must be the form's support with its values."""
+    homomorphism property extends it to the whole group."""
     if form.degree != rep.degree:
         raise InvalidInputError("form degree does not match the representation")
-    target = {(j, k): w for j, row in enumerate(form.support) for k, w in row}
-    for m in rep.generator_images():
-        rows = _sparse_rows(m)
-        image = {}
-        for row_a, row in zip(rows, form.support):
-            product = {}  # row a of Omega * M
-            for b, w in row:
-                for k, y in rows[b]:
-                    old = product.get(k)
-                    product[k] = w * y if old is None else old + w * y
-            for j, x in row_a:
-                for k, v in product.items():
-                    old = image.get((j, k))
-                    image[j, k] = x * v if old is None else old + x * v
-        if {key: v for key, v in image.items() if v} != target:
-            return False
-    return True
+    omega = form.element
+    return all(m.transpose() * (omega * m) == omega for m in rep.generator_images())
 
 
 def preserves_lattice(rep: AnalyticRep, lattice: LatticeSpec) -> bool:
@@ -569,23 +541,6 @@ def _complex_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ..
     return tuple(halves)
 
 
-def _basis_is_lagrangian(basis, form: SymplecticForm) -> bool:
-    """The form vanishes on every pair u, v of basis vectors.  Antisymmetry
-    gives w(u, u) = 0 and w(v, u) = -w(u, v), so only the pairs u before v
-    are evaluated, each as the functional u^T * Omega applied to v; the
-    nonzero entries of each form row are read once."""
-    for a, u in enumerate(basis[:-1]):
-        functional = {}
-        for ui, row in zip(u, form.support):
-            if ui:
-                for j, w in row:
-                    functional[j] = functional.get(j, zero()) + ui * w
-        for v in basis[a + 1:]:
-            if add_all([f * v[j] for j, f in functional.items() if v[j]]):
-                return False
-    return True
-
-
 def _spin(gens, v, half: int):
     """(pivots, RREF basis) of the span of v under gens; None once that span
     passes half.  Each new image is reduced against the pivots found so far."""
@@ -605,7 +560,7 @@ def _spin(gens, v, half: int):
         inv = w[p].inverse()
         w = tuple(inv * a for a in w)
         echelon.append((p, w))
-        todo.extend(linalg.mat_vec(g, w) for g in gens)
+        todo.extend(g.apply(w) for g in gens)
     red, pivots = rref([row for _, row in echelon])
     return pivots, red
 
@@ -625,22 +580,24 @@ def _spin_halves(rep: AnalyticRep):
     (:func:`_block_halves`).
     """
     group, n = rep.group, rep.degree
-    basis = linalg.identity_matrix(n)  # of K, as rows
+    basis = Element.identity(n).rows  # of K, as rows
     for x in range(1, group.order):
         if len(basis) <= 2:
             break
-        rows = rep.matrix(x).rows
-        images = [linalg.mat_vec(rows, v) for v in basis]
+        m = rep.matrix(x)
+        images = [m.apply(v) for v in basis]
         o = group.element_order(x)
         for lam in sorted((Cyclotomic.zeta(o, j) for j in range(o)), key=lambda z: z.conductor):
-            shifted = linalg.transpose(
-                [tuple(y - lam * c for y, c in zip(img, v)) for img, v in zip(images, basis)])
-            kernel = linalg.kernel_basis(shifted)
+            shifted = tuple(zip(
+                *[tuple(y - lam * c for y, c in zip(img, v)) for img, v in zip(images, basis)]))
+            kernel = kernel_basis(shifted)
             if 0 < len(kernel) < len(basis):
-                columns = linalg.transpose(basis)
-                basis = [linalg.mat_vec(columns, k) for k in kernel]
+                # column r of `spanning` is basis row r, so spanning·k combines the rows
+                spanning = Element(tuple(tuple((i, c) for i, c in enumerate(v) if c)
+                                         for v in basis) + ((),) * (n - len(basis)))
+                basis = [spanning.apply(k) for k in kernel]
                 break
-    gens = [m.rows for m in rep.generator_images()]
+    gens = rep.generator_images()
     halves = []
     for v in basis:
         span = _spin(gens, v, n // 2)
@@ -704,7 +661,7 @@ def _block_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...]
             first, second = second, first
         elif trace != chi.values[k]:
             raise TorusQuotError("a coordinate block is neither constituent of the pair")
-    unit = linalg.identity_matrix(n)
+    unit = Element.identity(n).rows
     return tuple(unit[i] for i in first), tuple(unit[i] for i in second)
 
 
@@ -729,8 +686,9 @@ def lagrangian_fibration_data(rep: AnalyticRep, form: SymplecticForm,
             halves = _complex_halves(rep, table, mult)
         else:  # real or trivial: character theory sees one constituent twice
             halves = _spin_halves(rep)
-    for v in halves:
-        if not _basis_is_lagrangian(v, form):
+    # antisymmetry gives w(u, u) = 0 and w(v, u) = -w(u, v): the pairs u before v suffice
+    for basis in halves:
+        if any(form.evaluate(u, v) for a, u in enumerate(basis) for v in basis[a + 1:]):
             raise TorusQuotError("extracted invariant subspace is not Lagrangian")
     return halves
 

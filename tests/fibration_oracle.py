@@ -22,10 +22,10 @@ from fractions import Fraction
 
 from helpers import mat_mul, perm_and_scalars
 
-from torusquot import linalg
 from torusquot.chartab import CharacterTable, decompose
-from torusquot.cyclo import Cyclotomic, divisors, rref, zero
+from torusquot.cyclo import Cyclotomic, divisors, kernel_basis, rref, zero
 from torusquot.errors import TorusQuotError
+from torusquot.groups import Element
 from torusquot.torusq import AnalyticRep
 
 
@@ -33,11 +33,11 @@ def min_poly(t, cap: int = 8):
     """Monic minimal polynomial of a square cyclotomic matrix, as a
     coefficient tuple (index = degree); None if the degree exceeds cap."""
     n = len(t)
-    powers = [linalg.identity_matrix(n)]
+    powers = [Element.identity(n).rows]
     for _ in range(cap):
         powers.append(mat_mul(powers[-1], t))
         cols = [[p[i][j] for p in powers] for i in range(n) for j in range(n)]
-        dep = linalg.kernel_basis(linalg.as_matrix(cols))
+        dep = kernel_basis(cols)
         if dep:
             coeffs = dep[0]
             lead = coeffs[-1]
@@ -111,7 +111,7 @@ def commutant_split(rep: AnalyticRep, half: int):
                             for s in range(n):
                                 if rowb[s]:
                                     acc[r][s] = acc[r][s] + cola[r] * rowb[s]
-            t = linalg.as_matrix(acc)
+            t = tuple(map(tuple, acc))
             poly = min_poly(t)
             if poly is None or len(poly) <= 2:
                 continue  # scalar or out of reach
@@ -133,7 +133,7 @@ def eigenspace(t, lam: Fraction):
     shifted = tuple(
         tuple(t[i][j] - c if i == j else t[i][j] for j in range(n))
         for i in range(n))
-    return tuple(tuple(v) for v in linalg.kernel_basis(shifted))
+    return tuple(tuple(v) for v in kernel_basis(shifted))
 
 
 def isotypic_projections(rep: AnalyticRep, table: CharacterTable):
@@ -156,7 +156,7 @@ def isotypic_projections(rep: AnalyticRep, table: CharacterTable):
                 continue
             for r, s, x in rep.matrix(gi).entries():
                 acc[r][s] = acc[r][s] + c * x
-        out.append((irr, linalg.as_matrix(acc)))
+        out.append((irr, tuple(map(tuple, acc))))
     return out
 
 
@@ -175,7 +175,7 @@ def kernel_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...]
     for w in (omega, omega.conjugate()):
         shifted = [[x - w if i == j else x for j, x in enumerate(row)]
                    for i, row in enumerate(acc)]
-        kernel = linalg.kernel_basis(shifted)
+        kernel = kernel_basis(shifted)
         if len(kernel) != n // 2:
             raise TorusQuotError("class sum eigenspaces do not split into halves")
         halves.append(rref(kernel)[0])

@@ -19,11 +19,11 @@ diagonal off the points.  The differential tests compare `groups` and
 
 from __future__ import annotations
 
-from helpers import perm_and_scalars
+from helpers import mat_vec, perm_and_scalars
 
 from torusquot.cyclo import one, zero
 from torusquot.errors import GroupTooLargeError, InvalidInputError, TableComputationError
-from torusquot.linalg import identity_matrix, mat_vec
+from torusquot.groups import Element
 
 
 def monomial_points(gens, limit: int):
@@ -55,7 +55,7 @@ def dense_points(gens, limit: int):
     point as the sparse column of its nonzero entries (coordinate, value).
     Raises GroupTooLargeError(limit) past ``limit * degree`` points."""
     degree = gens[0].degree
-    points = list(identity_matrix(degree))
+    points = list(Element.identity(degree).rows)
     index = {x: i for i, x in enumerate(points)}
     perms = [[] for _ in gens]
     for v in points:  # the loop reaches the points appended while it runs

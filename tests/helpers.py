@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from torusquot import modp
 from torusquot.chartab import Character
-from torusquot.cyclo import Cyclotomic, one, rref, zero
+from torusquot.cyclo import Cyclotomic, add_all, one, rref, zero
 from torusquot.errors import InvalidInputError
-from torusquot.groups import Dense, FiniteGroup, Monomial
-from torusquot.linalg import mat_inverse, mat_vec, transpose as transpose_rows
+from torusquot.groups import Dense, Element, FiniteGroup, Monomial
 from torusquot.torusq import AnalyticRep
 
 
@@ -134,13 +133,6 @@ def order_histogram(group: FiniteGroup) -> dict[int, int]:
     return hist
 
 
-def transpose(m):
-    """The transpose of an element: a monomial one from its row view."""
-    if m.is_monomial():
-        return Monomial(*m.row_entries())
-    return Dense(transpose_rows(m.rows))
-
-
 def perm_and_scalars(m):
     """A monomial element's column j as (perm[j], scalars[j]), the pair of
     tuples that a Monomial(perm, scalars) call takes."""
@@ -149,6 +141,32 @@ def perm_and_scalars(m):
 
 # -- dense row-major matrix helpers, the references for the element
 # product, conjugate and block sum
+
+
+def mat_vec(a, v) -> tuple:
+    """The product a·v of a matrix and a column vector given as a tuple."""
+    return tuple(add_all([x * y for x, y in zip(row, v) if x and y]) for row in a)
+
+
+def mat_inverse(a):
+    n = len(a)
+    unit = Element.identity(n).rows
+    red, pivots = rref(tuple(tuple(a[i]) + unit[i] for i in range(n)))
+    if pivots[:n] != tuple(range(n)):
+        raise InvalidInputError("matrix is singular")
+    return tuple(row[n:] for row in red[:n])
+
+
+def inverse(x):
+    """The inverse of an element: a monomial one from its row view."""
+    if x.is_monomial():
+        return Element(tuple(((j, s.inverse()),) for j, s in zip(*x.row_entries())))
+    return Dense(mat_inverse(x.rows))
+
+
+def group_elements(group: FiniteGroup) -> tuple:
+    """Every element's matrix, in BFS order."""
+    return tuple(group.element(i) for i in range(group.order))
 
 
 def mat_mul(a, b):
@@ -201,7 +219,7 @@ def unimodular(n, ops):
 
 def conjugated(rep, p):
     """The representation P^-1 rho P, with nothing left of its block shape."""
-    pinv = p.inverse()
+    pinv = inverse(p)
     return AnalyticRep(rep.group, tuple(pinv * (m * p) for m in rep.matrices))
 
 

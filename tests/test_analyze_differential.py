@@ -58,7 +58,6 @@ from torusquot.groups import FiniteGroup, Monomial, close
 from torusquot.torusq import (
     AnalyticRep,
     SymplecticForm,
-    _basis_is_lagrangian,
     _block_halves,
     _complex_halves,
     analyze,
@@ -509,7 +508,10 @@ def forms_and_bases(draw):
 def test_lagrangian_check_matches_all_pairs(case):
     form, basis = case
     basis = [tuple(Cyclotomic.from_value(x) for x in v) for v in basis]
-    assert _basis_is_lagrangian(basis, form) == basis_is_lagrangian_all_pairs(basis, form)
+    # the check of lagrangian_fibration_data: the pairs u before v
+    pairs_before = not any(form.evaluate(u, v) for a, u in enumerate(basis)
+                           for v in basis[a + 1:])
+    assert pairs_before == basis_is_lagrangian_all_pairs(basis, form)
     for u in basis:
         for v in basis:
             assert form.evaluate(u, v) == evaluate_all_entries(form, u, v)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conjugated_elements, wreath_generator_pairs, wreath_generators
+from helpers import conjugated_elements, inverse, wreath_generator_pairs, wreath_generators
 
 from torusquot.chartab import character_table, decompose
 from torusquot.cyclo import Cyclotomic
@@ -42,7 +42,7 @@ def shuffled(rep, rng):
     order = list(range(n))
     rng.shuffle(order)
     q = Monomial(order, [1] * n)
-    q_inv = q.inverse()
+    q_inv = inverse(q)
     return AnalyticRep._built_by(rep.group, lambda i: q_inv * rep.matrix(i) * q)
 
 

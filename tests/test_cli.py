@@ -214,9 +214,8 @@ def test_search_max_order(tmp_path, capsys):
     assert "s4.group: order exceeds 10, skipped" in captured.err
 
 
-@pytest.mark.parametrize("flags", [["--max-order", "0"], ["--max-order", "-4"],
-                                   ["--limit", "0"], ["--limit", "-4"]],
-                         ids=["max-order-0", "max-order-negative", "limit-0", "limit-negative"])
+@pytest.mark.parametrize("flags", [["--max-order", "0"], ["--max-order", "-4"]],
+                         ids=["max-order-0", "max-order-negative"])
 def test_search_rejects_a_bound_below_1(tmp_path, capsys, flags):
     # rejected once, before any file is read: no report and one error line,
     # where 0 meant "no bound" and a negative bound one warning per file
@@ -226,6 +225,17 @@ def test_search_rejects_a_bound_below_1(tmp_path, capsys, flags):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {flags[0]} must be at least 1, got {flags[1]}\n"
+
+
+def test_search_has_no_limit_flag(tmp_path, capsys):
+    # --max-order is search's one closure bound; argparse refuses --limit
+    _write_catalog(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--catalog", str(tmp_path), "--limit", "5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --limit 5" in captured.err
 
 
 def test_search_empty_catalog_exit_2(tmp_path, capsys):

@@ -14,14 +14,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibration_oracle import commutant_split
-from helpers import conjugated, mat_rank, unimodular
+from helpers import conjugated, mat_rank, mat_vec, unimodular
 
-from torusquot import linalg
 from torusquot.chartab import character_table, decompose, frobenius_schur, inner_product
 from torusquot.cyclo import Cyclotomic
 from torusquot.errors import TorusQuotError
 from torusquot.groupfile import parse_group
-from torusquot.groups import Monomial, close
+from torusquot.groups import Element, Monomial, close
 from torusquot.torusq import (
     _block_halves,
     _spin_halves,
@@ -43,7 +42,7 @@ def check_halves(rep, halves):
     for basis in (v1, v2):
         assert len(basis) == n // 2
         for g in rep.generator_images():
-            images = [linalg.mat_vec(g.rows, v) for v in basis]
+            images = [mat_vec(g.rows, v) for v in basis]
             assert mat_rank(tuple(basis) + tuple(images)) == n // 2, "half is not invariant"
         assert all(form.evaluate(u, v).is_zero() for u in basis for v in basis)
     assert mat_rank(tuple(v1) + tuple(v2)) == n, "halves are not complementary"
@@ -66,7 +65,7 @@ def check_against_oracle(rep, table):
 
 
 def coordinate_blocks(n):
-    ident = linalg.identity_matrix(n)
+    ident = Element.identity(n).rows
     return ident[:n // 2], ident[n // 2:]
 
 

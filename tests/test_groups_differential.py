@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 
 import groups_oracle as oracle
-from helpers import affine_generators, conjugated_elements, wreath_generator_pairs
+from helpers import affine_generators, conjugated_elements, inverse, wreath_generator_pairs
 
 from torusquot.chartab import _class_matrix_rows
 from torusquot.cyclo import Cyclotomic
@@ -91,7 +91,7 @@ def scaled_by_two(gens):
     """Each generator conjugated by D = diag(2, 1, ..., 1), as D·g·D⁻¹."""
     n = gens[0].degree
     d = Monomial(range(n), (2,) + (1,) * (n - 1))
-    return [d * g * d.inverse() for g in gens]
+    return [d * g * inverse(d) for g in gens]
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,12 +5,16 @@ whose name is referenced nowhere else in the package, as a name or an
 attribute, and each method of a module-level class referenced nowhere else
 as an attribute (``.name``): a bare name of the same spelling is a local
 variable, not a use of the method.  An attribute ``m.f`` whose base ``m``
-is a name bound by importing a package module (``from . import linalg``)
+is a name bound by importing a package module (``from . import modp``)
 is a use of that module's function ``f`` and of no method.  The public
 API, the names in ``torusquot.__all__``, and the console scripts of
 ``pyproject.toml`` are used from outside, and dunder methods by the
 language.  Code that only the tests need belongs in ``tests/`` as a
 helper or an oracle.
+
+A method name that more than one class defines counts the uses of all of
+them, so the names that classes share must be the recorded set
+``SHARED_NAMES``, each with a package call site for every definition.
 """
 
 import ast
@@ -28,6 +32,27 @@ ALLOWED = {
     # the element API of the exported Element class, next to its
     # identity() constructor
     "is_identity",
+}
+
+# The method and property names that more than one package class defines.
+# A use of ``.name`` counts for every class that defines the name, so a
+# shared name could hide a method that only the tests call.  Each entry
+# names a package call site of each definition.  A name leaves the set
+# when all but one of its definitions go; a new one is added only with a
+# call site for each of its definitions.
+SHARED_NAMES = {
+    # Character: CharacterTable.conjugate_index; Cyclotomic: the traces of
+    # torusq.conjugate_pair_rep; Element: the matrices of conjugate_pair_rep
+    "conjugate",
+    # Character: chartab.CharacterTable.degrees; Element: torusq.assemble;
+    # FiniteGroup: FiniteGroup.__repr__; AnalyticRep: torusq.invariant_form;
+    # SymplecticForm: torusq.preserves_form
+    "degree",
+    # AnalyticRep: torusq._complex_halves; SymplecticForm:
+    # QuotientReport.to_dict and groupfile.serialize_group
+    "matrix",
+    # CharacterTable: cli.cmd_chartable; QuotientReport: cli.cmd_analyze
+    "to_dict",
 }
 
 
@@ -92,11 +117,44 @@ def unreferenced(trees, exported):
     return sorted(found)
 
 
+def shared_names(trees):
+    """The non-dunder method and property names that more than one class of
+    the trees, a dict from module name to tree, defines."""
+    owners = {}
+    for m, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for n in node.body:
+                    if isinstance(n, FUNCTIONS) and not n.name.startswith("__"):
+                        owners.setdefault(n.name, set()).add(f"{m}.{node.name}")
+    return {name for name, classes in owners.items() if len(classes) > 1}
+
+
 def test_no_test_only_code_in_the_package():
     assert {p.name for p in SOURCES} >= {"chartab.py", "modp.py", "cli.py"}
     exported = set(torusquot.__all__) | script_functions(PYPROJECT.read_text()) | ALLOWED
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     assert unreferenced(trees, exported) == []
+
+
+def test_shared_method_names_are_the_recorded_ones():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert shared_names(trees) == SHARED_NAMES
+
+
+def test_the_guard_sees_shared_names():
+    # a name two classes define, in one module or in two; a dunder and a
+    # module-level function are no method of a class
+    one = ast.parse("class A:\n    def elements(self):\n        return 1\n\n"
+                    "    def __len__(self):\n        return 0\n\n"
+                    "class B:\n    @property\n    def elements(self):\n        return 2\n\n"
+                    "    def __len__(self):\n        return 0\n\n"
+                    "def own(self):\n    return 3\n")
+    other = ast.parse("class C:\n    def own(self):\n        return 4\n\n"
+                      "    def degree(self):\n        return 5\n")
+    third = ast.parse("class D:\n    @property\n    def degree(self):\n        return 6\n")
+    assert shared_names({"one": one, "other": other}) == {"elements"}
+    assert shared_names({"one": one, "other": other, "third": third}) == {"elements", "degree"}
 
 
 def test_the_guard_sees_unreferenced_code():
@@ -121,11 +179,11 @@ def test_a_local_name_is_no_use_of_a_method():
 
 
 def test_a_module_attribute_is_no_use_of_a_method():
-    # linalg.transpose uses the function transpose of linalg, not a method
-    # of that name, nor a function of that name in another module
-    linalg = ast.parse("def transpose(m):\n    return m\n")
-    groups = ast.parse("from . import linalg as la\n\n"
-                       "class Dense:\n    def transpose(self):\n        return la.transpose(self)\n\n"
-                       "def transpose(m):\n    return m\n")
-    assert unreferenced({"linalg": linalg, "groups": groups}, set()) == ["transpose", "transpose"]
-    assert module_names(groups, {"linalg": linalg}) == {"la": "linalg"}
+    # cyclo.rref uses the function rref of cyclo, not a method of that
+    # name, nor a function of that name in another module
+    cyclo = ast.parse("def rref(m):\n    return m\n")
+    groups = ast.parse("from . import cyclo as cy\n\n"
+                       "class Dense:\n    def rref(self):\n        return cy.rref(self)\n\n"
+                       "def rref(m):\n    return m\n")
+    assert unreferenced({"cyclo": cyclo, "groups": groups}, set()) == ["rref", "rref"]
+    assert module_names(groups, {"cyclo": cyclo}) == {"cy": "cyclo"}

@@ -11,9 +11,11 @@ nonzero entries, against the earlier bodies that read every entry.
   against the validating constructors.
 - `entries()`, the nonzero-entry view that `torusq` reads, against the
   nonzero entries of the dense rows.
-- `SymplecticForm.wedge_pairs`, which builds the matrix and the support
-  from the pairs, against `SymplecticForm` of the dense rows, on pair
-  lists with repeated, reversed and cancelling pairs.
+- `apply()`, `transpose()` and the product, whose columns with one entry
+  take a shortcut, against the dense row helpers.
+- `SymplecticForm.wedge_pairs`, which builds the form's columns from the
+  pairs above the diagonal, against `SymplecticForm` of the dense rows, on
+  pair lists with repeated, reversed and cancelling pairs.
 """
 
 from fractions import Fraction
@@ -27,13 +29,15 @@ from helpers import (
     block_diag,
     conj_matrix,
     conjugated_elements,
+    mat_mul,
+    mat_vec,
     perm_and_scalars,
     wreath_generator_pairs,
 )
 from torusq_oracle import preserves_form_all_entries
 
 from torusquot.chartab import character_table
-from torusquot.cyclo import Cyclotomic, rref
+from torusquot.cyclo import Cyclotomic, rref, zero
 from torusquot.errors import InvalidInputError
 from torusquot.groups import Dense, Monomial, close
 from torusquot.torusq import (
@@ -231,6 +235,30 @@ def test_entries_are_the_nonzero_dense_entries(pair):
         assert sorted(j for _, j, _ in m.entries()) == list(range(m.degree))
 
 
+@settings(max_examples=60, deadline=None)
+@given(wreath_generator_pairs(), st.data())
+def test_apply_and_transpose_match_the_row_helpers(pair, data):
+    entry = st.sampled_from(_ENTRIES).map(Cyclotomic.from_value)
+    for m in (*pair, *conjugated_elements(pair)):
+        n = m.degree
+        v = tuple(data.draw(entry) for _ in range(n))
+        for w in (v, (zero(),) * n, (1,) + (zero(),) * (n - 1)):
+            w = tuple(map(Cyclotomic.from_value, w))
+            assert m.apply(w) == mat_vec(m.rows, w)
+        assert_same_columns(m.transpose(), Dense(tuple(zip(*m.rows))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wreath_generator_pairs())
+def test_products_match_the_row_helpers(pair):
+    # monomial times dense, dense times monomial and monomial times monomial
+    # take the one-entry shortcut where the right factor's columns allow it
+    x, y = pair
+    dense_x, dense_y = conjugated_elements(pair)
+    for a, b in ((x, dense_y), (dense_x, y), (x, y), (dense_x, dense_y)):
+        assert_same_columns(a * b, Dense(mat_mul(a.rows, b.rows)))
+
+
 @st.composite
 def wedge_pair_lists(draw):
     """A degree and pairs over few coordinates, so that pairs repeat, come
@@ -254,7 +282,7 @@ def test_wedge_pairs_match_the_dense_form(case):
         rows[b][a] -= 1
     form, dense = SymplecticForm.wedge_pairs(degree, pairs), SymplecticForm(rows)
     assert form.matrix == dense.matrix
-    assert form.support == dense.support
+    assert_same_columns(form.element, dense.element)
     assert form == dense
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cyclo_oracle import embed_float
 from fibration_oracle import isotypic_projections
-from helpers import one_dim_rep, regular_rep, transpose
+from helpers import group_elements, inverse, one_dim_rep, regular_rep
 from torusq_oracle import bareiss_det, has_eigenvalue_one, lattice_contains
 
 from torusquot.chartab import character_table
@@ -96,7 +96,7 @@ def test_h_counts_invariant_under_basis_change(s4_natural, s4_table, seed):
     rng = random.Random(seed)
     pair = conjugate_pair_rep(s4_natural)
     p = _random_unimodular(pair.degree, rng)
-    pinv = p.inverse()
+    pinv = inverse(p)
     conj = AnalyticRep(pair.group, tuple(pinv * (m * p) for m in pair.matrices))
     assert h0_reflexive_1forms(conj, s4_table) == h0_reflexive_1forms(pair, s4_table)
     assert h0_reflexive_2forms(conj, s4_table) == h0_reflexive_2forms(pair, s4_table)
@@ -229,7 +229,7 @@ def test_zero_form_is_preserved_but_degenerate(s4_natural):
     pair = conjugate_pair_rep(s4_natural)
     z = SymplecticForm([[zero()] * 6 for _ in range(6)])
     assert preserves_form(pair, z)
-    assert z.is_zero() and not z.is_nondegenerate()
+    assert z.element.columns == ((),) * 6 and not z.is_nondegenerate()
 
 
 @st.composite
@@ -428,10 +428,10 @@ def test_real_pair_fibration_survives_scrambling(s4_natural, s4_table):
     pair = conjugate_pair_rep(s4_natural)
     form = SymplecticForm.wedge_pairs(6, [(0, 3), (1, 4), (2, 5)])
     p = _random_unimodular(6, rng)
-    pinv = p.inverse()
+    pinv = inverse(p)
     scrambled = AnalyticRep(pair.group, tuple(pinv * (m * p) for m in pair.matrices))
     moved = SymplecticForm(
-        (transpose(p) * Dense(form.matrix) * p).rows)
+        (p.transpose() * form.element * p).rows)
     assert preserves_form(scrambled, moved)
     fib = lagrangian_fibration_data(scrambled, moved, s4_table)
     assert fib is not None
@@ -540,7 +540,7 @@ def test_g1280_sylow5_has_normal_complement(g1280_group, g1280_table):
     assert group.sylow_cyclic(5)
     # the block-preserving elements are the kernel of the action on the five
     # coordinate blocks: a normal subgroup of index 5, complementing Sylow 5
-    block_fixing = {i for i, x in enumerate(group.elements)
+    block_fixing = {i for i, x in enumerate(group_elements(group))
                     if all(i // 4 == j // 4 for i, j, _ in x.entries())}
     assert len(block_fixing) == 256
     for g in group.generator_indices:

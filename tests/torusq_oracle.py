@@ -23,7 +23,7 @@ from __future__ import annotations
 from helpers import lift_coeffs, mat_mul, perm_and_scalars
 from torusquot.cyclo import one, rref, zero
 from torusquot.errors import InvalidInputError
-from torusquot.linalg import identity_matrix, transpose
+from torusquot.groups import Element
 from torusquot.torusq import AnalyticRep, LatticeSpec, SymplecticForm
 
 
@@ -93,7 +93,7 @@ def preserves_form_all_entries(rep: AnalyticRep, form: SymplecticForm) -> bool:
                         lhs = sj * sk * lhs
                     if lhs != omega[j][k]:
                         return False
-        elif mat_mul(transpose(m.rows), mat_mul(omega, m.rows)) != omega:
+        elif mat_mul(tuple(zip(*m.rows)), mat_mul(omega, m.rows)) != omega:
             return False
     return True
 
@@ -152,7 +152,7 @@ def bareiss_det(a):
 
 def eigenvalue_one_by_det(m) -> bool:
     """Exact: det(M - I) = 0 for the matrix of any element."""
-    return bareiss_det(mat_sub(m.rows, identity_matrix(m.degree))).is_zero()
+    return bareiss_det(mat_sub(m.rows, Element.identity(m.degree).rows)).is_zero()
 
 
 def has_eigenvalue_one(m) -> bool:
