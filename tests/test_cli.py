@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from torusquot.cli import main
+from torusquot.cli import build_parser, main
 from torusquot.fixtures import S4_FILE
 
 TRIVIAL2 = "conductor 1\ndegree 2\ngenerator perm\nmap 1 2\n"
@@ -214,28 +214,29 @@ def test_search_max_order(tmp_path, capsys):
     assert "s4.group: order exceeds 10, skipped" in captured.err
 
 
-@pytest.mark.parametrize("flags", [["--max-order", "0"], ["--max-order", "-4"]],
-                         ids=["max-order-0", "max-order-negative"])
-def test_search_rejects_a_bound_below_1(tmp_path, capsys, flags):
-    # rejected once, before any file is read: no report and one error line,
+# --max-order is search's one closure bound: a value below 1 gets one error
+# line, and argparse refuses --limit with its usage line
+USAGE = build_parser().format_usage()
+
+
+@pytest.mark.parametrize("flags, err", [
+    (["--max-order", "0"], "error: --max-order must be at least 1, got 0\n"),
+    (["--max-order", "-4"], "error: --max-order must be at least 1, got -4\n"),
+    (["--limit", "0"], USAGE + "torusquot: error: unrecognized arguments: --limit 0\n"),
+    (["--limit", "-4"], USAGE + "torusquot: error: unrecognized arguments: --limit -4\n"),
+], ids=["max-order-0", "max-order-negative", "limit-0", "limit-negative"])
+def test_search_rejects_a_bound_below_1(tmp_path, capsys, flags, err):
+    # rejected once, before any file is read: no report, only the refusal,
     # where 0 meant "no bound" and a negative bound one warning per file
     _write_catalog(tmp_path)
-    code = main(["search", "--catalog", str(tmp_path), *flags])
+    try:
+        code = main(["search", "--catalog", str(tmp_path), *flags])
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: {flags[0]} must be at least 1, got {flags[1]}\n"
-
-
-def test_search_has_no_limit_flag(tmp_path, capsys):
-    # --max-order is search's one closure bound; argparse refuses --limit
-    _write_catalog(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--catalog", str(tmp_path), "--limit", "5"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert "unrecognized arguments: --limit 5" in captured.err
+    assert captured.err == err
 
 
 def test_search_empty_catalog_exit_2(tmp_path, capsys):
