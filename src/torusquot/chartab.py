@@ -556,9 +556,6 @@ def _verify_table(group: FiniteGroup, chars) -> list[int]:
 
 def character_table(group: FiniteGroup) -> CharacterTable:
     """Compute all irreducible characters exactly."""
-    if group.num_classes == 1:
-        chars = [trivial_character(group)]
-        return CharacterTable(group, chars, [(1,)], _verify_table(group, chars))
     failures = []
     primes = _admissible_primes(group.exponent(), group.order)
     for _ in range(MAX_PRIME_ATTEMPTS):

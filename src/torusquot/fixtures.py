@@ -52,6 +52,8 @@ contradict its own other expectations.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .chartab import character_table, frobenius_schur, inner_product, natural_character
 from .groups import close
 from .torusq import (
@@ -60,7 +62,7 @@ from .torusq import (
     conjugate_pair_rep,
     natural_rep,
 )
-from .groupfile import GroupFile, parse_group_text
+from .groupfile import parse_group_text
 
 
 S4_FILE = """\
@@ -114,15 +116,13 @@ lattice z^1
 """
 
 
-class Fixture:
-    def __init__(self, name: str, file_text: str, pair_analysis: bool,
-                 form_pairs: tuple | None, expected: tuple, closure_limit: int):
-        self.name = name
-        self.file_text = file_text
-        self.pair_analysis = pair_analysis  # analyze the block sum with the conjugate copy
-        self.form_pairs = form_pairs  # wedge pairs for the analyzed degree, if not in the file
-        self.expected = expected  # ordered (check name, value) pairs
-        self.closure_limit = closure_limit
+class Fixture(namedtuple("Fixture", "name file_text pair_analysis form_pairs expected")):
+    """An example group file and what its analysis must give.  With
+    ``pair_analysis`` the block sum with the conjugate copy is analyzed;
+    ``form_pairs`` are the wedge pairs for the analyzed degree when the
+    file has no form; ``expected`` holds ordered (check name, value) pairs."""
+
+    __slots__ = ()
 
 
 FIXTURES = {
@@ -143,7 +143,6 @@ FIXTURES = {
             ("h20", 1),
             ("form preserved", True),
         ),
-        closure_limit=200,
     ),
     "g216": Fixture(
         name="g216",
@@ -163,7 +162,6 @@ FIXTURES = {
             ("fibration half dimensions", (8, 8)),
             ("fibration halves isotropic", True),
         ),
-        closure_limit=1000,
     ),
     "g1280": Fixture(
         name="g1280",
@@ -182,17 +180,16 @@ FIXTURES = {
             ("lattice preserved", True),
             ("fibration", None),
         ),
-        closure_limit=5000,
     ),
 }
 
 
-class FixtureResult:
-    def __init__(self, fixture: Fixture, group_file: GroupFile, report, checks: list):
-        self.fixture = fixture
-        self.group_file = group_file
-        self.report = report  # QuotientReport of the analyzed representation
-        self.checks = checks  # (name, expected, actual) with actual == expected iff passing
+class FixtureResult(namedtuple("FixtureResult", "fixture group_file report checks")):
+    """One replayed fixture: its parsed file, the QuotientReport of the
+    analyzed representation, and (name, expected, actual) checks with
+    actual == expected iff passing."""
+
+    __slots__ = ()
 
     @property
     def mismatches(self):
@@ -219,7 +216,7 @@ def _fibration_checks(report):
 def run_fixture(fixture: Fixture) -> FixtureResult:
     """Close the group, run the pipeline, and compare every expectation."""
     gf = parse_group_text(fixture.file_text, source=fixture.name)
-    group = close(gf.elements(), limit=fixture.closure_limit)
+    group = close(gf.elements())
     table = character_table(group)
     chi = natural_character(group)
 

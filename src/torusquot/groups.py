@@ -161,9 +161,6 @@ class Element:
     def trace(self) -> Cyclotomic:
         return _trace(self.columns)
 
-    def is_identity(self) -> bool:
-        return self == Element.identity(self.degree)
-
     def block_sum(self, other: "Element") -> "Element":
         d = self.degree
         return Element(self.columns + tuple(tuple((i + d, x) for i, x in column)

@@ -28,42 +28,29 @@ from .groups import Dense, Element, FiniteGroup
 
 
 class AnalyticRep:
-    """A matrix representation of a closed group, one matrix per element.
+    """A matrix representation of a closed group with its character.
 
-    The matrices may be given, or built one at a time on first use and kept
-    (:func:`natural_rep`, :func:`conjugate_pair_rep`), so a stage that reads
-    only the generators and the class representatives builds only those.
-    A built representation may also know its character without a matrix;
-    otherwise the character traces the class representatives' matrices.
+    Element i's matrix is build(i), built on first use and kept, so a stage
+    that reads only the generators and the class representatives builds
+    only those.  ``traces`` are the character's values, one per class, so
+    reading the character builds no matrix.
     """
 
-    def __init__(self, group: FiniteGroup, matrices):
+    def __init__(self, group: FiniteGroup, build, traces):
         self.group = group
-        self._cache = list(matrices)
-        if len(self._cache) != group.order:
-            raise InvalidInputError("need one matrix per group element")
-        self._build = None
-        self._traces = None
-        self._character = None
+        self._build = build
+        self._matrices = {}
+        self.character = Character(group, tuple(traces))
         self._decomposition = None
-
-    @classmethod
-    def _built_by(cls, group: FiniteGroup, build, traces=None) -> "AnalyticRep":
-        """The representation whose element i has the matrix build(i) and,
-        when ``traces`` is given, whose character values traces() returns."""
-        rep = cls(group, [None] * group.order)
-        rep._build = build
-        rep._traces = traces
-        return rep
 
     @property
     def degree(self) -> int:
         return self.matrix(0).degree
 
     def matrix(self, i: int):
-        m = self._cache[i]
+        m = self._matrices.get(i)
         if m is None:
-            m = self._cache[i] = self._build(i)
+            m = self._matrices[i] = self._build(i)
         return m
 
     @property
@@ -72,16 +59,6 @@ class AnalyticRep:
 
     def generator_images(self):
         return tuple(self.matrix(i) for i in self.group.generator_indices)
-
-    @property
-    def character(self) -> Character:
-        if self._character is None:
-            if self._traces is None:
-                values = tuple(self.matrix(r).trace() for r in self.group.class_representatives)
-            else:
-                values = self._traces()
-            self._character = Character(self.group, values)
-        return self._character
 
     def decomposition(self, table: CharacterTable) -> tuple[int, ...]:
         """The character's multiplicity in each irreducible of ``table``,
@@ -123,13 +100,14 @@ def assemble(group: FiniteGroup, images) -> AnalyticRep:
             if mats[group.mult(i, gi)] != mats[i] * images[a]:
                 raise NotAHomomorphismError(
                     "generator images do not respect the multiplication table")
-    return AnalyticRep(group, mats)
+    return AnalyticRep(group, mats.__getitem__,
+                       (mats[r].trace() for r in group.class_representatives))
 
 
 def natural_rep(group: FiniteGroup) -> AnalyticRep:
     """The group acting by its own matrices; its character is the group's
     class traces."""
-    return AnalyticRep._built_by(group, group.element, lambda: group.class_traces)
+    return AnalyticRep(group, group.element, group.class_traces)
 
 
 def conjugate_pair_rep(rep: AnalyticRep) -> AnalyticRep:
@@ -138,10 +116,7 @@ def conjugate_pair_rep(rep: AnalyticRep) -> AnalyticRep:
     def build(i):
         m = rep.matrix(i)
         return m.block_sum(m.conjugate())
-
-    def traces():
-        return tuple(v + v.conjugate() for v in rep.character.values)
-    return AnalyticRep._built_by(rep.group, build, traces)
+    return AnalyticRep(rep.group, build, (v + v.conjugate() for v in rep.character.values))
 
 
 class SymplecticForm:
@@ -696,39 +671,22 @@ def lagrangian_fibration_data(rep: AnalyticRep, form: SymplecticForm,
 # -- the full pipeline
 
 
-class QuotientReport:
-    def __init__(self, group_order: int, degree: int, faithful: bool, h10: int, h20: int,
-                 symplectic_class: SymplecticClass, homogeneous: bool,
-                 eigenvalue_one_all: bool, eigenvalue_one_failures: tuple[int, ...],
-                 primitive: bool, verdict: Verdict,
-                 invariant_form: SymplecticForm | None = None, form_provided: bool = False,
-                 form_preserved: bool | None = None, form_degenerate: bool | None = None,
-                 lattice_provided: bool = False, lattice_preserved: bool | None = None,
-                 fibration: tuple | None = None):
-        self.group_order = group_order
-        self.degree = degree
-        self.faithful = faithful
-        self.h10 = h10
-        self.h20 = h20
-        self.symplectic_class = symplectic_class
-        self.homogeneous = homogeneous
-        self.eigenvalue_one_all = eigenvalue_one_all
-        self.eigenvalue_one_failures = eigenvalue_one_failures
-        self.primitive = primitive
-        self.verdict = verdict
-        self.invariant_form = invariant_form
-        self.form_provided = form_provided
-        self.form_preserved = form_preserved
-        self.form_degenerate = form_degenerate
-        self.lattice_provided = lattice_provided
-        self.lattice_preserved = lattice_preserved
-        self.fibration = fibration
+class QuotientReport(namedtuple(
+        "QuotientReport",
+        "group_order degree faithful h10 h20 symplectic_class homogeneous eigenvalue_one_all"
+        " eigenvalue_one_failures primitive verdict invariant_form form_provided"
+        " form_preserved form_degenerate lattice_provided lattice_preserved fibration",
+        defaults=(None, False, None, None, False, None, None))):
+    """What :func:`analyze` finds.  The form and lattice fields are set when
+    one is given, the fibration for a pair with a non-degenerate form."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         def form_entries(m):
             return [[format_entry(x) for x in row] for row in m]
 
-        d = {
+        return {
             "group_order": self.group_order,
             "degree": self.degree,
             "faithful": self.faithful,
@@ -752,7 +710,6 @@ class QuotientReport:
                           for basis in self.fibration]
                 if self.fibration is not None else None,
         }
-        return d
 
     def to_text(self) -> str:
         d = self.to_dict()

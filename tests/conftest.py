@@ -85,7 +85,7 @@ def c6_table(c6_group):
 def _fixture_env(name):
     fx = FIXTURES[name]
     gf = parse_group_text(fx.file_text, source=name)
-    group = close(gf.elements(), limit=fx.closure_limit)
+    group = close(gf.elements())
     return gf, group
 
 

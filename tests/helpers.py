@@ -71,9 +71,8 @@ def one_dim_rep(group: FiniteGroup, chi: Character) -> AnalyticRep:
         raise InvalidInputError("character belongs to a different group")
     if chi.degree != 1:
         raise InvalidInputError("need a degree-1 character")
-    return AnalyticRep(
-        group,
-        tuple(Monomial((0,), (value_at_element(chi, i),)) for i in range(group.order)))
+    return rep_from_matrices(
+        group, (Monomial((0,), (value_at_element(chi, i),)) for i in range(group.order)))
 
 
 def value_at_element(chi: Character, i: int) -> Cyclotomic:
@@ -87,10 +86,10 @@ def is_real_valued(chi: Character) -> bool:
 
 def regular_rep(group: FiniteGroup) -> AnalyticRep:
     ones = (one(),) * group.order
-    return AnalyticRep(
+    return rep_from_matrices(
         group,
-        tuple(Monomial(tuple(group.mult(g, j) for j in range(group.order)), ones)
-              for g in range(group.order)))
+        (Monomial(tuple(group.mult(g, j) for j in range(group.order)), ones)
+         for g in range(group.order)))
 
 
 def scale(chi: Character, m: int) -> Character:
@@ -102,9 +101,17 @@ def scale(chi: Character, m: int) -> Character:
 def with_character(chi: Character) -> AnalyticRep:
     """A representation whose matrices are never built and whose character
     is the class function chi, for the counts read off its decomposition."""
-    rep = AnalyticRep._built_by(chi.group, None)
-    rep._character = chi
-    return rep
+    return AnalyticRep(chi.group, None, chi.values)
+
+
+def rep_from_matrices(group: FiniteGroup, matrices) -> AnalyticRep:
+    """The representation with the given matrices, one per element in BFS
+    order; its character is the traces of the class representatives'."""
+    matrices = tuple(matrices)
+    if len(matrices) != group.order:
+        raise InvalidInputError("need one matrix per group element")
+    return AnalyticRep(group, matrices.__getitem__,
+                       (matrices[r].trace() for r in group.class_representatives))
 
 
 def direct_sum(*reps: AnalyticRep) -> AnalyticRep:
@@ -116,7 +123,8 @@ def direct_sum(*reps: AnalyticRep) -> AnalyticRep:
         for rep in reps[1:]:
             m = m.block_sum(rep.matrix(i))
         return m
-    return AnalyticRep._built_by(group, build)
+    traces = (add_all(vs) for vs in zip(*(rep.character.values for rep in reps)))
+    return AnalyticRep(group, build, traces)
 
 
 def regular_character(group: FiniteGroup) -> Character:
@@ -162,6 +170,10 @@ def inverse(x):
     if x.is_monomial():
         return Element(tuple(((j, s.inverse()),) for j, s in zip(*x.row_entries())))
     return Dense(mat_inverse(x.rows))
+
+
+def is_identity(x) -> bool:
+    return x == Element.identity(x.degree)
 
 
 def group_elements(group: FiniteGroup) -> tuple:
@@ -220,7 +232,7 @@ def unimodular(n, ops):
 def conjugated(rep, p):
     """The representation P^-1 rho P, with nothing left of its block shape."""
     pinv = inverse(p)
-    return AnalyticRep(rep.group, tuple(pinv * (m * p) for m in rep.matrices))
+    return AnalyticRep(rep.group, lambda i: pinv * (rep.matrix(i) * p), rep.character.values)
 
 
 def mat_mul_mod(a, b, p):

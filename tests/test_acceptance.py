@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from fibration_oracle import isotypic_projections
-from helpers import inverse
+from helpers import inverse, rep_from_matrices
 
 from torusquot.chartab import (
     character_table,
@@ -26,7 +26,6 @@ from torusquot.cyclo import Cyclotomic, zero, one
 from torusquot.fixtures import FIXTURES, run_fixture
 from torusquot.groups import Dense, Element, Monomial, close
 from torusquot.torusq import (
-    AnalyticRep,
     SymplecticKind,
     Verdict,
     analyze,
@@ -170,7 +169,7 @@ def test_criterion_5_character_properties(s4_group, s4_table, q8_group, q8_table
     p = Dense([[one() if i == j else (one() if j == i + 1 else zero())
                 for j in range(6)] for i in range(6)])
     pinv = inverse(p)
-    moved = AnalyticRep(pair.group, tuple(pinv * (m * p) for m in pair.matrices))
+    moved = rep_from_matrices(pair.group, tuple(pinv * (m * p) for m in pair.matrices))
     if h0_reflexive_1forms(moved, s4_table) != h0_reflexive_1forms(pair, s4_table):
         failures.append("1-form count changed under a basis change")
     if h0_reflexive_2forms(moved, s4_table) != h0_reflexive_2forms(pair, s4_table):

@@ -30,6 +30,7 @@ from helpers import (
     one_dim_rep,
     perm_and_scalars,
     regular_rep,
+    rep_from_matrices,
     unimodular,
     wreath_generator_pairs,
     wreath_generators,
@@ -56,11 +57,11 @@ from torusquot.cyclo import Cyclotomic
 from torusquot.fixtures import FIXTURES
 from torusquot.groups import FiniteGroup, Monomial, close
 from torusquot.torusq import (
-    AnalyticRep,
     SymplecticForm,
     _block_halves,
     _complex_halves,
     analyze,
+    assemble,
     classify_symplectic,
     conjugate_pair_rep,
     eigenvalue_one_all,
@@ -226,7 +227,8 @@ def test_trivial_plus_sign_is_not_faithful(s4_group, s4_table):
     triv = one_dim_rep(s4_group, trivial_character(s4_group))
     sign = one_dim_rep(s4_group, next(c for c in s4_table
                                       if c.degree == 1 and c != trivial_character(s4_group)))
-    rep = AnalyticRep(s4_group, [a.block_sum(b) for a, b in zip(triv.matrices, sign.matrices)])
+    rep = rep_from_matrices(s4_group,
+                            [a.block_sum(b) for a, b in zip(triv.matrices, sign.matrices)])
     assert rep.faithful is faithful_by_matrices(rep) is False
 
 
@@ -253,6 +255,13 @@ def test_characters_match_the_traces_of_matrices_on_dense_conjugates(gens):
 @pytest.mark.parametrize("name", ["s4", "g216", "g1280"])
 def test_characters_match_the_traces_of_matrices_on_the_paper_examples(name, request):
     _check_characters(request.getfixturevalue(f"{name}_group"))
+
+
+def test_assembled_character_is_the_traces_of_its_matrices(corpus):
+    for name, rep, table in corpus:
+        assembled = assemble(rep.group, rep.generator_images())
+        assert assembled.character.values == character_by_matrices(assembled), name
+        assert assembled.character == rep.character, name
 
 
 @pytest.mark.parametrize("name", ["s4", "g216", "g1280"])
@@ -330,6 +339,27 @@ def test_g1280_natural_builds_generators_and_representatives(monkeypatch, g1280_
     assert report.invariant_form is not None and report.faithful
     bound = len(g1280_group.generator_indices) + g1280_group.num_classes
     assert len(built) == len(set(built)) <= bound
+
+
+def test_g1280_with_its_form_and_lattice_builds_the_identity_and_generators(
+        monkeypatch, g1280_env, g1280_table):
+    # the degree reads the identity, the form and lattice checks and the
+    # monomial invariant form the generators; the quaternionic character
+    # asks for no fibration, so no other matrix is built
+    gf, group = g1280_env
+    built = _counting_builds(monkeypatch)
+    report = analyze(natural_rep(group), g1280_table, form=gf.form, lattice=gf.lattice)
+    assert report.form_preserved and report.lattice_preserved and report.fibration is None
+    assert sorted(built) == sorted({0, *group.generator_indices})
+
+
+def test_reading_the_character_builds_no_matrix(monkeypatch, g216_group):
+    built = _counting_builds(monkeypatch)
+    nat = natural_rep(g216_group)
+    pair = conjugate_pair_rep(nat)
+    assert nat.character.values is g216_group.class_traces
+    assert pair.character.degree == 2 * nat.character.degree
+    assert pair.faithful and built == []
 
 
 def test_g216_pair_builds_one_class_more(monkeypatch, g216_group, g216_table):

@@ -43,7 +43,7 @@ def shuffled(rep, rng):
     rng.shuffle(order)
     q = Monomial(order, [1] * n)
     q_inv = inverse(q)
-    return AnalyticRep._built_by(rep.group, lambda i: q_inv * rep.matrix(i) * q)
+    return AnalyticRep(rep.group, lambda i: q_inv * rep.matrix(i) * q, rep.character.values)
 
 
 def check_blocks(rep, table):

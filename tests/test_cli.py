@@ -1,6 +1,8 @@
 """Subcommand behavior and exit codes, driven in-process."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,15 @@ def test_analyze_json_matches_text(s4_file, capsys):
     assert data["symplectic_class"] in text
     assert data["form_preserved"] is True
     assert data["primitive"] is True
+
+
+def test_readme_schema_lists_the_report_keys_in_order(s4_file, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## JSON report schema\n", 1)[1].split("\n## ", 1)[0]
+    documented = [name for line in section.splitlines() if line.startswith("| `")
+                  for name in re.findall(r"`(\w+)`", line.split("|")[1])]
+    assert main(["analyze", "--group", s4_file, "--pair", "--report", "json"]) == 0
+    assert documented == list(json.loads(capsys.readouterr().out))
 
 
 def test_analyze_trivial_two_torus(tmp_path, capsys):

@@ -54,7 +54,7 @@ def test_left_multiply_all_matches_mult(g216_group):
 def test_fixtures_match_word_folds(name):
     fx = FIXTURES[name]
     gens = parse_group_text(fx.file_text, source=name).elements()
-    check_against_oracle(close(gens, limit=fx.closure_limit))
+    check_against_oracle(close(gens))
 
 
 @pytest.mark.parametrize("gens", [
@@ -154,6 +154,6 @@ def test_g1280_closure_makes_one_product_per_distinct_pair(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(Cyclotomic, "__mul__", counting)
-    group = close(gens, limit=fx.closure_limit)
+    group = close(gens)
     assert group.order == 1280
     assert len(products) <= 16

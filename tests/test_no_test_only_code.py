@@ -28,12 +28,6 @@ PACKAGE = Path(torusquot.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 
-ALLOWED = {
-    # the element API of the exported Element class, next to its
-    # identity() constructor
-    "is_identity",
-}
-
 # The method and property names that more than one package class defines.
 # A use of ``.name`` counts for every class that defines the name, so a
 # shared name could hide a method that only the tests call.  Each entry
@@ -132,7 +126,7 @@ def shared_names(trees):
 
 def test_no_test_only_code_in_the_package():
     assert {p.name for p in SOURCES} >= {"chartab.py", "modp.py", "cli.py"}
-    exported = set(torusquot.__all__) | script_functions(PYPROJECT.read_text()) | ALLOWED
+    exported = set(torusquot.__all__) | script_functions(PYPROJECT.read_text())
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     assert unreferenced(trees, exported) == []
 

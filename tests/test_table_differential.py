@@ -203,8 +203,7 @@ def test_g1280_table_never_left_multiplies_the_whole_group(monkeypatch):
     # the classes left-multiply to conjugate by the generators; once they
     # exist, the class-matrix rows fold only class members
     fx = FIXTURES["g1280"]
-    group = close(parse_group_text(fx.file_text, source="g1280").elements(),
-                  limit=fx.closure_limit)
+    group = close(parse_group_text(fx.file_text, source="g1280").elements())
     group.conjugacy_classes
     calls = []
     monkeypatch.setattr(FiniteGroup, "left_multiply_all", lambda self, h: calls.append(h))
@@ -231,8 +230,7 @@ def test_g1280_table_computes_few_inverses(monkeypatch):
 
     monkeypatch.setattr(FiniteGroup, "_images", counting)
     fx = FIXTURES["g1280"]
-    group = close(parse_group_text(fx.file_text, source="g1280").elements(),
-                  limit=fx.closure_limit)
+    group = close(parse_group_text(fx.file_text, source="g1280").elements())
     chartab.character_table(group)
     assert len(computed) == len(set(computed))
     assert len(computed) <= len(group.generator_indices) + group.num_classes

@@ -10,12 +10,19 @@ from hypothesis import strategies as st
 
 from cyclo_oracle import embed_float
 from fibration_oracle import isotypic_projections
-from helpers import group_elements, inverse, one_dim_rep, regular_rep
+from helpers import (
+    group_elements,
+    inverse,
+    is_identity,
+    one_dim_rep,
+    regular_rep,
+    rep_from_matrices,
+)
 from torusq_oracle import bareiss_det, has_eigenvalue_one, lattice_contains
 
 from torusquot.chartab import character_table
 from torusquot.cyclo import Cyclotomic, one, rref, zero
-from torusquot.errors import InvalidInputError, NotAHomomorphismError
+from torusquot.errors import InconsistentCharacterError, InvalidInputError, NotAHomomorphismError
 from torusquot.groups import Dense, Element, Monomial, close
 from torusquot.torusq import (
     AnalyticRep,
@@ -97,7 +104,7 @@ def test_h_counts_invariant_under_basis_change(s4_natural, s4_table, seed):
     pair = conjugate_pair_rep(s4_natural)
     p = _random_unimodular(pair.degree, rng)
     pinv = inverse(p)
-    conj = AnalyticRep(pair.group, tuple(pinv * (m * p) for m in pair.matrices))
+    conj = rep_from_matrices(pair.group, tuple(pinv * (m * p) for m in pair.matrices))
     assert h0_reflexive_1forms(conj, s4_table) == h0_reflexive_1forms(pair, s4_table)
     assert h0_reflexive_2forms(conj, s4_table) == h0_reflexive_2forms(pair, s4_table)
 
@@ -354,7 +361,7 @@ def test_integer_lattice():
 
 def test_scaled_generator_breaks_lattice(s4_natural):
     half = Cyclotomic.from_value(Fraction(1, 2))
-    scaled = AnalyticRep(
+    scaled = rep_from_matrices(
         s4_natural.group,
         tuple(Dense([[x * half for x in row] for row in m.rows])
               for m in s4_natural.matrices))
@@ -376,6 +383,13 @@ def test_assemble_rejects_non_homomorphism(s4_group):
 def test_assemble_wrong_generator_count(s4_group):
     with pytest.raises(InvalidInputError):
         assemble(s4_group, [Monomial((1, 0), (1, 1))])
+
+
+@pytest.mark.parametrize("count", [4, 6], ids=["one-short", "one-over"])
+def test_wrong_trace_count_fails_at_construction(s4_group, count):
+    # s4 has 5 classes; nothing is built, the character is checked at once
+    with pytest.raises(InconsistentCharacterError):
+        AnalyticRep(s4_group, s4_group.element, (one(),) * count)
 
 
 # -- Lagrangian fibrations
@@ -429,7 +443,7 @@ def test_real_pair_fibration_survives_scrambling(s4_natural, s4_table):
     form = SymplecticForm.wedge_pairs(6, [(0, 3), (1, 4), (2, 5)])
     p = _random_unimodular(6, rng)
     pinv = inverse(p)
-    scrambled = AnalyticRep(pair.group, tuple(pinv * (m * p) for m in pair.matrices))
+    scrambled = rep_from_matrices(pair.group, tuple(pinv * (m * p) for m in pair.matrices))
     moved = SymplecticForm(
         (p.transpose() * form.element * p).rows)
     assert preserves_form(scrambled, moved)
@@ -446,7 +460,7 @@ def test_real_pair_fibration_survives_scrambling(s4_natural, s4_table):
 def test_real_pair_fibration_by_monomial_commutant_split(s4_natural, s4_table):
     # the same pair rebuilt as a plain monomial representation
     pair = conjugate_pair_rep(s4_natural)
-    rep = AnalyticRep(pair.group, pair.matrices)
+    rep = rep_from_matrices(pair.group, pair.matrices)
     assert all(m.is_monomial() for m in rep.matrices)
     assert str(classify_symplectic(rep, s4_table)) == "ConjugatePair(real)"
     form = SymplecticForm.wedge_pairs(6, [(0, 3), (1, 4), (2, 5)])
@@ -502,7 +516,7 @@ def test_inhomogeneous_sum_has_no_recorded_obstruction(s4_group, s4_table):
     triv = next(c for c in s4_table if all(v == 1 for v in c.values))
     sign = next(c for c in s4_table
                 if c.degree == 1 and any(v != 1 for v in c.values))
-    rep = AnalyticRep(
+    rep = rep_from_matrices(
         s4_group,
         tuple(one_dim_rep(s4_group, triv).matrix(i).block_sum(
               one_dim_rep(s4_group, sign).matrix(i))
@@ -551,7 +565,7 @@ def test_g1280_sylow5_has_normal_complement(g1280_group, g1280_table):
     center = [i for i in range(group.order)
               if all(group.mult(i, g) == group.mult(g, i)
                      for g in group.generator_indices)]
-    assert center == [0] and group.element(0).is_identity()
+    assert center == [0] and is_identity(group.element(0))
 
 
 # -- full reports

@@ -20,7 +20,7 @@ group and a conjugate pair's as chi + conj(chi).
 
 from __future__ import annotations
 
-from helpers import lift_coeffs, mat_mul, perm_and_scalars
+from helpers import is_identity, lift_coeffs, mat_mul, perm_and_scalars
 from torusquot.cyclo import one, rref, zero
 from torusquot.errors import InvalidInputError
 from torusquot.groups import Element
@@ -105,7 +105,7 @@ def character_by_matrices(rep: AnalyticRep) -> tuple:
 
 def faithful_by_matrices(rep: AnalyticRep) -> bool:
     """No element other than the identity has the identity matrix."""
-    return all(not rep.matrix(i).is_identity() for i in range(1, rep.group.order))
+    return all(not is_identity(rep.matrix(i)) for i in range(1, rep.group.order))
 
 
 def evaluate_all_entries(form: SymplecticForm, u, v):
