@@ -362,7 +362,7 @@ def _split_eigenspaces(group: FiniteGroup, p: int):
     e = group.exponent()
     w = modp.element_of_order(e, p)
     vectors = [[h * pow(w, t, p) % p for h, t in zip(sizes, ts)]
-               for ts in group.linear_characters(e)]
+               for ts in group.linear_characters]
     r1 = len(vectors)
     weights = [modp.inv_mod(h % p, p) for h in sizes]
     system, others = modp.rref_mod(
@@ -480,7 +480,7 @@ def _table_mod_p(group: FiniteGroup, p: int) -> CharacterTable:
     counts [t_k = 0]; the others lifted from the split's vectors past them."""
     r, sizes, inv_class = group.num_classes, group.class_sizes, group.inverse_class
     order, e = group.order, group.exponent()
-    linear = group.linear_characters(e)
+    linear = group.linear_characters
     vectors = _split_eigenspaces(group, p)[len(linear):]
     roots = {t: Cyclotomic.zeta(e, t) for t in {t for ts in linear for t in ts}}
     chars = [Character(group, tuple(map(roots.__getitem__, ts))) for ts in linear]

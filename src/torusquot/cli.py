@@ -64,11 +64,7 @@ def _resolve_form(args, gf, rep):
     if spec.startswith("wedge"):
         pairs = parse_wedge_pairs(spec[len("wedge"):], rep.degree, None)
         return SymplecticForm.wedge_pairs(rep.degree, pairs)
-    form = parse_form_file(spec, gf.conductor, rep.degree)
-    if form.degree != rep.degree:
-        raise GroupFileError(
-            f"form degree {form.degree} does not match the analyzed degree {rep.degree}")
-    return form
+    return parse_form_file(spec, gf.conductor, rep.degree)
 
 
 def cmd_analyze(args) -> int:

@@ -60,6 +60,7 @@ elements and their tree plus the point set itself.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from operator import methodcaller, mul, sub
 
 from .cyclo import Cyclotomic, add_all, is_prime, one, rref, zero
@@ -358,12 +359,15 @@ class FiniteGroup:
     matrix is read off those of its inverse when asked for.  In the BFS tree
     element i > 0 is ``parents[i]`` times generator ``letters[i]``; words,
     inverses and products of single indices are read up that tree.
-    ``right_table[a][x]`` is the index of x times generator a.
+    ``right_table[a][x]`` is the index of x times generator a.  The
+    conjugacy structure is derived on first read and kept, as cached
+    attributes.
     """
 
     def __init__(self, degree, points, gen_perms, keys, index, encode, generator_indices,
                  right_table, tree):
-        self._degree = degree
+        self.degree = degree
+        self.order = len(keys)
         self._points = points
         self._gen_perms = gen_perms
         self._keys = keys
@@ -374,29 +378,12 @@ class FiniteGroup:
         self.parents, self.letters = tree
         self._inv = {}
         self._powers = {}
-        self._classes = None
-        self._class_of = None
-        self._class_sizes = None
-        self._rep_orders = None
-        self._class_traces = None
         self._power_maps = {}
-        self._conjugations = None
-        self._inverse_class = None
-        self._lattice = None
-        self._linear = None
-
-    @property
-    def order(self) -> int:
-        return len(self._keys)
-
-    @property
-    def degree(self) -> int:
-        return self._degree
 
     def _images(self, i: int) -> tuple[int, ...]:
         """Indices of the points x(e_1)..x(e_n) for element x = i: the generator
         permutations applied to the basis while walking up the tree from i."""
-        images = tuple(range(self._degree))
+        images = tuple(range(self.degree))
         while i:
             images = tuple(map(self._gen_perms[self.letters[i]].__getitem__, images))
             i = self.parents[i]
@@ -469,90 +456,68 @@ class FiniteGroup:
 
     # -- conjugacy structure
 
-    def _conjugation_perms(self) -> list[list[int]]:
-        """Per generator g, the index of g⁻¹·x·g for every index x, kept."""
-        if self._conjugations is None:
-            self._conjugations = [
-                list(map(column.__getitem__, self.left_multiply_all(self.inv(g))))
-                for column, g in zip(self.right_table, self.generator_indices)]
-        return self._conjugations
-
-    def _compute_classes(self):
-        """The orbits of the conjugation permutations of the generators."""
-        if self._classes is not None:
-            return
-        perms = self._conjugation_perms()
-        class_of = [-1] * self.order
+    @cached_property
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Classes as sorted index tuples, ordered by smallest member: the
+        orbits of conjugation by the generators, x -> g⁻¹·x·g."""
+        perms = [list(map(column.__getitem__, self.left_multiply_all(self.inv(g))))
+                 for column, g in zip(self.right_table, self.generator_indices)]
+        seen = [False] * self.order
         classes = []
         for start in range(self.order):
-            if class_of[start] >= 0:
+            if seen[start]:
                 continue
-            cid = len(classes)
-            class_of[start] = cid
+            seen[start] = True
             orbit = [start]
             for x in orbit:  # the loop reaches the members appended while it runs
                 for perm in perms:
                     y = perm[x]
-                    if class_of[y] < 0:
-                        class_of[y] = cid
+                    if not seen[y]:
+                        seen[y] = True
                         orbit.append(y)
             classes.append(tuple(sorted(orbit)))
-        self._classes = tuple(classes)
-        self._class_of = tuple(class_of)
-        self._class_sizes = tuple(map(len, classes))
-
-    @property
-    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Classes as sorted index tuples, ordered by smallest member."""
-        self._compute_classes()
-        return self._classes
+        return tuple(classes)
 
     @property
     def num_classes(self) -> int:
         return len(self.conjugacy_classes)
 
-    @property
+    @cached_property
     def class_map(self) -> tuple[int, ...]:
         """The class index of every element, in BFS order."""
-        self._compute_classes()
-        return self._class_of
+        class_of = [0] * self.order
+        for cid, members in enumerate(self.conjugacy_classes):
+            for x in members:
+                class_of[x] = cid
+        return tuple(class_of)
 
     def class_of(self, i: int) -> int:
         return self.class_map[i]
 
-    @property
+    @cached_property
     def class_representatives(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.conjugacy_classes)
 
-    @property
+    @cached_property
     def class_sizes(self) -> tuple[int, ...]:
-        self._compute_classes()
-        return self._class_sizes
+        return tuple(map(len, self.conjugacy_classes))
 
-    @property
+    @cached_property
     def class_orders(self) -> tuple[int, ...]:
         """Element order of each class representative."""
-        if self._rep_orders is None:
-            self._rep_orders = tuple(self.element_order(r) for r in self.class_representatives)
-        return self._rep_orders
+        return tuple(self.element_order(r) for r in self.class_representatives)
 
-    @property
+    @cached_property
     def class_traces(self) -> tuple[Cyclotomic, ...]:
         """Trace of each class representative x, read off the points x(e_j)
         without building a matrix: diagonal entry j is coordinate j of x(e_j)."""
-        if self._class_traces is None:
-            points = self._points
-            self._class_traces = tuple(
-                _trace(map(points.__getitem__, self._keys[self.inv(r)]))
-                for r in self.class_representatives)
-        return self._class_traces
+        points = self._points
+        return tuple(_trace(map(points.__getitem__, self._keys[self.inv(r)]))
+                     for r in self.class_representatives)
 
-    @property
+    @cached_property
     def inverse_class(self) -> tuple[int, ...]:
-        if self._inverse_class is None:
-            self._inverse_class = tuple(
-                self.class_of(self.inv(r)) for r in self.class_representatives)
-        return self._inverse_class
+        return tuple(self.class_of(self.inv(r)) for r in self.class_representatives)
 
     def power_classes(self, k: int) -> tuple[int, ...]:
         """Map class index c to the class of g^k for g in class c."""
@@ -579,66 +544,61 @@ class FiniteGroup:
 
     # -- the abelianization
 
-    def _relation_lattice(self) -> tuple[tuple[int, ...], ...]:
-        """The Hermite basis of L, built once.  Each c(x) is packed into one
-        int as sum_a c_a * base^a, so the relations are int differences,
-        collected in a set; an entry of one lies in [-|G|, |G|], so base =
-        2|G| + 1 keeps the slots apart.  |G/[G,G]| divides |G|, so |G|·Z^g
-        lies in L."""
-        if self._lattice is None:
-            n, rank = self.order, len(self.right_table)
-            base = 2 * n + 1
-            units = [base ** a for a in range(rank)]
-            sums = [0] * n
-            parents, letters = self.parents, self.letters
-            for x in range(1, n):
-                sums[x] = sums[parents[x]] + units[letters[x]]
-            relations = set()
-            for unit, column in zip(units, self.right_table):
-                differences = set(map(sub, sums, map(sums.__getitem__, column)))
-                relations.update(d + unit for d in differences)
-            relations.discard(0)
-            self._lattice = _hermite_basis((_unpack(v, base, rank) for v in relations), rank, n)
-        return self._lattice
+    @cached_property
+    def _lattice(self) -> tuple[tuple[int, ...], ...]:
+        """The Hermite basis of L.  Each c(x) is packed into one int as
+        sum_a c_a * base^a, so the relations are int differences, collected
+        in a set; an entry of one lies in [-|G|, |G|], so base = 2|G| + 1
+        keeps the slots apart.  |G/[G,G]| divides |G|, so |G|·Z^g lies in L."""
+        n, rank = self.order, len(self.right_table)
+        base = 2 * n + 1
+        units = [base ** a for a in range(rank)]
+        sums = [0] * n
+        parents, letters = self.parents, self.letters
+        for x in range(1, n):
+            sums[x] = sums[parents[x]] + units[letters[x]]
+        relations = set()
+        for unit, column in zip(units, self.right_table):
+            differences = set(map(sub, sums, map(sums.__getitem__, column)))
+            relations.update(d + unit for d in differences)
+        relations.discard(0)
+        return _hermite_basis((_unpack(v, base, rank) for v in relations), rank, n)
 
     def abelianization_order(self) -> int:
         """|G/[G,G]| = det L, the product of the Hermite basis's diagonal."""
         order = 1
-        for i, row in enumerate(self._relation_lattice()):
+        for i, row in enumerate(self._lattice):
             order *= row[i]
         return order
 
-    def linear_characters(self, e: int) -> tuple[tuple[int, ...], ...]:
-        """The linear characters with values in the e-th roots of unity (all
-        of them when the exponent of G/[G,G] divides e), as exponents t_k per
-        class with lambda(g_k) = zeta_e^(t_k).  Up the triangular basis, row
-        i with diagonal d leaves gcd(d, e) choices of a_i, or none.  Kept
-        for the last e, which the table's split and its rows both ask for."""
-        if self._linear is None or self._linear[0] != e:
-            rank = len(self.right_table)
-            sums = []
-            for x in self.class_representatives:
-                c = [0] * rank
-                for a in self.word(x):
-                    c[a] += 1
-                sums.append(c)
-            lattice = self._relation_lattice()
-            solutions = [()]
-            for i in reversed(range(len(lattice))):
-                d, tail = lattice[i][i], lattice[i][i + 1:]
-                g = math.gcd(d, e)
-                step = e // g
-                d_inv = pow(d // g, -1, step)
-                extended = []
-                for a in solutions:
-                    s, rest = divmod(sum(map(mul, tail, a)), g)
-                    if not rest:
-                        first = -s * d_inv % step
-                        extended.extend((first + t * step,) + a for t in range(g))
-                solutions = extended
-            self._linear = e, tuple(tuple(sum(map(mul, a, c)) % e for c in sums)
-                                    for a in solutions)
-        return self._linear[1]
+    @cached_property
+    def linear_characters(self) -> tuple[tuple[int, ...], ...]:
+        """All linear characters, as exponents t_k per class with
+        lambda(g_k) = zeta_e^(t_k) for the exponent e of G, which that of
+        G/[G,G] divides.  Up the triangular basis, row i with diagonal d
+        leaves gcd(d, e) choices of a_i, or none."""
+        e, rank = self.exponent(), len(self.right_table)
+        sums = []
+        for x in self.class_representatives:
+            c = [0] * rank
+            for a in self.word(x):
+                c[a] += 1
+            sums.append(c)
+        lattice = self._lattice
+        solutions = [()]
+        for i in reversed(range(len(lattice))):
+            d, tail = lattice[i][i], lattice[i][i + 1:]
+            g = math.gcd(d, e)
+            step = e // g
+            d_inv = pow(d // g, -1, step)
+            extended = []
+            for a in solutions:
+                s, rest = divmod(sum(map(mul, tail, a)), g)
+                if not rest:
+                    first = -s * d_inv % step
+                    extended.extend((first + t * step,) + a for t in range(g))
+            solutions = extended
+        return tuple(tuple(sum(map(mul, a, c)) % e for c in sums) for a in solutions)
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order}, degree={self.degree})"

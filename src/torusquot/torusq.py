@@ -45,7 +45,7 @@ class AnalyticRep:
 
     @property
     def degree(self) -> int:
-        return self.matrix(0).degree
+        return self.character.degree
 
     def matrix(self, i: int):
         m = self._matrices.get(i)

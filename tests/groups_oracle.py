@@ -1,6 +1,6 @@
 """Test-only reference bodies for the conjugacy structure of `groups`.
 
-They are the earlier bodies of :meth:`FiniteGroup._compute_classes`,
+They are the earlier bodies of :attr:`FiniteGroup.conjugacy_classes`,
 which conjugates by each generator as two products of indices, each folded
 through a generator word; of :meth:`FiniteGroup.abelianization_order`,
 which closed the normal closure of the generators' commutators to the

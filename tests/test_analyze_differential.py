@@ -32,6 +32,7 @@ from helpers import (
     regular_rep,
     rep_from_matrices,
     unimodular,
+    with_character,
     wreath_generator_pairs,
     wreath_generators,
 )
@@ -343,14 +344,14 @@ def test_g1280_natural_builds_generators_and_representatives(monkeypatch, g1280_
 
 def test_g1280_with_its_form_and_lattice_builds_the_identity_and_generators(
         monkeypatch, g1280_env, g1280_table):
-    # the degree reads the identity, the form and lattice checks and the
-    # monomial invariant form the generators; the quaternionic character
-    # asks for no fibration, so no other matrix is built
+    # the degree is read off the character; the form and lattice checks and
+    # the monomial invariant form read the generators; the quaternionic
+    # character asks for no fibration, so no other matrix is built
     gf, group = g1280_env
     built = _counting_builds(monkeypatch)
     report = analyze(natural_rep(group), g1280_table, form=gf.form, lattice=gf.lattice)
     assert report.form_preserved and report.lattice_preserved and report.fibration is None
-    assert sorted(built) == sorted({0, *group.generator_indices})
+    assert sorted(built) == sorted(set(group.generator_indices))
 
 
 def test_reading_the_character_builds_no_matrix(monkeypatch, g216_group):
@@ -360,6 +361,13 @@ def test_reading_the_character_builds_no_matrix(monkeypatch, g216_group):
     assert nat.character.values is g216_group.class_traces
     assert pair.character.degree == 2 * nat.character.degree
     assert pair.faithful and built == []
+
+
+def test_a_rep_given_only_its_character_has_a_degree(g216_group):
+    # with_character's build is None, so reading a matrix would raise
+    rep = with_character(conjugate_pair_rep(natural_rep(g216_group)).character)
+    assert rep.degree == 16
+    assert repr(rep) == "AnalyticRep(order=216, degree=16)"
 
 
 def test_g216_pair_builds_one_class_more(monkeypatch, g216_group, g216_table):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from torusquot.cli import build_parser, main
-from torusquot.fixtures import S4_FILE
+from torusquot.fixtures import FIXTURES, S4_FILE
 
 TRIVIAL2 = "conductor 1\ndegree 2\ngenerator perm\nmap 1 2\n"
 
@@ -90,6 +90,15 @@ def test_analyze_form_file(tmp_path, s4_file, capsys):
                  "--report", "json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["form_preserved"] is True
+
+
+def test_analyze_form_file_of_the_wrong_degree_is_input_error(tmp_path, s4_file, capsys):
+    # the form file is read at the analyzed degree, 6 for the pair
+    omega = tmp_path / "omega.form"
+    omega.write_text("form dense\nrow 0; 1; 0\nrow -1; 0; 0\nrow 0; 0; 0\n")
+    code = main(["analyze", "--group", s4_file, "--pair", "--form", str(omega)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: form row has 3 entries, degree is 6 (line 2)\n"
 
 
 def test_analyze_lattice_flag(s4_file, capsys):
@@ -187,6 +196,17 @@ def test_check_example_g1280_reports_primitivity_mismatch(capsys):
     assert "FAIL" not in out
     assert "PASS  group order: 1280" in out
     assert "PASS  fs indicator: -1" in out
+
+
+def test_check_example_with_a_wrong_expectation_exits_1(monkeypatch, capsys):
+    fixture = FIXTURES["s4"]
+    expected = tuple((name, 1 if name == "h10" else value) for name, value in fixture.expected)
+    monkeypatch.setitem(FIXTURES, "s4", fixture._replace(expected=expected))
+    code = main(["check-example", "s4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert "FAIL  h10: expected 1, got 0" in lines
+    assert lines[-1] == "s4: 1 of 10 checks failed"
 
 
 def test_check_example_unknown_exit_2(capsys):

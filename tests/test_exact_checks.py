@@ -138,7 +138,7 @@ def _lattice_first(group, p):
     e = group.exponent()
     w = modp.element_of_order(e, p)
     linear = [[h * pow(w, t, p) % p for h, t in zip(group.class_sizes, ts)]
-              for ts in group.linear_characters(e)]
+              for ts in group.linear_characters]
     vectors = oracle._split_eigenspaces(group, p)
     assert all(v in vectors for v in linear)
     return linear + [v for v in vectors if v not in linear]

@@ -64,7 +64,7 @@ GROUPS = {
 def lattice_rows(group):
     """The lattice's linear characters as exact values per class."""
     e = group.exponent()
-    return [tuple(Cyclotomic.zeta(e, t) for t in ts) for ts in group.linear_characters(e)]
+    return [tuple(Cyclotomic.zeta(e, t) for t in ts) for ts in group.linear_characters]
 
 
 def check_linear_characters(group, table=None):
@@ -125,9 +125,9 @@ def test_split_from_part_of_the_linear_characters(monkeypatch):
     everything = group.linear_characters
     e = group.exponent()
     trivial = tuple([0] * group.num_classes)
-    nonreal = next(ts for ts in everything(e) if any(2 * t % e for t in ts))
-    for part in ([trivial], [trivial, nonreal], everything(e)[:7]):
-        monkeypatch.setattr(group, "linear_characters", lambda e, part=part: part)
+    nonreal = next(ts for ts in everything if any(2 * t % e for t in ts))
+    for part in ([trivial], [trivial, nonreal], everything[:7]):
+        monkeypatch.setattr(group, "linear_characters", part)
         assert sorted(chartab._split_eigenspaces(group, p)) == expected
 
 

@@ -39,8 +39,7 @@ SHARED_NAMES = {
     # torusq.conjugate_pair_rep; Element: the matrices of conjugate_pair_rep
     "conjugate",
     # Character: chartab.CharacterTable.degrees; Element: torusq.assemble;
-    # FiniteGroup: FiniteGroup.__repr__; AnalyticRep: torusq.invariant_form;
-    # SymplecticForm: torusq.preserves_form
+    # AnalyticRep: torusq.invariant_form; SymplecticForm: torusq.preserves_form
     "degree",
     # AnalyticRep: torusq._complex_halves; SymplecticForm:
     # QuotientReport.to_dict and groupfile.serialize_group

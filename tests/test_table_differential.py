@@ -82,7 +82,7 @@ def check_table_steps(group):
     assert bool(rows) == (r - r1 > 1)
     assert len(splits) == 1 and len(lifts) == r - r1 and len(chars) == r
     e = group.exponent()
-    lattice = [tuple(Cyclotomic.zeta(e, t) for t in ts) for ts in group.linear_characters(e)]
+    lattice = [tuple(Cyclotomic.zeta(e, t) for t in ts) for ts in group.linear_characters]
     assert sorted((c.values for c in chars if c.degree == 1), key=str) == \
         sorted(lattice, key=str)
     for (_, i, requested), out in rows:

@@ -23,6 +23,7 @@ from torusq_oracle import bareiss_det, has_eigenvalue_one, lattice_contains
 from torusquot.chartab import character_table
 from torusquot.cyclo import Cyclotomic, one, rref, zero
 from torusquot.errors import InconsistentCharacterError, InvalidInputError, NotAHomomorphismError
+from torusquot.groupfile import parse_group_text
 from torusquot.groups import Dense, Element, Monomial, close
 from torusquot.torusq import (
     AnalyticRep,
@@ -526,6 +527,15 @@ def test_inhomogeneous_sum_has_no_recorded_obstruction(s4_group, s4_table):
     assert report.verdict is Verdict.NO_OBSTRUCTION_RECORDED
 
 
+def test_three_constituents_are_not_homogeneous():
+    # diag(1, ζ₃, ζ₃²) is the trivial character plus a conjugate pair
+    group = close([Monomial((0, 1, 2), (1, Cyclotomic.zeta(3, 1), Cyclotomic.zeta(3, 2)))])
+    table = character_table(group)
+    rep = natural_rep(group)
+    assert rep.decomposition(table) == (1, 1, 1)
+    assert not homogeneous_decomplexification(rep, table)
+
+
 # -- primitivity
 
 
@@ -588,3 +598,16 @@ def test_report_json_text_consistency(s4_natural, s4_table):
     assert d["lattice_preserved"] is True
     import json
     json.dumps(d)  # must be serializable as-is
+
+
+def test_text_report_says_why_g1280_has_no_fibration(g1280_group, g1280_table):
+    lines = analyze(natural_rep(g1280_group), g1280_table).to_text().splitlines()
+    assert lines[-1] == "fibration              none (irreducible: no invariant subspace)"
+
+
+def test_text_report_lists_the_classes_without_eigenvalue_1():
+    # C3 acting on C^1 by ζ₃: only the identity class has the eigenvalue 1
+    gf = parse_group_text("conductor 3\ndegree 1\ngenerator monomial\nmap 1\nscalars z^1\n")
+    group = close(gf.elements())
+    lines = analyze(natural_rep(group), character_table(group)).to_text().splitlines()
+    assert lines[lines.index("eigenvalue-1 all       no") + 1] == "  failing classes      1, 2"
