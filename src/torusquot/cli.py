@@ -8,8 +8,8 @@ Four subcommands:
     search         scan a directory of group files for candidates
 
 Exit codes: 0 success, 1 a check-example or search check mismatched,
-2 bad input (syntax, degrees, unknown names, empty catalog), 3 closure
-exceeded the element limit.
+2 bad input (syntax, degrees, unknown names, empty catalog) or another
+error of the package, 3 closure exceeded the element limit.
 """
 
 from __future__ import annotations
@@ -68,21 +68,16 @@ def _resolve_form(args, gf, rep):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        gf, group = _load_group(args)
-        rep = natural_rep(group)
-        if args.pair:
-            rep = conjugate_pair_rep(rep)
-        form = _resolve_form(args, gf, rep)
-        lattice = gf.lattice
-        if args.lattice is not None:
-            lattice, _ = parse_lattice_token(args.lattice, gf.conductor, None)
-        table = character_table(group)
-        report = analyze(rep, table, form=form, lattice=lattice)
-    except GroupTooLargeError as exc:
-        return _fail(str(exc), 3)
-    except TorusQuotError as exc:
-        return _fail(str(exc), 2)
+    gf, group = _load_group(args)
+    rep = natural_rep(group)
+    if args.pair:
+        rep = conjugate_pair_rep(rep)
+    form = _resolve_form(args, gf, rep)
+    lattice = gf.lattice
+    if args.lattice is not None:
+        lattice = parse_lattice_token(args.lattice, gf.conductor, None)
+    table = character_table(group)
+    report = analyze(rep, table, form=form, lattice=lattice)
     if args.report == "json":
         import json
         print(json.dumps(report.to_dict(), indent=2))
@@ -92,13 +87,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_chartable(args) -> int:
-    try:
-        _, group = _load_group(args)
-        table = character_table(group)
-    except GroupTooLargeError as exc:
-        return _fail(str(exc), 3)
-    except TorusQuotError as exc:
-        return _fail(str(exc), 2)
+    _, group = _load_group(args)
+    table = character_table(group)
     if args.format == "json":
         import json
         print(json.dumps(table.to_dict(), indent=2))
@@ -218,8 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a package error it raises exits 3 or 2 on one line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GroupTooLargeError as exc:
+        return _fail(str(exc), 3)
+    except TorusQuotError as exc:
+        return _fail(str(exc), 2)
 
 
 def main_entry() -> None:

@@ -184,9 +184,9 @@ FIXTURES = {
 }
 
 
-class FixtureResult(namedtuple("FixtureResult", "fixture group_file report checks")):
-    """One replayed fixture: its parsed file, the QuotientReport of the
-    analyzed representation, and (name, expected, actual) checks with
+class FixtureResult(namedtuple("FixtureResult", "report checks")):
+    """One replayed fixture: the QuotientReport of the analyzed
+    representation, and (name, expected, actual) checks with
     actual == expected iff passing."""
 
     __slots__ = ()
@@ -248,4 +248,4 @@ def run_fixture(fixture: Fixture) -> FixtureResult:
     actual["fibration halves isotropic"] = isotropic
 
     checks = [(name, exp, actual[name]) for name, exp in fixture.expected]
-    return FixtureResult(fixture=fixture, group_file=gf, report=report, checks=checks)
+    return FixtureResult(report=report, checks=checks)

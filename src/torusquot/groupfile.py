@@ -32,33 +32,25 @@ from __future__ import annotations
 
 from .cyclo import Cyclotomic, EntryParseError, one, parse_entry
 from .cyclo import format_entry
-from .errors import GroupFileError
+from .errors import GroupFileError, InvalidInputError
 from .groups import Dense, Element, Monomial
 from .torusq import LatticeSpec, SymplecticForm
 
 
-class GeneratorSpec:
-    """One parsed generator block: the style keyword plus the element."""
-
-    def __init__(self, kind: str, element):
-        self.kind = kind  # "monomial" | "dense" | "perm"
-        self.element = element
-
-
 class GroupFile:
+    """A parsed group file: generator elements, and the form and lattice
+    when given.  No spelling is kept; :func:`serialize_group` derives it."""
+
     def __init__(self, conductor: int, degree: int, generators: list | None = None,
-                 form: SymplecticForm | None = None, form_pairs: list | None = None,
-                 lattice: LatticeSpec | None = None, lattice_token: str | None = None):
+                 form: SymplecticForm | None = None, lattice: LatticeSpec | None = None):
         self.conductor = conductor
         self.degree = degree
         self.generators = [] if generators is None else generators
         self.form = form
-        self.form_pairs = form_pairs  # kept when the form came from a wedge line
         self.lattice = lattice
-        self.lattice_token = lattice_token
 
     def elements(self):
-        return [g.element for g in self.generators]
+        return self.generators
 
 
 # -- parsing
@@ -199,11 +191,11 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
         elif kw == "form":
             if gf.form is not None:
                 raise GroupFileError("duplicate form block", lineno)
-            gf.form, gf.form_pairs = _parse_form(lines, body, lineno, gf)
+            gf.form = _parse_form(lines, body, lineno, gf)
         elif kw == "lattice":
             if gf.lattice is not None:
                 raise GroupFileError("duplicate lattice block", lineno)
-            gf.lattice, gf.lattice_token = _parse_lattice(body, lineno, gf)
+            gf.lattice = _parse_lattice(body, lineno, gf)
         elif kw in ("conductor", "degree"):
             raise GroupFileError(f"{kw} must appear before all blocks", lineno)
         else:
@@ -230,7 +222,7 @@ def _block_lines(lines: _Lines, allowed):
         yield lineno, kw, body[offset:], offset
 
 
-def _parse_generator(lines: _Lines, header: str, lineno: int, gf: GroupFile) -> GeneratorSpec:
+def _parse_generator(lines: _Lines, header: str, lineno: int, gf: GroupFile) -> Element:
     parts = header.split()
     if len(parts) != 2 or parts[1] not in ("monomial", "dense", "perm"):
         raise GroupFileError("expected `generator monomial|dense|perm`", lineno)
@@ -243,8 +235,7 @@ def _parse_generator(lines: _Lines, header: str, lineno: int, gf: GroupFile) -> 
             raise GroupFileError("perm generator needs exactly one map line", lineno)
         mlineno, _, rest, _ = got[0]
         maps = _parse_index_list(rest, n, mlineno, "map")
-        element = _row_style_monomial(maps, [one()] * n, n, mlineno)
-        return GeneratorSpec("perm", element)
+        return _row_style_monomial(maps, [one()] * n, n, mlineno)
 
     if kind == "monomial":
         maps = None
@@ -267,11 +258,9 @@ def _parse_generator(lines: _Lines, header: str, lineno: int, gf: GroupFile) -> 
             raise GroupFileError("monomial generator is missing its map line", lineno)
         if scalars is None:
             raise GroupFileError("monomial generator is missing its scalars line", lineno)
-        element = _row_style_monomial(maps, scalars, n, lineno)
-        return GeneratorSpec("monomial", element)
+        return _row_style_monomial(maps, scalars, n, lineno)
 
-    rows = _parse_rows(lines, lineno, gf, "matrix", "row", "dense generator")
-    return GeneratorSpec("dense", Dense(rows))
+    return Dense(_parse_rows(lines, lineno, gf, "matrix", "row", "dense generator"))
 
 
 def _parse_rows(lines: _Lines, lineno: int, gf: GroupFile, what: str, row: str, block: str):
@@ -294,11 +283,11 @@ def _parse_form(lines: _Lines, header: str, lineno: int, gf: GroupFile):
     parts = header.split()
     if len(parts) >= 2 and parts[1] == "wedge":
         pairs = parse_wedge_pairs(" ".join(parts[2:]), gf.degree, lineno)
-        return SymplecticForm.wedge_pairs(gf.degree, pairs), pairs
+        return SymplecticForm.wedge_pairs(gf.degree, pairs)
     if parts[1:] == ["dense"]:
         rows = _parse_rows(lines, lineno, gf, "form", "form row", "form")
         try:
-            return SymplecticForm(rows), None
+            return SymplecticForm(rows)
         except Exception as exc:
             raise GroupFileError(str(exc), lineno)
     raise GroupFileError("expected `form wedge ...` or `form dense`", lineno)
@@ -335,14 +324,13 @@ def _parse_lattice(body: str, lineno: int, gf: GroupFile):
 
 
 def parse_lattice_token(token: str, conductor: int, lineno: int | None = None):
-    """`z^k` or `1` into a LatticeSpec, plus the canonical token."""
+    """`z^k` or `1` into a LatticeSpec."""
     if token == "1":
-        return LatticeSpec(1), "1"
+        return LatticeSpec(1)
     if token.startswith("z^"):
         k = _parse_int(token[2:], "lattice exponent", lineno)
-        omega = Cyclotomic.zeta(conductor, k % conductor)
         try:
-            return LatticeSpec(omega), token
+            return LatticeSpec(Cyclotomic.zeta(conductor, k))
         except Exception as exc:
             raise GroupFileError(str(exc), lineno)
     raise GroupFileError(
@@ -363,7 +351,7 @@ def parse_form_file(path, conductor: int, degree: int) -> SymplecticForm:
     if _keyword(body) != "form":
         raise GroupFileError("expected a form block", lineno)
     carrier = GroupFile(conductor=conductor, degree=degree)
-    form, _ = _parse_form(lines, body, lineno, carrier)
+    form = _parse_form(lines, body, lineno, carrier)
     left = lines.peek()
     if left is not None:
         raise GroupFileError("unexpected content after form block", left[0])
@@ -386,26 +374,39 @@ def _read(path) -> str:
 
 
 def serialize_group(gf: GroupFile) -> str:
+    """The file text, each value in its canonical spelling: a scaled
+    permutation matrix as `perm` when its scalars are 1 and as `monomial`
+    otherwise, any other generator as `dense`; a form whose columns each
+    hold one entry ±1 as `form wedge`, any other as `form dense`; the
+    lattice as `1` or as the least `z^k` that is its generator."""
     out = [f"conductor {gf.conductor}", f"degree {gf.degree}"]
     fmt = lambda x: format_entry(x, gf.conductor)
-    for spec in gf.generators:
-        out.append(f"generator {spec.kind}")
-        if spec.kind in ("monomial", "perm"):
-            cols, scalars = spec.element.row_entries()
+    for element in gf.generators:
+        if element.is_monomial():
+            cols, scalars = element.row_entries()
+            perm = all(s == 1 for s in scalars)
+            out.append("generator perm" if perm else "generator monomial")
             out.append("map " + " ".join(str(c + 1) for c in cols))
-            if spec.kind == "monomial":
+            if not perm:
                 out.append("scalars " + "; ".join(fmt(s) for s in scalars))
         else:
-            for row in spec.element.rows:
-                out.append("row " + "; ".join(fmt(x) for x in row))
+            out.append("generator dense")
+            out.extend("row " + "; ".join(fmt(x) for x in row) for row in element.rows)
     if gf.form is not None:
-        if gf.form_pairs is not None:
-            pairs = " ".join(f"{a + 1}:{b + 1}" for a, b in gf.form_pairs)
-            out.append(f"form wedge {pairs}")
+        columns = gf.form.element.columns
+        if all(len(column) == 1 and column[0][1] in (1, -1) for column in columns):
+            # antisymmetry pairs column j's entry at row i with column i's at
+            # row j, so each pair is written once, as a:b when Omega[a][b] = 1
+            pairs = [(i, j) if x == 1 else (j, i)
+                     for j, ((i, x),) in enumerate(columns) if i < j]
+            out.append("form wedge " + " ".join(f"{a + 1}:{b + 1}" for a, b in pairs))
         else:
             out.append("form dense")
-            for row in gf.form.matrix:
-                out.append("row " + "; ".join(fmt(x) for x in row))
+            out.extend("row " + "; ".join(fmt(x) for x in row) for row in gf.form.matrix)
     if gf.lattice is not None:
-        out.append(f"lattice {gf.lattice_token}")
+        omega, n = gf.lattice.omega, gf.conductor
+        k = next((k for k in range(n) if Cyclotomic.zeta(n, k) == omega), None)
+        if k is None:
+            raise InvalidInputError(f"lattice generator {omega} is no power of z at conductor {n}")
+        out.append("lattice 1" if k == 0 else f"lattice z^{k}")
     return "\n".join(out) + "\n"

@@ -271,25 +271,22 @@ def h0_reflexive_2forms(rep: AnalyticRep, table: CharacterTable) -> int:
 # -- symplectic classification
 
 
-class SymplecticKind(Enum):
+class SymplecticClass(Enum):
+    """Quaternionic irreducible, a conjugate pair named by the type of its
+    constituent, or neither; each value is the report's string."""
+
     QUATERNIONIC_IRREDUCIBLE = "QuaternionicIrreducible"
-    CONJUGATE_PAIR = "ConjugatePair"
-    NOT_UNI_SYMPLECTIC = "NotUniSymplectic"
-
-
-class SymplecticClass(namedtuple("SymplecticClass", "kind pair_type", defaults=(None,))):
-    """A `SymplecticKind`; `pair_type` is real | complex | trivial, pairs only."""
-
-    __slots__ = ()
+    REAL_PAIR = "ConjugatePair(real)"
+    COMPLEX_PAIR = "ConjugatePair(complex)"
+    TRIVIAL_PAIR = "ConjugatePair(trivial)"
+    NEITHER = "NotUniSymplectic"
 
     def __str__(self):
-        if self.kind is SymplecticKind.CONJUGATE_PAIR:
-            return f"ConjugatePair({self.pair_type})"
-        return self.kind.value
+        return self.value
 
-
-QUATERNIONIC = SymplecticClass(SymplecticKind.QUATERNIONIC_IRREDUCIBLE)
-NOT_UNI_SYMPLECTIC = SymplecticClass(SymplecticKind.NOT_UNI_SYMPLECTIC)
+    @property
+    def is_pair(self) -> bool:
+        return self.value.startswith("ConjugatePair")
 
 
 def classify_symplectic(rep: AnalyticRep, table: CharacterTable) -> SymplecticClass:
@@ -301,19 +298,19 @@ def classify_symplectic(rep: AnalyticRep, table: CharacterTable) -> SymplecticCl
         i = support[0]
         if mult[i] == 1:
             if table.indicator(i) == -1:
-                return QUATERNIONIC
-            return NOT_UNI_SYMPLECTIC
+                return SymplecticClass.QUATERNIONIC_IRREDUCIBLE
+            return SymplecticClass.NEITHER
         if mult[i] == 2:
             if table[i].values == trivial_character(rep.group).values:
-                return SymplecticClass(SymplecticKind.CONJUGATE_PAIR, "trivial")
+                return SymplecticClass.TRIVIAL_PAIR
             if table.indicator(i) == 1:
-                return SymplecticClass(SymplecticKind.CONJUGATE_PAIR, "real")
-        return NOT_UNI_SYMPLECTIC
+                return SymplecticClass.REAL_PAIR
+        return SymplecticClass.NEITHER
     if len(support) == 2:
         i, j = support
         if mult[i] == mult[j] == 1 and table.conjugate_index(i) == j:
-            return SymplecticClass(SymplecticKind.CONJUGATE_PAIR, "complex")
-    return NOT_UNI_SYMPLECTIC
+            return SymplecticClass.COMPLEX_PAIR
+    return SymplecticClass.NEITHER
 
 
 def homogeneous_decomplexification(rep: AnalyticRep, table: CharacterTable) -> bool:
@@ -476,8 +473,7 @@ def smoothness_verdict(symplectic_class: SymplecticClass, homogeneous: bool,
     A uni-symplectic class is always homogeneous, and it is trivial only as
     the degree-2 trivial pair, so above degree 2 it always gets TORUS_ONLY.
     """
-    if symplectic_class == SymplecticClass(SymplecticKind.CONJUGATE_PAIR, "trivial") \
-            and degree == 2:
+    if symplectic_class is SymplecticClass.TRIVIAL_PAIR and degree == 2:
         return Verdict.TWO_TORUS
     if homogeneous and not trivial:
         return Verdict.TORUS_ONLY
@@ -487,19 +483,17 @@ def smoothness_verdict(symplectic_class: SymplecticClass, homogeneous: bool,
 # -- Lagrangian fibrations
 
 
-def _complex_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...]):
+def _complex_halves(rep: AnalyticRep, chi: Character, k: int):
     """The constituents of a complex pair χ + χ̄, as RREF bases, χ first;
-    ``mult`` is the decomposition of the pair's character.
+    k is a class where χ is not real.
 
     The class sum S_k = Σ_{g ∈ C_k} ρ(g) is central, so it acts on the copy
-    of χ as ω = |C_k|·χ(g_k)/χ(1) and on the copy of χ̄ as ω̄.  At the first
-    class k where χ is not real the two differ.  S_k − ω̄ then kills the copy
-    of χ̄ and acts as ω − ω̄ ≠ 0 on the copy of χ, so the χ half is the column
-    space of S_k − ω̄, and the χ̄ half that of S_k − ω: one row reduction of
-    the transpose each.  Only the members of C_k are read."""
+    of χ as ω = |C_k|·χ(g_k)/χ(1) and on the copy of χ̄ as ω̄, and the two
+    differ.  S_k − ω̄ then kills the copy of χ̄ and acts as ω − ω̄ ≠ 0 on
+    the copy of χ, so the χ half is the column space of S_k − ω̄, and the χ̄
+    half that of S_k − ω: one row reduction of the transpose each.  Only
+    the members of C_k are read."""
     group, n = rep.group, rep.degree
-    chi = table[mult.index(1)]
-    k = next(k for k, v in enumerate(chi.values) if v != v.conjugate())
     acc = [[zero()] * n for _ in range(n)]  # the transpose of S_k
     for g in group.conjugacy_classes[k]:
         for i, j, x in rep.matrix(g).entries():
@@ -586,10 +580,11 @@ def _spin_halves(rep: AnalyticRep):
     return halves[0][1], halves[1][1]
 
 
-def _block_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...],
-                  pair_type: str):
+def _block_halves(rep: AnalyticRep, complex_pair):
     """The halves of a conjugate pair as unit-vector rows, when its
     generators keep exactly two coordinate blocks; None otherwise.
+    ``complex_pair`` is (χ, k) for a complex pair χ + χ̄ and k a class where
+    χ is not real, None for a real or trivial pair.
 
     The blocks are the connected components of the coordinates, i and j
     joined where a generator has a nonzero entry at (i, j): the orbits of
@@ -601,8 +596,7 @@ def _block_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...]
 
     - complex χ + χ̄: the only half-dimensional subrepresentations are the
       two isotypic components, and an RREF basis is unique.  The χ half
-      goes first: its trace at the first class k where χ is not real is
-      χ(g_k), the other's χ̄(g_k).
+      goes first: its trace at class k is χ(g_k), the other's χ̄(g_k).
     - real or trivial V + V: on a matrix that is block diagonal up to a
       permutation of coordinates, row reduction never mixes blocks, so
       every kernel vector the spin cuts K with stays inside one block and
@@ -627,9 +621,8 @@ def _block_halves(rep: AnalyticRep, table: CharacterTable, mult: tuple[int, ...]
     if len(blocks) != 2:
         return None
     first, second = sorted(blocks.values())
-    if pair_type == "complex":
-        chi = table[mult.index(1)]
-        k = next(k for k, v in enumerate(chi.values) if v != v.conjugate())
+    if complex_pair is not None:
+        chi, k = complex_pair
         m = rep.matrix(rep.group.class_representatives[k])
         trace = add_all([x for i, j, x in m.entries() if i == j and i in first])
         if trace == chi.values[k].conjugate():
@@ -648,17 +641,20 @@ def lagrangian_fibration_data(rep: AnalyticRep, form: SymplecticForm,
     ``form_preserved``."""
     if not form_preserved and not preserves_form(rep, form):
         raise InvalidInputError("form is not invariant under the representation")
-    mult = rep.decomposition(table)
     cls = classify_symplectic(rep, table)
-    if cls.kind is SymplecticKind.QUATERNIONIC_IRREDUCIBLE:
+    if cls is SymplecticClass.QUATERNIONIC_IRREDUCIBLE:
         return None
-    if cls.kind is not SymplecticKind.CONJUGATE_PAIR:
+    if not cls.is_pair:
         raise InvalidInputError(
             "Lagrangian extraction needs a conjugate-pair representation")
-    halves = _block_halves(rep, table, mult, cls.pair_type)
+    complex_pair = None
+    if cls is SymplecticClass.COMPLEX_PAIR:  # χ listed first, k its first non-real class
+        chi = table[rep.decomposition(table).index(1)]
+        complex_pair = chi, next(k for k, v in enumerate(chi.values) if v != v.conjugate())
+    halves = _block_halves(rep, complex_pair)
     if halves is None:
-        if cls.pair_type == "complex":
-            halves = _complex_halves(rep, table, mult)
+        if complex_pair is not None:
+            halves = _complex_halves(rep, *complex_pair)
         else:  # real or trivial: character theory sees one constituent twice
             halves = _spin_halves(rep)
     # antisymmetry gives w(u, u) = 0 and w(v, u) = -w(u, v): the pairs u before v suffice
@@ -673,43 +669,25 @@ def lagrangian_fibration_data(rep: AnalyticRep, form: SymplecticForm,
 
 class QuotientReport(namedtuple(
         "QuotientReport",
-        "group_order degree faithful h10 h20 symplectic_class homogeneous eigenvalue_one_all"
-        " eigenvalue_one_failures primitive verdict invariant_form form_provided"
-        " form_preserved form_degenerate lattice_provided lattice_preserved fibration",
-        defaults=(None, False, None, None, False, None, None))):
-    """What :func:`analyze` finds.  The form and lattice fields are set when
-    one is given, the fibration for a pair with a non-degenerate form."""
+        "group_order degree faithful h10 h20 symplectic_class homogeneous_decomplexification"
+        " eigenvalue_one_all eigenvalue_one_failures primitive verdict invariant_form"
+        " form_provided form_preserved form_degenerate lattice_provided lattice_preserved"
+        " fibration")):
+    """What :func:`analyze` finds, each field named by its key in
+    :meth:`to_dict`.  The form and lattice fields are set when one is
+    given, the fibration for a pair with a non-degenerate form."""
 
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        def form_entries(m):
-            return [[format_entry(x) for x in row] for row in m]
-
-        return {
-            "group_order": self.group_order,
-            "degree": self.degree,
-            "faithful": self.faithful,
-            "h10": self.h10,
-            "h20": self.h20,
-            "symplectic_class": str(self.symplectic_class),
-            "homogeneous_decomplexification": self.homogeneous,
-            "eigenvalue_one_all": self.eigenvalue_one_all,
-            "eigenvalue_one_failures": list(self.eigenvalue_one_failures),
-            "primitive": self.primitive,
-            "verdict": self.verdict.value,
-            "singular_unless_torus": self.verdict.singular_unless_torus,
-            "invariant_form": form_entries(self.invariant_form.matrix)
-                if self.invariant_form is not None else None,
-            "form_provided": self.form_provided,
-            "form_preserved": self.form_preserved,
-            "form_degenerate": self.form_degenerate,
-            "lattice_provided": self.lattice_provided,
-            "lattice_preserved": self.lattice_preserved,
-            "fibration": [[ [format_entry(x) for x in vec] for vec in basis]
-                          for basis in self.fibration]
-                if self.fibration is not None else None,
-        }
+        """The fields as JSON values, with the verdict's
+        ``singular_unless_torus`` right after it."""
+        d = {}
+        for name, value in zip(self._fields, self):
+            d[name] = _json_value(value)
+            if name == "verdict":
+                d["singular_unless_torus"] = value.singular_unless_torus
+        return d
 
     def to_text(self) -> str:
         d = self.to_dict()
@@ -743,9 +721,23 @@ class QuotientReport(namedtuple(
                 lines.append(f"lagrangian half {bi + 1}")
                 for vec in basis:
                     lines.append("  [" + ", ".join(vec) + "]")
-        elif self.symplectic_class.kind is SymplecticKind.QUATERNIONIC_IRREDUCIBLE:
+        elif self.symplectic_class is SymplecticClass.QUATERNIONIC_IRREDUCIBLE:
             lines.append("fibration              none (irreducible: no invariant subspace)")
         return "\n".join(lines)
+
+
+def _json_value(v):
+    """An enum as its value, a form as its matrix, and a sequence as a list
+    of such values, with a vector's exact entries in entry syntax."""
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, SymplecticForm):
+        v = v.matrix
+    if isinstance(v, (tuple, list)):
+        if v and isinstance(v[0], Cyclotomic):
+            return [format_entry(x) for x in v]
+        return [_json_value(x) for x in v]
+    return v
 
 
 def _yn(v) -> str:
@@ -778,7 +770,7 @@ def analyze(rep: AnalyticRep, table: CharacterTable,
         lattice_preserved = preserves_lattice(rep, lattice)
 
     fibration = None
-    if cls.kind is SymplecticKind.CONJUGATE_PAIR:
+    if cls.is_pair:
         candidate = None
         if form is not None and form_preserved and not form_degenerate:
             candidate = form
@@ -795,7 +787,7 @@ def analyze(rep: AnalyticRep, table: CharacterTable,
         h10=h10,
         h20=h20,
         symplectic_class=cls,
-        homogeneous=homog,
+        homogeneous_decomplexification=homog,
         eigenvalue_one_all=eig_all,
         eigenvalue_one_failures=eig_fail,
         primitive=prim,

@@ -84,6 +84,13 @@ def is_real_valued(chi: Character) -> bool:
     return all(v == v.conjugate() for v in chi.values)
 
 
+def complex_constituent(rep: AnalyticRep, table) -> tuple[Character, int]:
+    """(χ, k) of a complex pair χ + χ̄ as the fibration finds them: χ the
+    constituent the table lists first, k the first class where χ is not real."""
+    chi = table[rep.decomposition(table).index(1)]
+    return chi, next(k for k, v in enumerate(chi.values) if v != v.conjugate())
+
+
 def regular_rep(group: FiniteGroup) -> AnalyticRep:
     ones = (one(),) * group.order
     return rep_from_matrices(

@@ -26,7 +26,7 @@ from torusquot.cyclo import Cyclotomic, zero, one
 from torusquot.fixtures import FIXTURES, run_fixture
 from torusquot.groups import Dense, Element, Monomial, close
 from torusquot.torusq import (
-    SymplecticKind,
+    SymplecticClass,
     Verdict,
     analyze,
     classify_symplectic,
@@ -180,7 +180,7 @@ def test_criterion_5_character_properties(s4_group, s4_table, q8_group, q8_table
         failures.append(f"corpus has only {len(corpus)} entries")
     for name, rep, table in corpus:
         cls = classify_symplectic(rep, table)
-        has_unique = cls.kind is not SymplecticKind.NOT_UNI_SYMPLECTIC
+        has_unique = cls is not SymplecticClass.NEITHER
         form = invariant_form(rep)
         rhs = (h0_reflexive_2forms(rep, table) == 1
                and form is not None and form.is_nondegenerate())

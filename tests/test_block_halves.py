@@ -16,15 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conjugated_elements, inverse, wreath_generator_pairs, wreath_generators
+from helpers import (
+    complex_constituent,
+    conjugated_elements,
+    inverse,
+    wreath_generator_pairs,
+    wreath_generators,
+)
 
-from torusquot.chartab import character_table, decompose
+from torusquot.chartab import character_table
 from torusquot.cyclo import Cyclotomic
 from torusquot.errors import GroupTooLargeError, TorusQuotError
 from torusquot.groups import Monomial, close
 from torusquot.torusq import (
     AnalyticRep,
-    SymplecticKind,
+    SymplecticClass,
     _block_halves,
     _complex_halves,
     _spin_halves,
@@ -47,21 +53,23 @@ def shuffled(rep, rng):
 
 
 def check_blocks(rep, table):
-    """The block halves equal the earlier path's; the pair type, or None
-    when the representation is no conjugate pair."""
-    mult = decompose(rep.character, table)
+    """The block halves equal the earlier path's; the symplectic class, or
+    None when the representation is no conjugate pair."""
     cls = classify_symplectic(rep, table)
-    if cls.kind is not SymplecticKind.CONJUGATE_PAIR:
+    if not cls.is_pair:
         return None
-    halves = _block_halves(rep, table, mult, cls.pair_type)
+    complex_pair = None
+    if cls is SymplecticClass.COMPLEX_PAIR:
+        complex_pair = complex_constituent(rep, table)
+    halves = _block_halves(rep, complex_pair)
     assert halves is not None, "a block sum has two coordinate blocks"
-    if cls.pair_type == "complex":
-        assert halves == _complex_halves(rep, table, mult)
+    if complex_pair is not None:
+        assert halves == _complex_halves(rep, *complex_pair)
     else:
         assert halves == _spin_halves(rep)
     form = invariant_form(rep)
     assert lagrangian_fibration_data(rep, form, table) == halves
-    return cls.pair_type
+    return cls
 
 
 def check_pairs(gens, rng, limit):
@@ -91,7 +99,8 @@ def test_block_halves_match_the_earlier_path(gens, rng):
     (3, 2, "complex"), (4, 2, "complex"), (6, 2, "complex"), (3, 3, "complex"),
 ])
 def test_block_halves_on_wreath_products(m, n, pair_type):
-    assert check_pairs(wreath_generators(m, n), random.Random(m * 10 + n), 400) == {pair_type}
+    assert check_pairs(wreath_generators(m, n), random.Random(m * 10 + n), 400) == \
+        {SymplecticClass(f"ConjugatePair({pair_type})")}
 
 
 def test_block_of_neither_constituent():
@@ -102,7 +111,7 @@ def test_block_of_neither_constituent():
     table = character_table(group)
     rep = conjugate_pair_rep(natural_rep(group))
     g = group.class_of(group.generator_indices[0])
-    other = next(i for i, chi in enumerate(table) if chi.values[g] == Cyclotomic.zeta(7, 2))
-    mult = tuple(int(i == other) for i in range(len(table.degrees)))
+    chi = next(chi for chi in table if chi.values[g] == Cyclotomic.zeta(7, 2))
+    k = next(k for k, v in enumerate(chi.values) if v != v.conjugate())
     with pytest.raises(TorusQuotError):
-        _block_halves(rep, table, mult, "complex")
+        _block_halves(rep, (chi, k))

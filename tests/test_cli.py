@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from torusquot import cli
 from torusquot.cli import build_parser, main
+from torusquot.errors import TableComputationError
 from torusquot.fixtures import FIXTURES, S4_FILE
 
 TRIVIAL2 = "conductor 1\ndegree 2\ngenerator perm\nmap 1 2\n"
@@ -213,6 +215,31 @@ def test_check_example_unknown_exit_2(capsys):
     code = main(["check-example", "nope"])
     assert code == 2
     assert "unknown example" in capsys.readouterr().err
+
+
+def _raise_table_error(*args):
+    raise TableComputationError("no admissible prime")
+
+
+def test_check_example_error_is_one_line_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_fixture", _raise_table_error)
+    code = main(["check-example", "s4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: no admissible prime\n"
+
+
+def test_search_error_on_a_closed_group_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
+    # the table of a closed, primitive group is built outside the per-file
+    # handling that skips unreadable files
+    (tmp_path / "s4.group").write_text(S4_FILE)
+    monkeypatch.setattr(cli, "character_table", _raise_table_error)
+    code = main(["search", "--catalog", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "s4.group: order 24, primitive: yes\n"
+    assert captured.err == "error: no admissible prime\n"
 
 
 def _write_catalog(tmp_path):

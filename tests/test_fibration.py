@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 from fibration_oracle import commutant_split
 from helpers import conjugated, mat_rank, mat_vec, unimodular
 
-from torusquot.chartab import character_table, decompose, frobenius_schur, inner_product
+from torusquot.chartab import character_table, frobenius_schur, inner_product
 from torusquot.cyclo import Cyclotomic
 from torusquot.errors import TorusQuotError
 from torusquot.groupfile import parse_group
 from torusquot.groups import Element, Monomial, close
 from torusquot.torusq import (
+    SymplecticClass,
     _block_halves,
     _spin_halves,
     classify_symplectic,
@@ -106,7 +107,8 @@ def test_corpus_real_and_trivial_pairs(corpus):
     # pairs of degree 2: block sums split into the coordinate blocks
     checked = 0
     for name, rep, table in corpus:
-        if classify_symplectic(rep, table).pair_type in ("real", "trivial"):
+        if classify_symplectic(rep, table) in (SymplecticClass.REAL_PAIR,
+                                               SymplecticClass.TRIVIAL_PAIR):
             halves, _ = check_against_oracle(rep, table)
             assert halves == coordinate_blocks(rep.degree), name
             checked += 1
@@ -134,7 +136,7 @@ def test_pair_dense_reproducer():
     assert str(classify_symplectic(rep, table)) == "ConjugatePair(real)"
     # one coordinate block: the fibration spins, and check_against_oracle
     # compares it with the spin
-    assert _block_halves(rep, table, decompose(rep.character, table), "real") is None
+    assert _block_halves(rep, None) is None
     halves, reference = check_against_oracle(rep, table)
     assert reference is None
     assert all(x.as_rational() is not None for basis in halves for v in basis for x in v)

@@ -42,7 +42,7 @@ SHARED_NAMES = {
     # AnalyticRep: torusq.invariant_form; SymplecticForm: torusq.preserves_form
     "degree",
     # AnalyticRep: torusq._complex_halves; SymplecticForm:
-    # QuotientReport.to_dict and groupfile.serialize_group
+    # torusq._json_value and groupfile.serialize_group
     "matrix",
     # CharacterTable: cli.cmd_chartable; QuotientReport: cli.cmd_analyze
     "to_dict",

@@ -29,7 +29,7 @@ from torusq_oracle import group_average_form
 from torusquot import groups, torusq
 from torusquot.chartab import character_table
 from torusquot.cli import main
-from torusquot.groupfile import GeneratorSpec, parse_group_text, serialize_group
+from torusquot.groupfile import parse_group_text, serialize_group
 from torusquot.groups import DEFAULT_CLOSURE_LIMIT, Dense, Monomial, close
 from torusquot.torusq import analyze, conjugate_pair_rep, natural_rep
 
@@ -56,10 +56,9 @@ def count_calls(monkeypatch, module, name):
 
 
 def written_monomial(text):
-    """The same group file with every generator written `generator monomial`."""
-    gf = parse_group_text(text)
-    gf.generators = [GeneratorSpec("monomial", spec.element) for spec in gf.generators]
-    return serialize_group(gf)
+    """The same group file re-serialized: every scaled permutation matrix
+    with a scalar other than 1 is written `generator monomial`."""
+    return serialize_group(parse_group_text(text))
 
 
 def pair_report(text, tmp_path, capsys):

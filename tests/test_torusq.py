@@ -28,8 +28,9 @@ from torusquot.groups import Dense, Element, Monomial, close
 from torusquot.torusq import (
     AnalyticRep,
     LatticeSpec,
+    QuotientReport,
+    SymplecticClass,
     SymplecticForm,
-    SymplecticKind,
     Verdict,
     analyze,
     assemble,
@@ -119,7 +120,7 @@ def test_corpus_classify_iff_h20_and_form(corpus):
         cls = classify_symplectic(rep, table)
         h20 = h0_reflexive_2forms(rep, table)
         form = invariant_form(rep)
-        has_unique = cls.kind is not SymplecticKind.NOT_UNI_SYMPLECTIC
+        has_unique = cls is not SymplecticClass.NEITHER
         rhs = h20 == 1 and form is not None and form.is_nondegenerate()
         assert has_unique == rhs, f"{name}: classify={cls} h20={h20} form={form}"
 
@@ -496,7 +497,7 @@ def test_corpus_verdict_soundness(corpus):
             assert verdict.singular_unless_torus, name
         # a uni-symplectic action of degree above 2 is flagged: neither the
         # torus nor the base can be smooth unless the torus is 2-dimensional
-        if cls.kind is not SymplecticKind.NOT_UNI_SYMPLECTIC and rep.degree > 2:
+        if cls is not SymplecticClass.NEITHER and rep.degree > 2:
             assert verdict is Verdict.TORUS_ONLY, name
             uni_symplectic_above_2 += 1
     assert uni_symplectic_above_2 > 0
@@ -598,6 +599,28 @@ def test_report_json_text_consistency(s4_natural, s4_table):
     assert d["lattice_preserved"] is True
     import json
     json.dumps(d)  # must be serializable as-is
+
+
+def test_report_keys_are_its_fields():
+    # the trivial degree-2 pair: every field holds a value of its own kind
+    e = Element.identity(2).rows
+    report = QuotientReport(
+        group_order=1, degree=2, faithful=True, h10=2, h20=1,
+        symplectic_class=SymplecticClass.TRIVIAL_PAIR, homogeneous_decomplexification=True,
+        eigenvalue_one_all=True, eigenvalue_one_failures=(), primitive=True,
+        verdict=Verdict.TWO_TORUS, invariant_form=SymplecticForm.wedge_pairs(2, [(0, 1)]),
+        form_provided=False, form_preserved=None, form_degenerate=None,
+        lattice_provided=True, lattice_preserved=True, fibration=((e[0],), (e[1],)))
+    d = report.to_dict()
+    fields = list(QuotientReport._fields)
+    at = fields.index("verdict") + 1
+    assert list(d) == fields[:at] + ["singular_unless_torus"] + fields[at:]
+    assert d["symplectic_class"] == "ConjugatePair(trivial)"
+    assert d["verdict"] == "TWO_TORUS" and d["singular_unless_torus"] is False
+    assert d["eigenvalue_one_failures"] == []
+    assert d["invariant_form"] == [["0", "1"], ["-1", "0"]]
+    assert d["fibration"] == [[["1", "0"]], [["0", "1"]]]
+    assert d["form_preserved"] is None and d["lattice_preserved"] is True
 
 
 def test_text_report_says_why_g1280_has_no_fibration(g1280_group, g1280_table):
