@@ -113,18 +113,7 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 2
-    return True
+    return n > 1 and prime_factors(n) == (n,)
 
 
 def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:

@@ -55,30 +55,33 @@ class GroupFile:
 
 # -- parsing
 
-
-class _Lines:
-    """Comment-stripped, non-blank lines with their original numbers."""
-
-    def __init__(self, text: str):
-        self.items = []
-        for no, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0]
-            if body.strip():
-                self.items.append((no, body))
-        self.pos = 0
-
-    def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def take(self):
-        item = self.peek()
-        if item is not None:
-            self.pos += 1
-        return item
+# the keywords of the lines that a block header, split at whitespace, takes
+_BLOCKS = {("generator", "perm"): ("map",), ("generator", "monomial"): ("map", "scalars"),
+           ("generator", "dense"): ("row",), ("form", "dense"): ("row",)}
 
 
-def _keyword(line: str) -> str:
-    return line.split(None, 1)[0]
+def _directives(text: str):
+    """(line number, keyword, rest, rest's 0-based column) for each
+    comment-stripped, non-blank line, the keyword split off at whitespace."""
+    out = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        words = body.split(None, 1)
+        if words:
+            col = body.index(words[0]) + len(words[0])
+            out.append((no, words[0], body[col:], col))
+    return out
+
+
+def _block(records, i: int):
+    """The records of the block headed by records[i]: the run after it
+    whose keywords its header takes."""
+    _, kw, rest, _ = records[i]
+    allowed = _BLOCKS.get((kw, *rest.split()), ())
+    end = i + 1
+    while end < len(records) and records[end][1] in allowed:
+        end += 1
+    return records[i + 1:end]
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
@@ -89,12 +92,13 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
     return value
 
 
-def _header_value(body: str, kw: str, lineno: int) -> int:
-    """The N of a `conductor N` or `degree N` line, which must be positive."""
-    parts = body.split()
-    if len(parts) != 2:
+def _header_value(record) -> int:
+    """The N of a `conductor N` or `degree N` record, which must be positive."""
+    lineno, kw, rest, _ = record
+    parts = rest.split()
+    if len(parts) != 1:
         raise GroupFileError(f"expected `{kw} N`", lineno)
-    value = _parse_int(parts[1], kw, lineno)
+    value = _parse_int(parts[0], kw, lineno)
     if value < 1:
         raise GroupFileError(f"{kw} must be positive", lineno)
     return value
@@ -147,55 +151,40 @@ def _row_style_monomial(maps, scalars, degree: int, lineno: int) -> Element:
 
 
 def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
-    lines = _Lines(text)
-    conductor = None
-    degree = None
+    records = _directives(text)
+    header = {}
+    i = 0
+    # conductor and degree in either order, both before any block
+    while i < len(records) and records[i][1] in ("conductor", "degree"):
+        value = _header_value(records[i])
+        lineno, kw = records[i][:2]
+        if kw in header:
+            raise GroupFileError(f"duplicate {kw} line", lineno)
+        header[kw] = value
+        i += 1
+    at = records[i][0] if i < len(records) else None
+    for kw in ("conductor", "degree"):
+        if kw not in header:
+            raise GroupFileError(f"{source}: missing {kw} line", at)
 
-    # header: conductor and degree in either order, both before any block
-    while True:
-        item = lines.peek()
-        if item is None:
-            break
-        lineno, body = item
-        kw = _keyword(body)
-        if kw not in ("conductor", "degree"):
-            break
-        lines.take()
-        value = _header_value(body, kw, lineno)
-        if kw == "conductor":
-            if conductor is not None:
-                raise GroupFileError("duplicate conductor line", lineno)
-            conductor = value
-        else:
-            if degree is not None:
-                raise GroupFileError("duplicate degree line", lineno)
-            degree = value
-
-    first = lines.peek()
-    at = first[0] if first else None
-    if conductor is None:
-        raise GroupFileError(f"{source}: missing conductor line", at)
-    if degree is None:
-        raise GroupFileError(f"{source}: missing degree line", at)
-
-    gf = GroupFile(conductor=conductor, degree=degree)
-
-    while True:
-        item = lines.take()
-        if item is None:
-            break
-        lineno, body = item
-        kw = _keyword(body)
+    gf = GroupFile(conductor=header["conductor"], degree=header["degree"])
+    while i < len(records):
+        lineno, kw, rest, _ = records[i]
+        block = _block(records, i)
+        i += 1 + len(block)
         if kw == "generator":
-            gf.generators.append(_parse_generator(lines, body, lineno, gf))
+            gf.generators.append(_parse_generator(lineno, rest, block, gf.conductor, gf.degree))
         elif kw == "form":
             if gf.form is not None:
                 raise GroupFileError("duplicate form block", lineno)
-            gf.form = _parse_form(lines, body, lineno, gf)
+            gf.form = _parse_form(lineno, rest, block, gf.conductor, gf.degree)
         elif kw == "lattice":
             if gf.lattice is not None:
                 raise GroupFileError("duplicate lattice block", lineno)
-            gf.lattice = _parse_lattice(body, lineno, gf)
+            parts = rest.split()
+            if len(parts) != 1:
+                raise GroupFileError("expected `lattice z^k` or `lattice 1`", lineno)
+            gf.lattice = parse_lattice_token(parts[0], gf.conductor, lineno)
         elif kw in ("conductor", "degree"):
             raise GroupFileError(f"{kw} must appear before all blocks", lineno)
         else:
@@ -206,86 +195,60 @@ def parse_group_text(text: str, source: str = "<string>") -> GroupFile:
     return gf
 
 
-def _block_lines(lines: _Lines, allowed):
-    """Yield (lineno, keyword, rest, rest_offset) until the next directive:
-    the keyword split off as `_keyword` does, rest from its 0-based column."""
-    while True:
-        item = lines.peek()
-        if item is None:
-            return
-        lineno, body = item
-        kw = _keyword(body)
-        if kw not in allowed:
-            return
-        lines.take()
-        offset = body.index(kw) + len(kw)
-        yield lineno, kw, body[offset:], offset
-
-
-def _parse_generator(lines: _Lines, header: str, lineno: int, gf: GroupFile) -> Element:
-    parts = header.split()
-    if len(parts) != 2 or parts[1] not in ("monomial", "dense", "perm"):
+def _parse_generator(lineno: int, rest: str, block, conductor: int, n: int) -> Element:
+    style = rest.split()
+    if ("generator", *style) not in _BLOCKS:
         raise GroupFileError("expected `generator monomial|dense|perm`", lineno)
-    kind = parts[1]
-    n = gf.degree
 
-    if kind == "perm":
-        got = list(_block_lines(lines, ("map",)))
-        if len(got) != 1:
+    if style == ["perm"]:
+        if len(block) != 1:
             raise GroupFileError("perm generator needs exactly one map line", lineno)
-        mlineno, _, rest, _ = got[0]
-        maps = _parse_index_list(rest, n, mlineno, "map")
+        mlineno, _, mrest, _ = block[0]
+        maps = _parse_index_list(mrest, n, mlineno, "map")
         return _row_style_monomial(maps, [one()] * n, n, mlineno)
 
-    if kind == "monomial":
-        maps = None
-        scalars = None
-        for blineno, kw, rest, off in _block_lines(lines, ("map", "scalars")):
+    if style == ["monomial"]:
+        lines = {}
+        for blineno, kw, brest, off in block:
+            if kw in lines:
+                raise GroupFileError(f"duplicate {kw} line", blineno)
             if kw == "map":
-                if maps is not None:
-                    raise GroupFileError("duplicate map line", blineno)
-                maps = _parse_index_list(rest, n, blineno, "map")
+                lines[kw] = _parse_index_list(brest, n, blineno, "map")
             else:
-                if scalars is not None:
-                    raise GroupFileError("duplicate scalars line", blineno)
-                entries = _parse_entry_list(rest, off, gf.conductor,
-                                            blineno, "scalar")
-                if len(entries) != n:
+                lines[kw] = _parse_entry_list(brest, off, conductor, blineno, "scalar")
+                if len(lines[kw]) != n:
                     raise GroupFileError(
-                        f"scalars lists {len(entries)} entries, degree is {n}", blineno)
-                scalars = entries
-        if maps is None:
-            raise GroupFileError("monomial generator is missing its map line", lineno)
-        if scalars is None:
-            raise GroupFileError("monomial generator is missing its scalars line", lineno)
-        return _row_style_monomial(maps, scalars, n, lineno)
+                        f"scalars lists {len(lines[kw])} entries, degree is {n}", blineno)
+        for kw in ("map", "scalars"):
+            if kw not in lines:
+                raise GroupFileError(f"monomial generator is missing its {kw} line", lineno)
+        return _row_style_monomial(lines["map"], lines["scalars"], n, lineno)
 
-    return Dense(_parse_rows(lines, lineno, gf, "matrix", "row", "dense generator"))
+    return Dense(_parse_rows(block, lineno, conductor, n, "matrix", "row", "dense generator"))
 
 
-def _parse_rows(lines: _Lines, lineno: int, gf: GroupFile, what: str, row: str, block: str):
-    """The `row` lines of a dense block, degree many of degree many entries:
-    ``what`` names a bad entry, ``row`` a short or long row and ``block``
+def _parse_rows(block, lineno: int, conductor: int, n: int, what: str, row: str, name: str):
+    """The `row` records of a dense block, n many of n entries each:
+    ``what`` names a bad entry, ``row`` a short or long row and ``name``
     the block with too few or too many rows."""
-    n = gf.degree
     rows = []
-    for blineno, _, rest, off in _block_lines(lines, ("row",)):
-        entries = _parse_entry_list(rest, off, gf.conductor, blineno, what)
+    for blineno, _, rest, off in block:
+        entries = _parse_entry_list(rest, off, conductor, blineno, what)
         if len(entries) != n:
             raise GroupFileError(f"{row} has {len(entries)} entries, degree is {n}", blineno)
         rows.append(entries)
     if len(rows) != n:
-        raise GroupFileError(f"{block} has {len(rows)} rows, degree is {n}", lineno)
+        raise GroupFileError(f"{name} has {len(rows)} rows, degree is {n}", lineno)
     return rows
 
 
-def _parse_form(lines: _Lines, header: str, lineno: int, gf: GroupFile):
-    parts = header.split()
-    if len(parts) >= 2 and parts[1] == "wedge":
-        pairs = parse_wedge_pairs(" ".join(parts[2:]), gf.degree, lineno)
-        return SymplecticForm.wedge_pairs(gf.degree, pairs)
-    if parts[1:] == ["dense"]:
-        rows = _parse_rows(lines, lineno, gf, "form", "form row", "form")
+def _parse_form(lineno: int, rest: str, block, conductor: int, degree: int):
+    parts = rest.split()
+    if parts[:1] == ["wedge"]:
+        pairs = parse_wedge_pairs(" ".join(parts[1:]), degree, lineno)
+        return SymplecticForm.wedge_pairs(degree, pairs)
+    if parts == ["dense"]:
+        rows = _parse_rows(block, lineno, conductor, degree, "form", "form row", "form")
         try:
             return SymplecticForm(rows)
         except Exception as exc:
@@ -316,13 +279,6 @@ def parse_wedge_pairs(text: str, degree: int, lineno: int | None = None):
     return pairs
 
 
-def _parse_lattice(body: str, lineno: int, gf: GroupFile):
-    parts = body.split()
-    if len(parts) != 2:
-        raise GroupFileError("expected `lattice z^k` or `lattice 1`", lineno)
-    return parse_lattice_token(parts[1], gf.conductor, lineno)
-
-
 def parse_lattice_token(token: str, conductor: int, lineno: int | None = None):
     """`z^k` or `1` into a LatticeSpec."""
     if token == "1":
@@ -339,22 +295,21 @@ def parse_lattice_token(token: str, conductor: int, lineno: int | None = None):
 
 def parse_form_file(path, conductor: int, degree: int) -> SymplecticForm:
     """A standalone form file: optional `conductor N`, then one form block."""
-    lines = _Lines(_read(path))
-    item = lines.peek()
-    if item is not None and _keyword(item[1]) == "conductor":
-        lineno, body = lines.take()
-        conductor = _header_value(body, "conductor", lineno)
-    item = lines.take()
-    if item is None:
+    records = _directives(_read(path))
+    i = 0
+    if records and records[0][1] == "conductor":
+        conductor = _header_value(records[0])
+        i = 1
+    if i == len(records):
         raise GroupFileError(f"{path}: no form block", None)
-    lineno, body = item
-    if _keyword(body) != "form":
+    lineno, kw, rest, _ = records[i]
+    if kw != "form":
         raise GroupFileError("expected a form block", lineno)
-    carrier = GroupFile(conductor=conductor, degree=degree)
-    form = _parse_form(lines, body, lineno, carrier)
-    left = lines.peek()
-    if left is not None:
-        raise GroupFileError("unexpected content after form block", left[0])
+    block = _block(records, i)
+    form = _parse_form(lineno, rest, block, conductor, degree)
+    left = records[i + 1 + len(block):]
+    if left:
+        raise GroupFileError("unexpected content after form block", left[0][0])
     return form
 
 

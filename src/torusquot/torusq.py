@@ -512,26 +512,16 @@ def _complex_halves(rep: AnalyticRep, chi: Character, k: int):
 
 def _spin(gens, v, half: int):
     """(pivots, RREF basis) of the span of v under gens; None once that span
-    passes half.  Each new image is reduced against the pivots found so far."""
-    echelon = []  # (pivot, row with 1 there and 0 at every earlier pivot)
-    todo = [v]
-    while todo:
-        w = todo.pop()
-        for p, row in echelon:
-            if w[p]:
-                c = w[p]
-                w = tuple(a - c * b if b else a for a, b in zip(w, row))
-        p = next((i for i, a in enumerate(w) if a), None)
-        if p is None:
-            continue
-        if len(echelon) == half:
+    passes half.  Each round reduces the basis with its images."""
+    red, pivots = rref([v])
+    while True:
+        basis = red[:len(pivots)]
+        red, grown = rref(basis + tuple(g.apply(w) for w in basis for g in gens))
+        if len(grown) > half:
             return None
-        inv = w[p].inverse()
-        w = tuple(inv * a for a in w)
-        echelon.append((p, w))
-        todo.extend(g.apply(w) for g in gens)
-    red, pivots = rref([row for _, row in echelon])
-    return pivots, red
+        if len(grown) == len(pivots):
+            return pivots, basis
+        pivots = grown
 
 
 def _spin_halves(rep: AnalyticRep):

@@ -1,6 +1,7 @@
 """Constructions and matrix helpers that only the tests use."""
 
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -22,6 +23,14 @@ def lift_coeffs(x: Cyclotomic, m: int) -> list[Fraction]:
     for i, c in enumerate(x.coeffs):
         out[i * step] = c
     return out
+
+
+def readme_group_example() -> str:
+    """The example group file of README.md's "Group files" section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Group files"):]
+    start = section.index("```\n") + 4
+    return section[start:section.index("```", start)]
 
 
 @st.composite

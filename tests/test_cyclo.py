@@ -19,7 +19,7 @@ from torusquot import (
     parse_entry,
     totient,
 )
-from torusquot.cyclo import _unit_factors
+from torusquot.cyclo import _unit_factors, is_prime
 
 Z = Cyclotomic.zeta
 C = Cyclotomic.from_value
@@ -120,6 +120,15 @@ def test_inverse_of_sums(n):
     for x in (Z(n) + 2, Z(n, 2) - Z(n, 11) * Fraction(3, 2) + Z(n, 35),
               C(Fraction(1, 3)) + Z(n, 5) + Z(n, 5).conjugate()):
         assert x * x.inverse() == 1
+
+
+def test_is_prime_against_a_sieve():
+    limit = 5000
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, limit, p))
+    assert [n for n in range(-5, limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
 
 
 def test_unit_factors_generate_the_unit_group():

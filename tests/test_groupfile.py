@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import readme_group_example
+
 from torusquot.cyclo import Cyclotomic
 from torusquot.errors import GroupFileError, InvalidInputError
 from torusquot.fixtures import G1280_FILE, G216_FILE, S4_FILE
@@ -83,6 +85,16 @@ def test_serialization_refuses_a_lattice_generator_outside_the_conductor():
                    lattice=LatticeSpec(Cyclotomic.zeta(4, 1)))
     with pytest.raises(InvalidInputError):
         serialize_group(gf)
+
+
+def test_readme_example():
+    gf = parse_group_text(readme_group_example())
+    z = Cyclotomic.zeta(4, 1)
+    monomial, dense, perm = gf.generators
+    assert dense == perm
+    assert monomial == Dense([[0, z], [-1, 0]])
+    assert gf.form == SymplecticForm([[0, 1], [-1, 0]])
+    assert gf.conductor == 4 and gf.lattice.omega == z
 
 
 def test_monomial_block_semantics():
