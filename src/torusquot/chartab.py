@@ -9,15 +9,14 @@ abelianization, as zeta_e^(t_k); the complement of their span is split one
 class sum at a time with one Hessenberg reduction per space, eigenvalues
 found by evaluation over F_p.  Each value of the others is lifted exactly
 to a sum of roots of unity by Fourier inversion of the eigenvalue
-multiplicities, each at most the degree, which is below p.  The exact
-check evaluates every distinct value at an integer point past a norm bound
-(`_verify_table`): the orthonormality relations become one Gram product
-mod q, and the indicators one more sum per row.  The table keeps them and
-the eigenvalue-1 multiplicities the lift finds.
+multiplicities, each at most the degree, which is below p.  The table
+keeps them and the eigenvalue-1 multiplicities the lift finds.
 
-The other sums over classes lift each class function to integer numerators
-over one denominator in Z[z]/(z^m - 1), z = zeta_m, m the values' conductor,
-sum in integers and reduce mod Phi_m once; only `inner_product` canonicalises.
+Every integer sum over classes is read off one evaluation of the values at
+an integer point past a norm bound (`_evaluate`, `_read`): the exact check's
+Gram product mod q and its indicators (`_verify_table`), the decomposition
+and the Frobenius-Schur indicator.  `inner_product`, whose value need not
+be rational, sums exact products.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from collections import Counter
 from fractions import Fraction
 
 from . import modp
-from .cyclo import (Cyclotomic, _canonical, _reduce, cyclotomic_polynomial, format_entry,
-                    is_prime, one, zero)
+from .cyclo import (Cyclotomic, _canonical, _reduce, add_all, cyclotomic_polynomial,
+                    format_entry, is_prime, one, zero)
 from .errors import InconsistentCharacterError, TableComputationError
 from .groups import FiniteGroup
 
@@ -93,55 +92,41 @@ def natural_character(group: FiniteGroup) -> Character:
     return Character(group, group.class_traces)
 
 
-def _conductor(functions) -> int:
-    """m for the lift: the lcm of the values' conductors, the least m with
-    every value in Q(zeta_m); 1 when every value is rational."""
-    return math.lcm(*(v.n for chi in functions for v in chi.values))
+def _evaluate(group: FiniteGroup, functions):
+    """The class functions times D, their values' common denominator, at
+    zeta_m -> w mod q = Phi_m(w), m the values' conductor: one row of
+    integers per function, then D, q and the bound B that `_read` takes.
+
+    A conjugate of D chi(k) is at most L, the largest L1 norm of its
+    numerators, so each sum read off the rows has conjugates of size at most
+    B = |G| (L^2 + D^2): a Gram entry and |G| D^2 (chi|chi_i), for any class
+    functions, at most |G| L^2, and sum_k |C_k| D chi(g_k^2) at most |G| L.
+    For w = 2B + 2 the map (q need not be prime) has kernel (zeta_m - w), of
+    norm q >= (w - 1)^phi(m) > (2B)^phi(m).  Each distinct value is
+    evaluated once."""
+    values = {id(v): v for chi in functions for v in chi.values}  # shared values once
+    m = math.lcm(*(v.n for v in values.values()))
+    den = math.lcm(*(v.den for v in values.values()))
+    top = max(sum(map(abs, v.num)) * (den // v.den) for v in values.values())
+    bound = group.order * (top * top + den * den)
+    w = 2 * bound + 2
+    q = sum(c * w ** j for j, c in enumerate(cyclotomic_polynomial(m)))
+    powers = [pow(w, t, q) for t in range(m)]
+    at = {k: sum(c * powers[i * (m // v.n)] for i, c in enumerate(v.num) if c)
+          * (den // v.den) % q for k, v in values.items()}
+    return [[at[id(v)] for v in chi.values] for chi in functions], den, q, bound
 
 
-def _lift(chi: Character, m: int) -> tuple[int, list]:
-    """A common denominator D and, per class, the nonzero numerators (i, c)
-    with chi(k) = sum(c * z^i) / D in Z[z]/(z^m - 1), z = zeta_m."""
-    den = math.lcm(*(v.den for v in chi.values))
-    rows = []
-    for v in chi.values:
-        num, f = v.num, den // v.den
-        if v.n == 1:
-            rows.append([(0, num[0] * f)] if num[0] else [])
-        else:
-            step = m // v.n
-            rows.append([(i * step, c * f) for i, c in enumerate(num) if c])
-    return den, rows
-
-
-def _pairing(group: FiniteGroup, m: int, a, b) -> tuple[list[int], int]:
-    """(1/|G|) sum_k |C_k| a(k) b(k^-1) of two lifted class functions, as
-    numerators accumulated in Z[z]/(z^m - 1) and reduced mod Phi_m once,
-    over their denominator."""
-    (da, ra), (db, rb) = a, b
-    acc = [0] * m
-    for h, kinv, xs in zip(group.class_sizes, group.inverse_class, ra):
-        ys = rb[kinv]
-        if not ys:
-            continue
-        for i, c in xs:
-            hc = h * c
-            for j, d in ys:
-                t = i + j
-                if t >= m:
-                    t -= m
-                acc[t] += hc * d
-    return _reduce(acc, m), group.order * da * db
-
-
-def _integer(num: list[int], den: int) -> int | None:
-    """num / den as an int, for numerators num reduced mod Phi_m, when it is
-    one.  The powers 1, z, ..., z^(phi(m)-1) are a basis of Q(zeta_m), so
-    the value is rational exactly when num vanishes after entry 0."""
-    if any(num[1:]):
-        return None
-    q, rest = divmod(num[0], den)
-    return None if rest else q
+def _read(x: int, q: int, bound: int) -> int | None:
+    """The integer c that a sum s over classes, evaluated to x by
+    `_evaluate`, equals: the centred residue of x mod q when |c| <= B, else
+    None.  s - c has conjugates of size at most 2B, so its norm is below q,
+    and it lies in the kernel only if it is 0: s = c exactly when c is
+    returned, and an integer s, of size at most B, is always returned."""
+    c = x % q
+    if c > q // 2:
+        c -= q
+    return c if abs(c) <= bound else None
 
 
 def inner_product(a: Character, b: Character) -> Cyclotomic:
@@ -154,23 +139,20 @@ def inner_product(a: Character, b: Character) -> Cyclotomic:
     g = a.group
     if g is not b.group:
         raise InconsistentCharacterError("characters belong to different groups")
-    m = _conductor((a, b))
-    return _canonical(*_pairing(g, m, _lift(a, m), _lift(b, m)), m)
+    return add_all(h * x * b.values[k] for h, x, k in
+                   zip(g.class_sizes, a.values, g.inverse_class)) * Fraction(1, g.order)
 
 
 def frobenius_schur(chi: Character) -> int:
-    """(1/|G|) sum of chi(g^2): 1 real type, 0 complex, -1 quaternionic."""
+    """(1/|G|) sum of chi(g^2): 1 real type, 0 complex, -1 quaternionic,
+    read off one evaluation as sum_k |C_k| D chi(g_k^2) = |G| D nu."""
     g = chi.group
-    m = _conductor((chi,))
-    den, rows = _lift(chi, m)
-    acc = [0] * m
-    for k, h in zip(g.power_classes(2), g.class_sizes):
-        for i, c in rows[k]:
-            acc[i] += h * c
-    val = _integer(_reduce(acc, m), g.order * den)
-    if val is None:
+    (row,), den, q, bound = _evaluate(g, (chi,))
+    unit = g.order * den
+    val = _read(sum(h * row[k] for k, h in zip(g.power_classes(2), g.class_sizes)), q, bound)
+    if val is None or val % unit:
         raise InconsistentCharacterError("indicator is not an integer")
-    return val
+    return val // unit
 
 
 def _square(chi: Character, sign: int) -> Character:
@@ -190,19 +172,22 @@ def symmetric_square(chi: Character) -> Character:
 
 
 def decompose(chi: Character, table: "CharacterTable") -> tuple[int, ...]:
-    """Multiplicities of chi in the irreducibles; verified by reconstruction."""
+    """Multiplicities of chi in the irreducibles, each read off one
+    evaluation as sum_k |C_k| D chi(k^-1) D chi_i(k) = |G| D^2 (chi|chi_i);
+    verified by reconstruction."""
     g = chi.group
     if any(irr.group is not g for irr in table.irreducibles):
         raise InconsistentCharacterError("characters belong to different groups")
-    m = _conductor((chi, *table.irreducibles))
-    a = _lift(chi, m)
+    (row, *irreducibles), den, q, bound = _evaluate(g, (chi, *table.irreducibles))
+    left = [h * row[k] for h, k in zip(g.class_sizes, g.inverse_class)]
+    unit = g.order * den * den
     mult = []
-    for irr in table.irreducibles:
-        v = _integer(*_pairing(g, m, a, _lift(irr, m)))
-        if v is None or v < 0:
+    for irr in irreducibles:
+        v = _read(sum(map(operator.mul, left, irr)), q, bound)
+        if v is None or v < 0 or v % unit:
             raise InconsistentCharacterError(
                 "inner product with an irreducible is not a non-negative integer")
-        mult.append(v)
+        mult.append(v // unit)
     rebuilt = [zero()] * g.num_classes
     for c, irr in zip(mult, table.irreducibles):
         if c:
@@ -271,21 +256,14 @@ class CharacterTable:
 
     def render(self) -> str:
         g = self.group
-        cols = [[f"class {k}", str(g.class_sizes[k]), str(g.class_orders[k])]
-                for k in range(g.num_classes)]
-        for chi in self.irreducibles:
-            for k, v in enumerate(chi.values):
-                cols[k].append(format_entry(v))
-        # row-major cells, first column is labels
-        rows = [[""] + [c[0] for c in cols],
-                ["size"] + [c[1] for c in cols],
-                ["order"] + [c[2] for c in cols]]
-        for i in range(len(self.irreducibles)):
-            rows.append([f"X{i}"] + [c[3 + i] for c in cols])
-        widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
-        lines = ["  ".join(cell.rjust(w) for cell, w in zip(r, widths)).rstrip()
-                 for r in rows]
-        return "\n".join(lines)
+        rows = [["", *(f"class {k}" for k in range(g.num_classes))],
+                ["size", *map(str, g.class_sizes)],
+                ["order", *map(str, g.class_orders)]]
+        rows += [[f"X{i}", *map(format_entry, chi.values)]
+                 for i, chi in enumerate(self.irreducibles)]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(r, widths)).rstrip()
+                         for r in rows)
 
 
 def _class_matrix_rows(group: FiniteGroup, i: int, rows) -> list[list[int]]:
@@ -512,43 +490,30 @@ def _verify_table(group: FiniteGroup, chars) -> list[int]:
     the rows are orthonormal, and the degrees are positive (a row times -1
     keeps the relations).  Returns the rows' indicators.
 
-    With D the values' common denominator, x_ij = sum_k |C_k| D chi_i(k)
-    D chi_j(k^-1) - |G| D^2 delta_ij lies in Z[zeta_m], m the values'
-    conductor.  A conjugate of D chi(k) is at most L, the largest L1 norm of
-    its numerators, so those of x_ij are at most B = |G| (L^2 + D^2).  For
-    w = B + 2 the map zeta_m -> w mod q = Phi_m(w) (q need not be prime) has
-    kernel (zeta_m - w), of norm q >= (w - 1)^phi(m) > B^phi(m) >= |N(x_ij)|,
-    so x_ij maps to 0 only if it is 0.  Each value is evaluated once, and the
-    Gram matrix is one product mod q, read at j >= i (x_ji = x_ij, as
-    k -> k^-1 keeps class sizes).  The conjugates of sum_k |C_k| D chi(g_k^2)
-    - |G| D nu are at most |G| (L + D) <= B, so the indicator nu is exact."""
+    The rows are read off one evaluation (`_evaluate`).  The Gram matrix is
+    one product mod q, each entry sum_k |C_k| D chi_i(k) D chi_j(k^-1) read
+    as |G| D^2 delta_ij, at j >= i (x_ji = x_ij, as k -> k^-1 keeps class
+    sizes).  The indicator nu is read as sum_k |C_k| D chi(g_k^2) = |G| D nu."""
     order = group.order
     if sum(c.degree ** 2 for c in chars) != order:
         raise TableComputationError("degrees do not satisfy the sum-of-squares identity")
-    values = {id(v): v for c in chars for v in c.values}  # shared values once
-    m = math.lcm(*(v.n for v in values.values()))
-    den = math.lcm(*(v.den for v in values.values()))
-    top = max(sum(map(abs, v.num)) * (den // v.den) for v in values.values())
-    w = order * (top * top + den * den) + 2
-    q = sum(c * w ** j for j, c in enumerate(cyclotomic_polynomial(m)))
-    powers = [pow(w, t, q) for t in range(m)]
-    at = {k: sum(c * powers[i * (m // v.n)] for i, c in enumerate(v.num) if c)
-          * (den // v.den) % q for k, v in values.items()}
-    evaluated = [[at[id(v)] for v in c.values] for c in chars]
+    evaluated, den, q, bound = _evaluate(group, chars)
     right = [list(map(row.__getitem__, group.inverse_class)) for row in evaluated]
     sizes, unit = group.class_sizes, order * den
     for i, row in enumerate(evaluated):
         left = list(map(operator.mul, sizes, row))
         for j in range(i, len(chars)):
-            if sum(map(operator.mul, left, right[j])) % q != (unit * den % q if i == j else 0):
+            if _read(sum(map(operator.mul, left, right[j])), q, bound) != \
+                    (unit * den if i == j else 0):
                 raise TableComputationError("lifted characters are not orthonormal")
     if any(c.degree < 1 for c in chars):
         raise TableComputationError("a degree is not positive")
     squares = [0] * len(sizes)  # sum_k |C_k| chi(g_k^2) = sum_j squares[j] chi(g_j)
     for h, k in zip(sizes, group.power_classes(2)):
         squares[k] += h
-    signs = {unit % q: 1, 0: 0, -unit % q: -1}
-    indicators = [signs.get(sum(map(operator.mul, squares, row)) % q) for row in evaluated]
+    signs = {unit: 1, 0: 0, -unit: -1}
+    indicators = [signs.get(_read(sum(map(operator.mul, squares, row)), q, bound))
+                  for row in evaluated]
     if None in indicators:
         raise TableComputationError("an indicator is not -1, 0 or 1")
     return indicators

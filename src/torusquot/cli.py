@@ -52,7 +52,8 @@ def _load_group(args):
 
 
 def _resolve_form(args, gf, rep):
-    """Flag beats file block; inline `wedge ...` beats a path."""
+    """Flag beats file block; a flag whose first word is `wedge` is an inline
+    form, any other a path."""
     if args.form is None:
         form = gf.form
         if form is not None and form.degree != rep.degree:
@@ -60,11 +61,11 @@ def _resolve_form(args, gf, rep):
                 f"form degree {form.degree} does not match the analyzed degree "
                 f"{rep.degree}; pass --form for the doubled representation")
         return form
-    spec = args.form.strip()
-    if spec.startswith("wedge"):
-        pairs = parse_wedge_pairs(spec[len("wedge"):], rep.degree, None)
+    parts = args.form.split()
+    if parts[:1] == ["wedge"]:
+        pairs = parse_wedge_pairs(" ".join(parts[1:]), rep.degree, None)
         return SymplecticForm.wedge_pairs(rep.degree, pairs)
-    return parse_form_file(spec, gf.conductor, rep.degree)
+    return parse_form_file(args.form.strip(), gf.conductor, rep.degree)
 
 
 def cmd_analyze(args) -> int:

@@ -327,11 +327,11 @@ def close(generators, limit: int = DEFAULT_CLOSURE_LIMIT) -> "FiniteGroup":
     gens = list(generators)
     if not gens:
         raise InvalidInputError("need at least one generator")
+    for g in gens:
+        _validate_generator(g)
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise InvalidInputError("generators must share one degree")
-    for g in gens:
-        _validate_generator(g)
     if limit < 1:
         raise InvalidInputError("closure limit must be positive")
 

@@ -85,8 +85,6 @@ def assemble(group: FiniteGroup, images) -> AnalyticRep:
     if len(images) != len(group.generator_indices):
         raise InvalidInputError(
             f"expected {len(group.generator_indices)} generator images, got {len(images)}")
-    if not images:
-        raise InvalidInputError("group has no generators")
     deg = images[0].degree
     if any(m.degree != deg for m in images):
         raise InvalidInputError("generator images must share one degree")

@@ -18,8 +18,10 @@ which sets up the Fourier inversion again for each character, and
 :func:`_verify_table`, which compares canonical inner products.
 :func:`_verify_pairings` is the check that followed it: each of the
 r(r+1)/2 pairings accumulated in integers in Z[z]/(z^m - 1) and read off
-its numerators reduced mod Phi_m.  The table's bookkeeping read degrees
-and sort keys through `Fraction` (:func:`degree`, :func:`sort_key`).
+its numerators reduced mod Phi_m (:func:`_lift`, :func:`_pairing`), as the
+decomposition and the indicator were summed too.  The table's bookkeeping
+read degrees and sort keys through `Fraction` (:func:`degree`,
+:func:`sort_key`).
 
 They are slow and simple, and the differential tests compare `chartab`
 against them; :func:`check_table_reads` compares what a finished table
@@ -28,6 +30,7 @@ stores with them.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import modp_oracle
@@ -179,16 +182,47 @@ def _verify_table(group, chars):
                 raise TableComputationError("lifted characters are not orthonormal")
 
 
+def _lift(chi: Character, m: int) -> tuple[int, list]:
+    """A common denominator D and, per class, the nonzero numerators (i, c)
+    with chi(k) = sum(c * z^i) / D in Z[z]/(z^m - 1), z = zeta_m."""
+    den = math.lcm(*(v.den for v in chi.values))
+    rows = []
+    for v in chi.values:
+        step, f = m // v.n, den // v.den
+        rows.append([(i * step, c * f) for i, c in enumerate(v.num) if c])
+    return den, rows
+
+
+def _pairing(group, m: int, a, b) -> int | None:
+    """(1/|G|) sum_k |C_k| a(k) b(k^-1) of two lifted class functions as an
+    int, or None when it is not one: numerators accumulated in
+    Z[z]/(z^m - 1) and reduced mod Phi_m once.  The powers 1, z, ...,
+    z^(phi(m)-1) are a basis of Q(zeta_m), so the value is rational exactly
+    when the reduced numerators vanish after entry 0."""
+    (da, ra), (db, rb) = a, b
+    acc = [0] * m
+    for h, kinv, xs in zip(group.class_sizes, group.inverse_class, ra):
+        for i, c in xs:
+            for j, d in rb[kinv]:
+                acc[(i + j) % m] += h * c * d
+    num = _reduce(acc, m)
+    if any(num[1:]):
+        return None
+    q, rest = divmod(num[0], group.order * da * db)
+    return None if rest else q
+
+
 def _verify_pairings(group, chars):
     """The degrees' squares sum to |G|, and each pairing (a|b), j >= i,
-    summed in Z[z]/(z^m - 1), is the integer delta_ij."""
+    summed in Z[z]/(z^m - 1), m the values' conductor, is the integer
+    delta_ij."""
     if sum(c.degree ** 2 for c in chars) != group.order:
         raise TableComputationError("degrees do not satisfy the sum-of-squares identity")
-    m = chartab._conductor(chars)
-    lifted = [chartab._lift(c, m) for c in chars]
+    m = math.lcm(*(v.n for c in chars for v in c.values))
+    lifted = [_lift(c, m) for c in chars]
     for i, a in enumerate(lifted):
         for j, b in enumerate(lifted[i:], i):
-            if chartab._integer(*chartab._pairing(group, m, a, b)) != (1 if i == j else 0):
+            if _pairing(group, m, a, b) != (1 if i == j else 0):
                 raise TableComputationError("lifted characters are not orthonormal")
 
 

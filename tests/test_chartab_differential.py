@@ -5,9 +5,11 @@ The class functions are drawn from the tables' irreducibles, natural
 characters, exterior and symmetric squares, the zero function and random
 class functions: values with denominators and negative numerators, some at
 conductors that do not divide the group's exponent (7, 15, 16, 24), which
-makes the lift's m larger than the exponent.  Results and exceptions must
-agree exactly.  The eigenvalue-1 counts, which `torusq` reads off a
-character's decomposition, must agree wherever that decomposition exists.
+makes the evaluation's m larger than the exponent.  On the rational tables
+(s4, q8), where the evaluation's modulus is smallest, they are also drawn
+with large values.  Results and exceptions must agree exactly.  The
+eigenvalue-1 counts, which `torusq` reads off a character's decomposition,
+must agree wherever that decomposition exists.
 """
 
 from fractions import Fraction
@@ -79,6 +81,30 @@ def class_functions(table):
     return st.one_of(base, squared)
 
 
+def large_functions(table):
+    """Class functions with large values on a rational table, where m = 1
+    and the modulus q = 2B + 1 is the smallest: non-negative combinations of
+    the irreducibles with multiplicities up to 1000, constants, and random
+    rational values."""
+    group = table.group
+    r = group.num_classes
+    rational = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 1000))
+
+    @st.composite
+    def sums(draw):
+        chi = Character(group, (zero(),) * r)
+        for c in table:
+            m = draw(st.integers(0, 1000))
+            if m:
+                chi = chi + scale(c, m)
+        return chi
+
+    constant = rational.map(lambda v: [v] * r)
+    values = st.one_of(constant, st.lists(rational, min_size=r, max_size=r))
+    return st.one_of(sums(), values.map(
+        lambda vs: Character(group, tuple(map(Cyclotomic.from_value, vs)))))
+
+
 def outcome(fn, *args):
     try:
         return "ok", fn(*args)
@@ -110,6 +136,18 @@ def test_indicator_and_eigenvalue_counts_match_oracle(table, data):
 def test_decompose_matches_oracle(table, data):
     chi = data.draw(class_functions(table))
     assert outcome(decompose, chi, table) == outcome(oracle.decompose, chi, table)
+
+
+@pytest.mark.parametrize("name", ["s4", "q8"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_large_values_on_the_rational_tables_match_oracle(name, request, data):
+    table = request.getfixturevalue(f"{name}_table")
+    fns = large_functions(table)
+    a, b = data.draw(fns), data.draw(fns)
+    assert outcome(decompose, a, table) == outcome(oracle.decompose, a, table)
+    assert outcome(frobenius_schur, a) == outcome(oracle.frobenius_schur, a)
+    assert inner_product(a, b) == oracle.inner_product(a, b)
 
 
 def test_every_pair_of_the_tables_matches_oracle(table):

@@ -94,6 +94,18 @@ def test_analyze_form_file(tmp_path, s4_file, capsys):
     assert json.loads(capsys.readouterr().out)["form_preserved"] is True
 
 
+def test_analyze_form_file_named_wedge_is_read_as_a_file(tmp_path, s4_file, capsys,
+                                                         monkeypatch):
+    # only a first word `wedge` makes the flag an inline form
+    (tmp_path / "wedge_s4.form").write_text("form wedge 1:4 2:5 3:6\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "--group", s4_file, "--pair", "--form", "wedge_s4.form"]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["analyze", "--group", s4_file, "--pair", "--form", "wedge 1:4 2:5 3:6"]) == 0
+    assert from_file == capsys.readouterr().out
+    assert "form preserved         yes" in from_file
+
+
 def test_analyze_form_file_of_the_wrong_degree_is_input_error(tmp_path, s4_file, capsys):
     # the form file is read at the analyzed degree, 6 for the pair
     omega = tmp_path / "omega.form"

@@ -286,6 +286,12 @@ def test_zero_scalar_rejected():
                   "nonzero")
 
 
+def test_scalar_count_must_match_the_degree():
+    exc = _expect_error("conductor 1\ndegree 2\ngenerator monomial\nmap 2 1\nscalars 1\n",
+                        "scalars lists", line=5)
+    assert str(exc) == "scalars lists 1 entries, degree is 2 (line 5)"
+
+
 def test_form_must_be_antisymmetric():
     _expect_error(
         "conductor 1\ndegree 2\ngenerator perm\nmap 1 2\n"

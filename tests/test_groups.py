@@ -115,6 +115,17 @@ class TestClosure:
         with pytest.raises(InvalidInputError, match="dense generator is not invertible"):
             close([Dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]])])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Monomial((1, 0), (1,)), "monomial scalar count does not match the degree"),
+        (lambda: Dense([[1, 0]]), "dense element must be square"),
+        (lambda: close([Element.identity(2)], limit=0), "closure limit must be positive"),
+        (lambda: close([[[1]]]), "unsupported generator type list"),
+    ], ids=["monomial-scalar-count", "dense-not-square", "limit-zero", "generator-type"])
+    def test_rejects_malformed_input_with_its_message(self, build, message):
+        with pytest.raises(InvalidInputError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_dense_generator_with_zero_diagonal(self):
         # invertible, but the first pivot needs a row swap
         i = Cyclotomic.zeta(4)

@@ -81,6 +81,18 @@ def test_ladder_rung(m, n):
     assert Counter(table.degrees) == Counter(expected)
 
 
+@pytest.mark.parametrize("m, n", [(3, 4), (6, 3)], ids=["G(3,1,4)", "G(6,1,3)"])
+def test_sums_over_the_natural_character_match_oracle(m, n):
+    # the natural character, its pair and the squares of both: values at
+    # conductor m, up to the degree 2n and its square
+    table = chartab.character_table(close(wreath(m, n)))
+    chi = chartab.natural_character(table.group)
+    for f in (chi, chi + chi.conjugate()):
+        for psi in (f, chartab.exterior_square(f), chartab.symmetric_square(f)):
+            assert chartab.decompose(psi, table) == oracle.decompose(psi, table)
+            assert chartab.frobenius_schur(psi) == oracle.frobenius_schur(psi)
+
+
 def test_split_matches_oracle_on_g314():
     group = close(wreath(3, 4))
     p = next(chartab._admissible_primes(group.exponent(), group.order))

@@ -220,6 +220,18 @@ def test_form_requires_antisymmetry():
         SymplecticForm.wedge_pairs(3, [(0, 3)])
 
 
+def test_form_matrix_must_be_square():
+    with pytest.raises(InvalidInputError) as exc:
+        SymplecticForm([[zero(), one()]])
+    assert str(exc.value) == "form matrix must be square"
+
+
+def test_preserves_form_rejects_a_form_of_another_degree(s4_natural):
+    with pytest.raises(InvalidInputError) as exc:
+        preserves_form(s4_natural, SymplecticForm.wedge_pairs(2, [(0, 1)]))
+    assert str(exc.value) == "form degree does not match the representation"
+
+
 def test_form_scaling_is_still_preserved(s4_natural):
     pair = conjugate_pair_rep(s4_natural)
     base = SymplecticForm.wedge_pairs(6, [(0, 3), (1, 4), (2, 5)])
@@ -387,6 +399,12 @@ def test_assemble_wrong_generator_count(s4_group):
         assemble(s4_group, [Monomial((1, 0), (1, 1))])
 
 
+def test_assemble_rejects_images_of_two_degrees(s4_group):
+    with pytest.raises(InvalidInputError) as exc:
+        assemble(s4_group, [Monomial((1, 0), (1, 1)), Monomial((0,), (1,))])
+    assert str(exc.value) == "generator images must share one degree"
+
+
 @pytest.mark.parametrize("count", [4, 6], ids=["one-short", "one-over"])
 def test_wrong_trace_count_fails_at_construction(s4_group, count):
     # s4 has 5 classes; nothing is built, the character is checked at once
@@ -434,6 +452,20 @@ def test_fibration_requires_invariant_form(s4_natural, s4_table):
     wrong = SymplecticForm.wedge_pairs(6, [(0, 1), (2, 3), (4, 5)])
     with pytest.raises(InvalidInputError):
         lagrangian_fibration_data(pair, wrong, s4_table)
+
+
+def test_fibration_rejects_a_rep_that_is_not_uni_symplectic(s4_group, s4_table):
+    # the natural rep plus the trivial one, doubled: its real matrices keep
+    # the wedge form, and it has two constituents, each twice
+    plus_trivial = assemble(s4_group, [Monomial((1, 0, 2, 3), (-1, 1, 1, 1)),
+                                       Monomial((2, 0, 1, 3), (1, 1, 1, 1))])
+    pair = conjugate_pair_rep(plus_trivial)
+    form = SymplecticForm.wedge_pairs(8, [(0, 4), (1, 5), (2, 6), (3, 7)])
+    assert preserves_form(pair, form)
+    assert classify_symplectic(pair, s4_table) is SymplecticClass.NEITHER
+    with pytest.raises(InvalidInputError) as exc:
+        lagrangian_fibration_data(pair, form, s4_table)
+    assert str(exc.value) == "Lagrangian extraction needs a conjugate-pair representation"
 
 
 def test_real_pair_fibration_survives_scrambling(s4_natural, s4_table):
